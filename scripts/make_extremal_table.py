@@ -24,7 +24,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--g-from", type=int, default=1)
     parser.add_argument("--g-to", type=int, default=200)
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument(
         "--oracle", action="store_true",
         help=f"cross-check g <= {DEFAULT_ORACLE_CAP} against enumeration",
@@ -33,7 +32,7 @@ def main() -> int:
     args = parser.parse_args()
 
     t0 = time.monotonic()
-    records = extremal_table(args.g_from, args.g_to, jobs=args.jobs)
+    records = extremal_table(args.g_from, args.g_to)
     elapsed = time.monotonic() - t0
     print(f"computed {len(records)} rows in {elapsed:.2f}s")
 

@@ -44,9 +44,8 @@ from .criterion import membership
 from .extremal import (
     DEFAULT_GENUS_CAP,
     _check_genus_cap,
-    count_orders,
-    max_order,
-    max_order_value,
+    count_orders_range,
+    max_order_value_range,
 )
 from .numtheory import primorial, sieve
 
@@ -70,10 +69,6 @@ __all__ = [
     "check_dusart_pi",
     "check_dusart_product",
     "check_rosser",
-    "check_upper_bounds",
-    "check_lower_bounds",
-    "check_lemmas",
-    "check_prime_estimates",
     "CHECK_NAMES",
     "GENUS_CHECKS",
     "run_check",
@@ -244,6 +239,33 @@ def _range_check(lo: int, hi: int, what: str, minimum: int = 1) -> None:
 
 
 # ---------------------------------------------------------------------------
+# genus sweeps
+
+
+def _genus_points(
+    g_from: int,
+    g_to: int,
+    genus_cap: int | None,
+    start: int,
+    *dps: Callable[[int, int, int | None], list[int]],
+) -> Iterator[tuple[int, tuple[int, ...] | None]]:
+    """(g, values) for every g in [g_from, g_to].
+
+    Below `start` (a check's validity threshold) values is None and no DP
+    runs; from max(g_from, start) on, values holds one entry per range DP
+    in `dps`, each run once over that whole stretch.
+    """
+    _range_check(g_from, g_to, "genus")
+    _check_genus_cap(g_to, genus_cap)
+    first = max(g_from, start)
+    for g in range(g_from, min(first, g_to + 1)):
+        yield g, None
+    if first <= g_to:
+        columns = [dp(first, g_to, genus_cap) for dp in dps]
+        yield from zip(range(first, g_to + 1), zip(*columns))
+
+
+# ---------------------------------------------------------------------------
 # growth bounds (upper)
 
 
@@ -251,10 +273,7 @@ def check_thm31(
     g_from: int, g_to: int, genus_cap: int | None = DEFAULT_GENUS_CAP
 ) -> Iterator[BoundReport]:
     """h(g) <= 3 e^{3g}, exact h from the DP."""
-    _range_check(g_from, g_to, "genus")
-    _check_genus_cap(g_to, genus_cap)
-    for g in range(g_from, g_to + 1):
-        h = max_order_value(g, genus_cap)
+    for g, (h,) in _genus_points(g_from, g_to, genus_cap, 1, max_order_value_range):
         with mp.workdps(_DPS):
             rhs = 3 * mp.e ** (3 * g)
         yield _real_row("thm31", g, h, rhs, "<=")
@@ -264,11 +283,11 @@ def check_cor32(
     g_from: int, g_to: int, genus_cap: int | None = DEFAULT_GENUS_CAP
 ) -> Iterator[BoundReport]:
     """f(g) <= h(g), both exact."""
-    _range_check(g_from, g_to, "genus")
-    _check_genus_cap(g_to, genus_cap)
-    for g in range(g_from, g_to + 1):
-        record = max_order(g, genus_cap)
-        yield _exact_row("cor32", g, record.f, record.h, "<=")
+    points = _genus_points(
+        g_from, g_to, genus_cap, 1, count_orders_range, max_order_value_range
+    )
+    for g, (f, h) in points:
+        yield _exact_row("cor32", g, f, h, "<=")
 
 
 def _remark_upper_rhs(g: int) -> mpf:
@@ -283,16 +302,16 @@ def check_remark_upper(
     g_from: int, g_to: int, genus_cap: int | None = DEFAULT_GENUS_CAP
 ) -> Iterator[BoundReport]:
     """h(g) <= 2 e^gamma log(2g+1) e^{(2g+1)/e} for g >= 1486."""
-    _range_check(g_from, g_to, "genus")
-    _check_genus_cap(g_to, genus_cap)
-    for g in range(g_from, g_to + 1):
-        if g < REMARK_UPPER_START:
+    points = _genus_points(
+        g_from, g_to, genus_cap, REMARK_UPPER_START, max_order_value_range
+    )
+    for g, values in points:
+        if values is None:
             yield _unmet_row("remark-upper", g, f"g >= {REMARK_UPPER_START}")
             continue
-        h = max_order_value(g, genus_cap)
         with mp.workdps(_DPS):
             rhs = _remark_upper_rhs(g)
-        yield _real_row("remark-upper", g, h, rhs, "<=")
+        yield _real_row("remark-upper", g, values[0], rhs, "<=")
 
 
 # ---------------------------------------------------------------------------
@@ -311,53 +330,48 @@ def check_thm36(
     g_from: int, g_to: int, genus_cap: int | None = DEFAULT_GENUS_CAP
 ) -> Iterator[BoundReport]:
     """f(g) > e^{(1/4) sqrt(g/log g)} for g >= L."""
-    _range_check(g_from, g_to, "genus")
-    _check_genus_cap(g_to, genus_cap)
     level = compute_L()
-    for g in range(g_from, g_to + 1):
-        if g < level:
+    for g, values in _genus_points(g_from, g_to, genus_cap, level, count_orders_range):
+        if values is None:
             yield _unmet_row("thm36", g, f"g >= L = {level}")
             continue
-        f = count_orders(g, genus_cap)
         with mp.workdps(_DPS):
             rhs = _quarter_sqrt_bound(g)
-        yield _real_row("thm36", g, f, rhs, ">")
+        yield _real_row("thm36", g, values[0], rhs, ">")
 
 
 def check_cor37(
     g_from: int, g_to: int, genus_cap: int | None = DEFAULT_GENUS_CAP
 ) -> Iterator[BoundReport]:
     """h(g) > e^{(1/4) sqrt(g/log g)} for g >= L."""
-    _range_check(g_from, g_to, "genus")
-    _check_genus_cap(g_to, genus_cap)
     level = compute_L()
-    for g in range(g_from, g_to + 1):
-        if g < level:
+    for g, values in _genus_points(g_from, g_to, genus_cap, level, max_order_value_range):
+        if values is None:
             yield _unmet_row("cor37", g, f"g >= L = {level}")
             continue
-        h = max_order_value(g, genus_cap)
         with mp.workdps(_DPS):
             rhs = _quarter_sqrt_bound(g)
-        yield _real_row("cor37", g, h, rhs, ">")
+        yield _real_row("cor37", g, values[0], rhs, ">")
 
 
 def check_remark_lower(
     g_from: int, g_to: int, genus_cap: int | None = DEFAULT_GENUS_CAP
 ) -> Iterator[BoundReport]:
     """f(g) and h(g) > e^{sqrt(g/(4 log g))} once g log g >= 599^2."""
-    _range_check(g_from, g_to, "genus")
-    _check_genus_cap(g_to, genus_cap)
     cutoff = improved_lower_threshold()
-    for g in range(g_from, g_to + 1):
-        if g < cutoff:
+    points = _genus_points(
+        g_from, g_to, genus_cap, cutoff, count_orders_range, max_order_value_range
+    )
+    for g, values in points:
+        if values is None:
             yield _unmet_row("remark-lower-f", g, f"g log g >= 599^2 (g >= {cutoff})")
             yield _unmet_row("remark-lower-h", g, f"g log g >= 599^2 (g >= {cutoff})")
             continue
-        record = max_order(g, genus_cap)
+        f, h = values
         with mp.workdps(_DPS):
             rhs = _improved_bound(g)
-        yield _real_row("remark-lower-f", g, record.f, rhs, ">")
-        yield _real_row("remark-lower-h", g, record.h, rhs, ">")
+        yield _real_row("remark-lower-f", g, f, rhs, ">")
+        yield _real_row("remark-lower-h", g, h, rhs, ">")
 
 
 # ---------------------------------------------------------------------------
@@ -542,77 +556,6 @@ def check_rosser(x_from: int, x_to: int) -> Iterator[BoundReport]:
 
 
 # ---------------------------------------------------------------------------
-# aggregate sweeps
-
-
-def check_upper_bounds(
-    g_from: int, g_to: int, genus_cap: int | None = DEFAULT_GENUS_CAP
-) -> Iterator[BoundReport]:
-    """Per genus: the absolute bound, f <= h, and (when applicable) the
-    refined logarithmic bound."""
-    _range_check(g_from, g_to, "genus")
-    _check_genus_cap(g_to, genus_cap)
-    for g in range(g_from, g_to + 1):
-        record = max_order(g, genus_cap)
-        with mp.workdps(_DPS):
-            rhs = 3 * mp.e ** (3 * g)
-        yield _real_row("thm31", g, record.h, rhs, "<=")
-        yield _exact_row("cor32", g, record.f, record.h, "<=")
-        if g >= REMARK_UPPER_START:
-            with mp.workdps(_DPS):
-                rhs = _remark_upper_rhs(g)
-            yield _real_row("remark-upper", g, record.h, rhs, "<=")
-
-
-def check_lower_bounds(
-    g_from: int, g_to: int, genus_cap: int | None = DEFAULT_GENUS_CAP
-) -> Iterator[BoundReport]:
-    """Per genus: the exponential lower bounds on f and h, plus the
-    improved variant once g log g crosses 599^2."""
-    _range_check(g_from, g_to, "genus")
-    _check_genus_cap(g_to, genus_cap)
-    level = compute_L()
-    cutoff = improved_lower_threshold()
-    for g in range(g_from, g_to + 1):
-        if g < level:
-            yield _unmet_row("thm36", g, f"g >= L = {level}")
-            yield _unmet_row("cor37", g, f"g >= L = {level}")
-            continue
-        record = max_order(g, genus_cap)
-        with mp.workdps(_DPS):
-            rhs = _quarter_sqrt_bound(g)
-        yield _real_row("thm36", g, record.f, rhs, ">")
-        yield _real_row("cor37", g, record.h, rhs, ">")
-        if g >= cutoff:
-            with mp.workdps(_DPS):
-                rhs = _improved_bound(g)
-            yield _real_row("remark-lower-f", g, record.f, rhs, ">")
-            yield _real_row("remark-lower-h", g, record.h, rhs, ">")
-
-
-def check_lemmas(
-    x_from: int, x_to: int, g_from: int, g_to: int
-) -> Iterator[BoundReport]:
-    """The prime-sum lemma over x, then the pi-estimate and primorial
-    membership lemmas over g."""
-    yield from check_lemma33(x_from, x_to)
-    for g in range(g_from, g_to + 1):
-        yield from check_lemma34(g, g)
-        yield from check_lemma35(g, g)
-
-
-def check_prime_estimates(
-    n_from: int, n_to: int, x_from: int, x_to: int
-) -> Iterator[BoundReport]:
-    """All four classical estimates: first-n prime sums over n, then the
-    pi bounds, the Mertens-type product, and the pi lower bound over x."""
-    yield from check_dusart_sum(n_from, n_to)
-    yield from check_dusart_pi(x_from, x_to)
-    yield from check_dusart_product(max(x_from, 2973), x_to)
-    yield from check_rosser(x_from, x_to)
-
-
-# ---------------------------------------------------------------------------
 # named dispatch (shared by the CLI and scripts)
 
 CHECK_NAMES: dict[str, Callable[..., Iterator[BoundReport]]] = {
@@ -632,7 +575,7 @@ CHECK_NAMES: dict[str, Callable[..., Iterator[BoundReport]]] = {
 }
 
 # checks whose points are genera and whose work is dominated by the DPs;
-# these parallelize point-by-point
+# each runs its DPs once over the in-threshold part of its range
 GENUS_CHECKS = frozenset(
     {"thm31", "cor32", "remark-upper", "thm36", "cor37", "remark-lower"}
 )

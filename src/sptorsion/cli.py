@@ -13,11 +13,7 @@ Conventions shared by every subcommand:
     only offered where the payload is a table. Output is deterministic:
     identical invocations produce byte-identical bytes.
   * ranges are written a..b (inclusive); a bare integer means a..a.
-
-Setting the environment variable SPTORSION_CACHE_DIR enables a small
-JSON-lines cache of extremal records keyed by genus and stamped with the
-package version; stale-version lines are ignored. --oracle bypasses the
-cache entirely, since its whole point is an independent recomputation.
+    A genus range is computed in one pass of each DP at its top genus.
 """
 
 from __future__ import annotations
@@ -25,14 +21,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
 from . import __version__
 from .bounds import (
     CHECK_NAMES,
-    GENUS_CHECKS,
     default_range,
     report_to_dict,
     run_check,
@@ -46,7 +40,6 @@ from .criterion import (
 )
 from .extremal import (
     DEFAULT_GENUS_CAP,
-    DEFAULT_ORACLE_CAP,
     ExtremalRecord,
     brute_force_extremal,
     extremal_table,
@@ -59,8 +52,6 @@ from .witness import (
     witness_from_json,
     witness_to_json,
 )
-
-CACHE_ENV = "SPTORSION_CACHE_DIR"
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -183,79 +174,6 @@ def cmd_orders(args: argparse.Namespace) -> int:
 # extremal
 
 
-def _cache_path() -> Path | None:
-    root = os.environ.get(CACHE_ENV)
-    if not root:
-        return None
-    path = Path(root)
-    path.mkdir(parents=True, exist_ok=True)
-    return path / "extremal.jsonl"
-
-
-def _load_cached_records(path: Path) -> dict[int, ExtremalRecord]:
-    records: dict[int, ExtremalRecord] = {}
-    if not path.exists():
-        return records
-    for line in path.read_text().splitlines():
-        try:
-            payload = json.loads(line)
-            # valid JSON that is not an object (null, 7, "s", [1, 2]) is
-            # as unreadable as a line that does not decode
-            if not isinstance(payload, dict) or payload.get("version") != __version__:
-                continue
-            fact = Factorization(
-                tuple((int(p), int(a)) for p, a in payload["h_factorization"])
-            )
-            record = ExtremalRecord(
-                int(payload["g"]), int(payload["f"]), int(payload["h"]), fact
-            )
-        except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
-            continue  # unreadable lines never poison a run
-        records[record.g] = record
-    return records
-
-
-def _append_cached_records(path: Path, records: list[ExtremalRecord]) -> None:
-    with path.open("a") as handle:
-        for record in records:
-            handle.write(
-                json.dumps(
-                    {
-                        "version": __version__,
-                        "g": str(record.g),
-                        "f": str(record.f),
-                        "h": str(record.h),
-                        "h_factorization": _factorization_pairs(record.h_factorization),
-                    }
-                )
-                + "\n"
-            )
-
-
-def _gather_records(
-    g_from: int, g_to: int, genus_cap: int | None, jobs: int, use_cache: bool
-) -> list[ExtremalRecord]:
-    cache_file = _cache_path() if use_cache else None
-    cached = _load_cached_records(cache_file) if cache_file else {}
-    missing = [g for g in range(g_from, g_to + 1) if g not in cached]
-    fresh: dict[int, ExtremalRecord] = {}
-    if missing:
-        # contiguous runs keep extremal_table's signature simple
-        runs: list[list[int]] = []
-        for g in missing:
-            if runs and runs[-1][-1] == g - 1:
-                runs[-1].append(g)
-            else:
-                runs.append([g])
-        computed: list[ExtremalRecord] = []
-        for run in runs:
-            computed.extend(extremal_table(run[0], run[-1], genus_cap, jobs))
-        fresh = {record.g: record for record in computed}
-        if cache_file:
-            _append_cached_records(cache_file, computed)
-    return [cached[g] if g in cached else fresh[g] for g in range(g_from, g_to + 1)]
-
-
 def _record_row(record: ExtremalRecord, show_f: bool, show_h: bool) -> dict:
     row: dict = {"g": str(record.g)}
     if show_f:
@@ -274,9 +192,7 @@ def cmd_extremal(args: argparse.Namespace) -> int:
     show_f = args.count or not args.max
     show_h = args.max or not args.count
     genus_cap = None if args.allow_large else DEFAULT_GENUS_CAP
-    records = _gather_records(
-        g_from, g_to, genus_cap, args.jobs, use_cache=not args.oracle
-    )
+    records = extremal_table(g_from, g_to, genus_cap)
     mismatches = []
     if args.oracle:
         for record in records:
@@ -294,7 +210,6 @@ def cmd_extremal(args: argparse.Namespace) -> int:
         }
         parameters = {
             "genus": args.genus,
-            "jobs": str(args.jobs),
             "oracle": bool(args.oracle),
             "allow_large": bool(args.allow_large),
         }
@@ -429,24 +344,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # bounds
 
 
-def _reports_for_genus(task: tuple[str, int, int | None]) -> list:
-    name, g, genus_cap = task
-    return list(run_check(name, g, g, genus_cap))
-
-
-def _bounds_reports(name: str, lo: int, hi: int, genus_cap: int | None, jobs: int):
-    """Stream reports; genus sweeps fan out per point when jobs > 1."""
-    if jobs <= 1 or name not in GENUS_CHECKS or hi == lo:
-        yield from run_check(name, lo, hi, genus_cap)
-        return
-    import concurrent.futures
-
-    tasks = ((name, g, genus_cap) for g in range(lo, hi + 1))
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        for chunk in pool.map(_reports_for_genus, tasks):
-            yield from chunk
-
-
 def cmd_bounds(args: argparse.Namespace) -> int:
     name = args.check
     if args.range:
@@ -460,7 +357,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             )
         lo, hi = stated
     genus_cap = None if args.allow_large else DEFAULT_GENUS_CAP
-    reports = _bounds_reports(name, lo, hi, genus_cap, args.jobs)
+    reports = run_check(name, lo, hi, genus_cap)
     failures = 0
     unmet = 0
     total = 0
@@ -476,7 +373,6 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             {
                 "check": name,
                 "range": f"{lo}..{hi}",
-                "jobs": str(args.jobs),
                 "allow_large": bool(args.allow_large),
             },
             {
@@ -554,10 +450,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extremal", help="f(g) and h(g), exactly")
     p.add_argument("-g", "--genus", required=True, help="genus or range a..b")
-    p.add_argument("--count", action="store_true", help="(kept for symmetry; f is always reported)")
-    p.add_argument("--max", action="store_true", help="(kept for symmetry; h is always reported)")
+    p.add_argument("--count", action="store_true", help="narrow the table to the f column (with --max: f and h)")
+    p.add_argument("--max", action="store_true", help="narrow the table to the h columns (with --count: f and h)")
     p.add_argument("--oracle", action="store_true", help="cross-check against brute-force enumeration")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for ranges")
     p.add_argument("--allow-large", action="store_true", help="lift the genus cap")
     _add_format(p)
     p.set_defaults(handler=cmd_extremal)
@@ -577,7 +472,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="certify one family of inequalities")
     p.add_argument("--check", required=True, choices=sorted(CHECK_NAMES), help="inequality family")
     p.add_argument("--range", help="inclusive range a..b (default: the stated sweep)")
-    p.add_argument("--jobs", type=int, default=1, help="accepted for symmetry; sweeps run serially")
     p.add_argument("--allow-large", action="store_true", help="lift the genus cap")
     _add_format(p)
     p.set_defaults(handler=cmd_bounds)

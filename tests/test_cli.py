@@ -1,34 +1,26 @@
-"""End-to-end CLI behavior: exit codes, formats, cache, golden schemas."""
+"""End-to-end CLI behavior: exit codes, formats, golden schemas."""
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from sptorsion import __version__
-
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def run_cli(*args, env=None):
+def run_cli(*args):
     """Run the CLI in a child process.
 
     The child inherits this process's environment (PYTHONPATH included, so
-    a source checkout works without an installed package), minus any
-    SPTORSION_CACHE_DIR; ``env`` overlays extra variables on top.
+    a source checkout works without an installed package).
     """
-    child_env = dict(os.environ)
-    child_env.pop("SPTORSION_CACHE_DIR", None)
-    child_env.update(env or {})
     return subprocess.run(
         [sys.executable, "-m", "sptorsion.cli", *args],
         capture_output=True,
         text=True,
-        env=child_env,
         timeout=300,
     )
 
@@ -184,14 +176,6 @@ def test_bounds_unmet_rows_are_not_failures():
     assert payload["result"]["precondition_unmet"] == "3"
 
 
-def test_bounds_jobs_matches_serial():
-    serial = run_cli("bounds", "--check", "cor32", "--range", "1..8", "--format", "csv")
-    parallel = run_cli(
-        "bounds", "--check", "cor32", "--range", "1..8", "--jobs", "3", "--format", "csv"
-    )
-    assert serial.stdout == parallel.stdout
-
-
 def test_repeated_runs_are_byte_identical():
     for args in [
         ("member", "6", "-g", "1", "--format", "json"),
@@ -220,51 +204,6 @@ def test_repeated_runs_are_byte_identical():
 def test_golden_json_schema_stable(golden, args):
     expected = (GOLDEN / golden).read_text()
     assert run_cli(*args).stdout == expected
-
-
-def test_cache_round_trip(tmp_path):
-    env = {"SPTORSION_CACHE_DIR": str(tmp_path)}
-    first = run_cli("extremal", "-g", "1..4", "--format", "csv", env=env)
-    assert first.returncode == 0
-    cache_file = tmp_path / "extremal.jsonl"
-    assert cache_file.exists()
-    lines = cache_file.read_text().splitlines()
-    assert len(lines) == 4
-    assert all(json.loads(line)["version"] for line in lines)
-    # a second run answers from the cache and adds only the new genera
-    second = run_cli("extremal", "-g", "1..6", "--format", "csv", env=env)
-    assert second.stdout == run_cli("extremal", "-g", "1..6", "--format", "csv").stdout
-    assert len(cache_file.read_text().splitlines()) == 6
-
-
-def test_cache_ignores_corrupt_lines(tmp_path):
-    env = {"SPTORSION_CACHE_DIR": str(tmp_path)}
-    cache_file = tmp_path / "extremal.jsonl"
-    # a current-version object whose genus decodes to a float infinity
-    infinite_genus = {
-        "version": __version__,
-        "g": float("inf"),
-        "f": "9",
-        "h": "9",
-        "h_factorization": [],
-    }
-    lines = [
-        "garbage",
-        '{"version": "0.0.0", "g": "1", "f": "9", "h": "9"}',
-        # valid JSON, but not an object
-        "null",
-        "7",
-        '"s"',
-        "[1, 2]",
-        json.dumps(infinite_genus),
-        # nested deeper than the decoder's recursion limit
-        "[" * 100_000,
-    ]
-    cache_file.write_text("".join(line + "\n" for line in lines))
-    result = run_cli("extremal", "-g", "1", "--format", "csv", env=env)
-    assert result.returncode == 0, result.stderr
-    # no unreadable or stale-version line is trusted: the row is recomputed
-    assert result.stdout.splitlines()[1] == "1,4,6,2*3"
 
 
 def test_version_flag():

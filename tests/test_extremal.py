@@ -5,11 +5,14 @@ import pytest
 
 from sptorsion.criterion import GenusCapError, degree_cost, is_member
 from sptorsion.extremal import (
+    DEFAULT_ORACLE_CAP,
     brute_force_extremal,
     count_orders,
+    count_orders_range,
     extremal_table,
     max_order,
     max_order_value,
+    max_order_value_range,
 )
 
 # frozen from the brute-force enumeration oracle (g = 1..12)
@@ -86,7 +89,36 @@ def test_extremal_table():
         extremal_table(3, 2)
 
 
-def test_extremal_table_parallel_matches_serial():
-    serial = extremal_table(1, 12)
-    parallel = extremal_table(1, 12, jobs=3)
-    assert serial == parallel
+def test_extremal_table_read_off_is_window_independent():
+    # one DP pass at the top genus serves every g; where the window starts
+    # must not change any row
+    full = extremal_table(1, 60)
+    for g_from, g_to in [(1, 1), (7, 7), (5, 30), (29, 31), (41, 60)]:
+        assert extremal_table(g_from, g_to) == full[g_from - 1 : g_to]
+    assert [max_order(g) for g in range(50, 61)] == full[49:60]
+
+
+def test_extremal_table_matches_oracle():
+    table = extremal_table(1, DEFAULT_ORACLE_CAP)
+    for record in table:
+        reference = brute_force_extremal(record.g)
+        assert (record.f, record.h) == (reference.f, reference.h)
+        assert record.h_factorization == reference.h_factorization
+
+
+def test_range_values_match_single_genus():
+    assert count_orders_range(1, 12) == KNOWN_F
+    assert max_order_value_range(1, 12) == KNOWN_H
+    assert count_orders_range(95, 100) == [count_orders(g) for g in range(95, 101)]
+    assert max_order_value_range(95, 100) == [max_order_value(g) for g in range(95, 101)]
+
+
+def test_range_values_validate():
+    with pytest.raises(ValueError):
+        count_orders_range(3, 2)
+    with pytest.raises(ValueError):
+        max_order_value_range(0, 2)
+    with pytest.raises(GenusCapError):
+        max_order_value_range(4990, 5001)
+    with pytest.raises(GenusCapError):
+        extremal_table(1, 5001)
