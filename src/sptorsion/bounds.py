@@ -32,6 +32,7 @@ bounds pass tracks margin >= 0 and for lower bounds margin <= 0.
 from __future__ import annotations
 
 import itertools
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -114,31 +115,26 @@ def _mpf_to_fraction(x: mpf) -> Fraction:
     return value * Fraction(2) ** exp
 
 
+# op -> (comparison, guard factor tilting the right side against a pass)
+_COMPARISONS = {
+    "<=": (operator.le, 1 - GUARD),
+    "<": (operator.lt, 1 - GUARD),
+    ">": (operator.gt, 1 + GUARD),
+    ">=": (operator.ge, 1 + GUARD),
+}
+
+
 def _guarded_pass(lhs: int | Fraction, rhs: Fraction, op: str) -> bool:
     """Exact comparison against the adversarially tilted right side."""
     if rhs <= 0:
         raise AssertionError("right sides here are positive by construction")
-    if op == "<=":
-        return lhs <= rhs * (1 - GUARD)
-    if op == "<":
-        return lhs < rhs * (1 - GUARD)
-    if op == ">":
-        return lhs > rhs * (1 + GUARD)
-    if op == ">=":
-        return lhs >= rhs * (1 + GUARD)
-    raise ValueError(f"unknown comparison {op!r}")
+    compare, guard = _COMPARISONS[op]
+    return compare(lhs, rhs * guard)
 
 
 def _exact_pass(lhs: int | Fraction, rhs: int | Fraction, op: str) -> bool:
-    if op == "<=":
-        return lhs <= rhs
-    if op == "<":
-        return lhs < rhs
-    if op == ">":
-        return lhs > rhs
-    if op == ">=":
-        return lhs >= rhs
-    raise ValueError(f"unknown comparison {op!r}")
+    compare, _ = _COMPARISONS[op]
+    return compare(lhs, rhs)
 
 
 def _real_row(

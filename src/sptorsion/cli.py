@@ -33,7 +33,6 @@ from .bounds import (
 )
 from .criterion import (
     DEFAULT_ENUMERATION_CAP,
-    GenusCapError,
     MembershipDecision,
     enumerate_orders,
     membership,
@@ -48,6 +47,7 @@ from .numtheory import Factorization
 from .witness import (
     NotRealizableError,
     build_witness,
+    certificate_to_dict,
     verify_witness,
     witness_from_json,
     witness_to_json,
@@ -258,18 +258,7 @@ def _certificate_result(witness, certificate) -> dict:
         "claimed_order": str(witness.claimed_order),
         "all_passed": certificate.all_passed,
         "failing_checks": certificate.failing_checks(),
-        "certificate": {
-            "symplectic": certificate.symplectic,
-            "power_identity": certificate.power_identity,
-            "proper_powers": [
-                {
-                    "prime": str(c.prime),
-                    "exponent": str(c.exponent),
-                    "identity": c.identity,
-                }
-                for c in certificate.proper_powers
-            ],
-        },
+        "certificate": certificate_to_dict(certificate),
     }
 
 
@@ -358,16 +347,33 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         lo, hi = stated
     genus_cap = None if args.allow_large else DEFAULT_GENUS_CAP
     reports = run_check(name, lo, hi, genus_cap)
+    rows = []
     failures = 0
     unmet = 0
     total = 0
+    if args.format == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(["name", "point", "lhs", "rhs", "margin", "pass", "note"])
+    for report in reports:
+        row = report_to_dict(report)
+        total += 1
+        failures += report.passed is False
+        unmet += report.passed is None
+        if args.format == "json":
+            rows.append(row)
+        elif args.format == "csv":
+            status = "" if report.passed is None else str(report.passed).lower()
+            writer.writerow(
+                [row["name"], row["point"], row["lhs"], row["rhs"], row["margin"], status, row["note"]]
+            )
+        else:
+            status = "unmet" if report.passed is None else ("pass" if report.passed else "FAIL")
+            note = f"  ({row['note']})" if row["note"] else ""
+            print(
+                f"{row['name']}  point={row['point']}  lhs={row['lhs']}  "
+                f"rhs={row['rhs']}  margin={row['margin']}  {status}{note}"
+            )
     if args.format == "json":
-        rows = []
-        for report in reports:
-            rows.append(report_to_dict(report))
-            total += 1
-            failures += report.passed is False
-            unmet += report.passed is None
         _emit_json(
             "bounds",
             {
@@ -382,30 +388,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
                 "precondition_unmet": str(unmet),
             },
         )
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["name", "point", "lhs", "rhs", "margin", "pass", "note"])
-        for report in reports:
-            row = report_to_dict(report)
-            status = "" if report.passed is None else str(report.passed).lower()
-            writer.writerow(
-                [row["name"], row["point"], row["lhs"], row["rhs"], row["margin"], status, row["note"]]
-            )
-            total += 1
-            failures += report.passed is False
-            unmet += report.passed is None
-    else:
-        for report in reports:
-            row = report_to_dict(report)
-            status = "unmet" if report.passed is None else ("pass" if report.passed else "FAIL")
-            note = f"  ({row['note']})" if row["note"] else ""
-            print(
-                f"{row['name']}  point={row['point']}  lhs={row['lhs']}  "
-                f"rhs={row['rhs']}  margin={row['margin']}  {status}{note}"
-            )
-            total += 1
-            failures += report.passed is False
-            unmet += report.passed is None
+    elif args.format == "text":
         print(f"{total} rows: {total - failures - unmet} pass, {failures} fail, {unmet} precondition-unmet")
     return EXIT_NEGATIVE if failures else EXIT_OK
 
@@ -485,9 +468,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except GenusCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:

@@ -146,25 +146,14 @@ def support_primes(g: int) -> tuple[int, ...]:
 
 
 def _prime_power_options(p: int, budget: int) -> list[tuple[int, int]]:
-    """(cost, p^alpha) choices for one prime, alpha >= 1, cost <= budget.
-
-    For p = 2 the exponent-1 choice is free and exponents >= 2 cost
-    2^(alpha-1); for odd p every exponent costs its totient.
-    """
+    """(cost, p^alpha) choices for one prime, alpha >= 1, cost <= budget,
+    ascending; each priced by prime_power_cost."""
     options: list[tuple[int, int]] = []
-    if p == 2:
-        options.append((0, 2))
-        cost, value = 2, 4
-        while cost <= budget:
-            options.append((cost, value))
-            cost *= 2
-            value *= 2
-    else:
-        cost, value = p - 1, p
-        while cost <= budget:
-            options.append((cost, value))
-            cost *= p
-            value *= p
+    alpha, value = 1, p
+    while (cost := prime_power_cost(p, alpha)) <= budget:
+        options.append((cost, value))
+        alpha += 1
+        value *= p
     return options
 
 

@@ -1,19 +1,21 @@
 """Exact f(g) = |S(g)| and h(g) = max S(g) by budgeted dynamic programming.
 
 Both DPs run at the top genus G of a genus range and walk the primes
-p <= 2G+1 once, treating each prime as a group of mutually exclusive
-exponent choices priced by the additive cost of `criterion` (for p = 2 the
-exponents 0 and 1 are both free; everything else costs its totient).
+p <= 2G+1 once, treating every prime, 2 included, as one group of mutually
+exclusive exponent choices: exponent 0 at no cost, or one of the
+(cost, p^a) options of `criterion._prime_power_options`, priced by
+`criterion.prime_power_cost` (for p = 2 the options are 2 at cost 0, then
+2^a at cost 2^(a-1)).
 
-  * The count DP convolves per-prime choice counts over the budget axis
-    0..2G; cell b holds the number of exponent vectors of cost exactly b.
-    f(g) is the sum of cells 0..2g minus 1 for the empty (m = 1) vector.
-  * The max DP runs a group knapsack over the odd primes, storing in each
-    budget cell the exact best product as a Python integer, then grafts
-    the 2-part on afterwards: the free factor 2 on the odd optimum versus
-    2^a at cost 2^(a-1) for a >= 2. Distinct exponent vectors give
-    distinct integers, so cells never tie; equal values across budgets
-    resolve to the smaller budget because cells mean "best at cost <= b".
+  * The count DP convolves the groups over the budget axis 0..2G with one
+    shifted slice add per option; cell b holds the number of exponent
+    vectors of cost exactly b. f(g) is the sum of cells 0..2g minus 1 for
+    the empty (m = 1) vector.
+  * The max DP is a group knapsack over the same groups, storing in each
+    budget cell the exact best product as a Python integer, so
+    h(g) = best[2g]. Distinct exponent vectors give distinct integers, so
+    cells never tie; equal values across budgets resolve to the smaller
+    budget because cells mean "best at cost <= b".
 
 A cell at budget b only involves primes with p - 1 <= b, and every prime
 factor of a member of S(g) is at most 2g+1. So one pass of each DP at G
@@ -31,8 +33,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import add
 
-from .criterion import GenusCapError, _require_genus, enumerate_orders
+from .criterion import (
+    GenusCapError,
+    _prime_power_options,
+    _require_genus,
+    enumerate_orders,
+)
 from .numtheory import Factorization, sieve
 
 __all__ = [
@@ -87,68 +95,25 @@ def _order_counts(budget: int, primes: tuple[int, ...]) -> list[int]:
     counts = [0] * (budget + 1)
     counts[0] = 1
     for p in primes:
-        if p == 2:
-            options = [(0, 2)]  # exponents 0 and 1 both cost nothing
-            cost = 2
-            while cost <= budget:
-                options.append((cost, 1))
-                cost *= 2
-        else:
-            options = [(0, 1)]
-            cost = p - 1
-            while cost <= budget:
-                options.append((cost, 1))
-                cost *= p
-        new = [0] * (budget + 1)
-        for b in range(budget + 1):
-            acc = 0
-            for cost, mult in options:
-                if cost > b:
-                    break
-                acc += counts[b - cost] * mult
-            new[b] = acc
+        new = counts[:]  # exponent 0
+        for cost, _ in _prime_power_options(p, budget):
+            new[cost:] = map(add, new[cost:], counts[: budget + 1 - cost])
         counts = new
     return counts
 
 
-def _best_odd_products(budget: int, primes: tuple[int, ...]) -> list[int]:
-    """best[b] = largest product of odd prime powers of total cost <= b."""
+def _best_products(budget: int, primes: tuple[int, ...]) -> list[int]:
+    """best[b] = largest product of prime powers of total cost <= b."""
     best = [1] * (budget + 1)
     for p in primes:
-        if p == 2:
-            continue
-        options = []
-        cost, value = p - 1, p
-        while cost <= budget:
-            options.append((cost, value))
-            cost *= p
-            value *= p
         new = best[:]  # exponent 0
-        for b in range(options[0][0], budget + 1):
-            cur = new[b]
-            for cost, value in options:
-                if cost > b:
-                    break
+        for cost, value in _prime_power_options(p, budget):
+            for b in range(cost, budget + 1):
                 cand = best[b - cost] * value
-                if cand > cur:
-                    cur = cand
-            new[b] = cur
+                if cand > new[b]:
+                    new[b] = cand
         best = new
     return best
-
-
-def _graft_two(best: list[int], budget: int) -> int:
-    """h at `budget`: the free single factor 2 on the odd optimum, against
-    2^a at cost 2^(a-1) for a >= 2."""
-    h = 2 * best[budget]
-    cost, value = 2, 4
-    while cost <= budget:
-        cand = value * best[budget - cost]
-        if cand > h:
-            h = cand
-        cost *= 2
-        value *= 2
-    return h
 
 
 def _f_values(g_from: int, g_to: int, primes: tuple[int, ...]) -> list[int]:
@@ -158,8 +123,8 @@ def _f_values(g_from: int, g_to: int, primes: tuple[int, ...]) -> list[int]:
 
 
 def _h_values(g_from: int, g_to: int, primes: tuple[int, ...]) -> list[int]:
-    best = _best_odd_products(2 * g_to, primes)
-    return [_graft_two(best, 2 * g) for g in range(g_from, g_to + 1)]
+    best = _best_products(2 * g_to, primes)
+    return [best[2 * g] for g in range(g_from, g_to + 1)]
 
 
 def count_orders_range(
@@ -198,6 +163,8 @@ def _factor_smooth(m: int, primes: tuple[int, ...]) -> Factorization:
     entries = []
     rem = m
     for p in primes:
+        if rem == 1:
+            break
         if rem % p == 0:
             a = 0
             while rem % p == 0:

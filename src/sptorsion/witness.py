@@ -55,6 +55,7 @@ __all__ = [
     "symplectic_basis",
     "build_witness",
     "verify_witness",
+    "certificate_to_dict",
     "witness_to_json",
     "witness_from_json",
 ]
@@ -412,11 +413,11 @@ def build_witness(m: int, g: int) -> SymplecticWitness:
     decision = membership(m, g)
     if not decision.member:
         raise NotRealizableError(decision)
-    negate = m % 4 == 2
+    negate = decision.report.exemption_applied
     blocks = [
-        _prime_power_block(p, a)
-        for p, a in factor(m)
-        if not (p == 2 and a == 1)  # the 2-part of m == 2 (mod 4) is free
+        _prime_power_block(t.prime, t.exponent)
+        for t in decision.report.terms
+        if t.cost > 0  # the free 2-part of m == 2 (mod 4) is the negation
     ]
     n = 2 * g
     entries = [0] * (n * n)
@@ -476,9 +477,24 @@ def verify_witness(witness: SymplecticWitness, g: int) -> WitnessCertificate:
 # serialization (exact round-trip; all integers as decimal strings)
 
 
+def certificate_to_dict(cert: WitnessCertificate) -> dict:
+    """JSON-ready mapping of a certificate; integers as decimal strings."""
+    return {
+        "symplectic": cert.symplectic,
+        "power_identity": cert.power_identity,
+        "proper_powers": [
+            {
+                "prime": str(c.prime),
+                "exponent": str(c.exponent),
+                "identity": c.identity,
+            }
+            for c in cert.proper_powers
+        ],
+    }
+
+
 def witness_to_json(witness: SymplecticWitness) -> str:
     matrix = witness.matrix
-    cert = witness.certificate
     payload = {
         "format": "symplectic-witness",
         "version": "1",
@@ -486,18 +502,7 @@ def witness_to_json(witness: SymplecticWitness) -> str:
         "genus": str(matrix.rows // 2),
         "claimed_order": str(witness.claimed_order),
         "entries": [str(x) for x in matrix.entries],
-        "certificate": {
-            "symplectic": cert.symplectic,
-            "power_identity": cert.power_identity,
-            "proper_powers": [
-                {
-                    "prime": str(c.prime),
-                    "exponent": str(c.exponent),
-                    "identity": c.identity,
-                }
-                for c in cert.proper_powers
-            ],
-        },
+        "certificate": certificate_to_dict(witness.certificate),
     }
     return json.dumps(payload, indent=2) + "\n"
 

@@ -180,7 +180,7 @@ def test_window_below_threshold_runs_no_dp(monkeypatch):
         monkeypatch.setattr(target, "count_orders_range", no_dp)
         monkeypatch.setattr(target, "max_order_value_range", no_dp)
     monkeypatch.setattr(extremal, "_order_counts", no_dp)
-    monkeypatch.setattr(extremal, "_best_odd_products", no_dp)
+    monkeypatch.setattr(extremal, "_best_products", no_dp)
     rows = list(run_check("remark-lower", 4990, 5000, None))
     assert len(rows) == 2 * 11
     assert all(r.passed is None for r in rows)

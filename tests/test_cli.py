@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, formats, golden schemas."""
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -204,6 +205,15 @@ def test_repeated_runs_are_byte_identical():
 def test_golden_json_schema_stable(golden, args):
     expected = (GOLDEN / golden).read_text()
     assert run_cli(*args).stdout == expected
+
+
+def test_extremal_table_csv_digest_stable():
+    # SHA-256 of the g = 1..1000 table, frozen from the DPs that still
+    # special-cased the prime 2
+    result = run_cli("extremal", "-g", "1..1000", "--format", "csv")
+    assert result.returncode == 0
+    digest = hashlib.sha256(result.stdout.encode()).hexdigest()
+    assert digest == "339d8e24dfce72f42e43bb2d76ee1a4d2b811efc58ad9e6b5a3c514dd0685bc1"
 
 
 def test_version_flag():

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from sptorsion.criterion import (
     DEFAULT_ENUMERATION_CAP,
     GenusCapError,
+    _prime_power_options,
     degree_cost,
     enumerate_orders,
     is_member,
@@ -145,3 +146,17 @@ def test_support_primes():
     assert support_primes(1) == (2, 3)
     assert support_primes(3) == (2, 3, 5, 7)
     assert support_primes(5) == (2, 3, 5, 7, 11)
+
+
+@pytest.mark.parametrize("budget", [0, 1, 2, 10, 400, 10**4])
+def test_prime_power_options_against_sympy(budget):
+    sympy = pytest.importorskip("sympy")
+    for p in sympy.primerange(2, 201):
+        options = _prime_power_options(p, budget)
+        n = len(options)
+        assert [value for _, value in options] == [p**a for a in range(1, n + 1)]
+        # c(2) = 0; every other prime power costs its totient
+        expected = [0 if (p, a) == (2, 1) else sympy.totient(p**a) for a in range(1, n + 2)]
+        assert [cost for cost, _ in options] == expected[:n]
+        assert all(cost <= budget for cost in expected[:n])
+        assert expected[n] > budget  # the list stops at the first over budget
