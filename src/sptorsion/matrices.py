@@ -2,16 +2,8 @@
 
 Everything is plain Python integers in immutable row-major tuples, so
 arithmetic is exact at any size and values hash and compare structurally.
-The three nontrivial algorithms:
-
-  * Bareiss fraction-free elimination for determinants (integer-only,
-    intermediate entries stay divisors of minors).
-  * Row Hermite-style elimination carrying a transformation matrix, used
-    to extract the saturated left kernel: the full lattice of integer
-    vectors v with v A = 0, not merely a finite-index sublattice. The
-    rows recording zero pivots across all columns form a basis of that
-    kernel because unimodular row operations preserve the row lattice.
-  * Binary exponentiation for matrix powers.
+Products skip zero entries of the left operand, and powers use binary
+exponentiation.
 
 standard_form(g) is the block form J with upper-right +I_g, lower-left
 -I_g; a matrix A is symplectic for it when A^T J A = J.
@@ -25,8 +17,6 @@ __all__ = [
     "IntMatrix",
     "identity",
     "standard_form",
-    "determinant",
-    "left_kernel",
 ]
 
 
@@ -117,8 +107,9 @@ class IntMatrix:
         while e:
             if e & 1:
                 result = result @ base
-            base = base @ base
             e >>= 1
+            if e:
+                base = base @ base
         return result
 
     def is_identity(self) -> bool:
@@ -128,11 +119,6 @@ class IntMatrix:
         return all(
             x == (1 if i % (n + 1) == 0 else 0) for i, x in enumerate(self.entries)
         ) if n else True
-
-    def is_antisymmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self[i, j] == -self[j, i] for i in range(self.rows) for j in range(i + 1)
-        )
 
 
 def identity(n: int) -> IntMatrix:
@@ -149,73 +135,3 @@ def standard_form(g: int) -> IntMatrix:
         entries[i * n + (g + i)] = 1
         entries[(g + i) * n + i] = -1
     return IntMatrix(n, n, tuple(entries))
-
-
-def determinant(matrix: IntMatrix) -> int:
-    """Exact determinant by Bareiss fraction-free elimination."""
-    if matrix.rows != matrix.cols:
-        raise ValueError("determinant needs a square matrix")
-    n = matrix.rows
-    if n == 0:
-        return 1
-    a = [list(matrix.row(i)) for i in range(n)]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def left_kernel(matrix: IntMatrix) -> list[tuple[int, ...]]:
-    """Basis of the saturated left kernel {v integer row : v @ matrix = 0}.
-
-    Works on the augmented block [matrix | I]: unimodular row operations
-    (swap, negate, add integer multiples) reduce the left block to
-    row-echelon form while the right block tracks the operations. Rows
-    whose left part becomes zero give the kernel basis; saturation holds
-    because the operations are invertible over the integers, so the rows
-    always span the full lattice Z^rows.
-    """
-    n, m = matrix.rows, matrix.cols
-    left = [list(matrix.row(i)) for i in range(n)]
-    right = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    top = 0
-    for col in range(m):
-        # gcd-style elimination: repeatedly reduce the column below `top`
-        while True:
-            live = [i for i in range(top, n) if left[i][col] != 0]
-            if not live:
-                break
-            pivot = min(live, key=lambda i: abs(left[i][col]))
-            if pivot != top:
-                left[top], left[pivot] = left[pivot], left[top]
-                right[top], right[pivot] = right[pivot], right[top]
-            if left[top][col] < 0:
-                left[top] = [-x for x in left[top]]
-                right[top] = [-x for x in right[top]]
-            done = True
-            p = left[top][col]
-            for i in range(top + 1, n):
-                q = left[i][col] // p  # floor: remainders land in [0, p)
-                if q:
-                    left[i] = [x - q * y for x, y in zip(left[i], left[top])]
-                    right[i] = [x - q * y for x, y in zip(right[i], right[top])]
-                if left[i][col] != 0:
-                    done = False
-            if done:
-                break
-        if left[top][col] != 0:
-            top += 1
-            if top == n:
-                break
-    return [tuple(right[i]) for i in range(top, n) if all(x == 0 for x in left[i])]

@@ -5,17 +5,29 @@ Membership of m in S(g) is decided by the totient-cost budget in
 2g x 2g integer matrix of exact order m, symplectic for the standard
 form J, plus an independent verifier.
 
-One block per prime power. For p^alpha with positive cost, the
-companion matrix C of the p^alpha-th cyclotomic polynomial has exact
-order p^alpha, and the lattice of alternating integer forms B with
-C^T B C = B contains a unimodular element (the symplectic realization
-exists, so the search below is guaranteed a target). The pipeline per
-block:
+One block per prime power n = p^alpha with positive cost. Let d =
+phi(n) and h = d/2. The companion matrix C of the cyclotomic polynomial
+Phi_n is multiplication by x on Z[x]/Phi_n = Z[zeta], so it has exact
+order n, and it preserves the trace form
 
-  companion -> invariant form lattice (saturated integer kernel)
-            -> box search for a unimodular combination
-            -> integer symplectic reduction U with U^T B U = J
-            -> conjugate: U^-1 C U is symplectic for J.
+  B(u, v) = Tr(zeta^(h-1) * conj(u) * v / Phi_n'(zeta)).
+
+  * Alternating: Phi_n is palindromic, so zeta^(h-1)/Phi_n'(zeta) is
+    purely imaginary.
+  * Unimodular: 1/Phi_n'(zeta) generates the inverse different of
+    Z[zeta], and zeta^(h-1) is a unit.
+  * C-invariant: C multiplies u and v by zeta, and conj(zeta) zeta = 1.
+
+By Euler's lemma, Tr(zeta^e / Phi_n'(zeta)) = s_e, the coefficient of
+x^(d-1) in x^e mod Phi_n. In the power basis B is therefore
+[[0, T], [-T^T, 0]], with T the unit upper-triangular Toeplitz matrix
+whose first row is s_(d-1), ..., s_(d+h-2). That is B = P^T J P for
+P = diag(I, T), so the block
+
+  A = P C P^-1,  P^-1 = diag(I, T^-1),
+
+satisfies A^T J A = J. T^-1 is the Toeplitz matrix of the inverse power
+series.
 
 Assembly interleaves the blocks: each block's first half occupies a
 slice of the global first half (e-coordinates), its second half the
@@ -25,44 +37,33 @@ block at all: the assembled odd-order matrix is negated, and -1 being
 central and symplectic doubles the order at no cost. Blocks are built
 independently (cached per prime power) and merged by ascending prime,
 so construction is deterministic: equal inputs give identical matrices.
-
-U^-1 needs no general inversion: U^T B U = J gives U^-1 = -J U^T B.
+The assembled matrix is certified exactly (symplectic, A^m = I, and no
+proper power A^(m/p) = I) before it is returned.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .criterion import MembershipDecision, membership
-from .matrices import IntMatrix, determinant, left_kernel, standard_form
+from .matrices import IntMatrix, standard_form
 from .numtheory import factor
 
 __all__ = [
-    "AlternatingForm",
     "ProperPowerCheck",
     "WitnessCertificate",
     "SymplecticWitness",
     "NotRealizableError",
-    "FormSearchError",
-    "DEFAULT_RADIUS_CAP",
     "cyclotomic",
     "companion",
-    "invariant_alternating_lattice",
-    "find_unimodular_form",
-    "symplectic_basis",
     "build_witness",
     "verify_witness",
     "certificate_to_dict",
     "witness_to_json",
     "witness_from_json",
 ]
-
-# Box-search shells are exhausted at this max-norm radius; in practice the
-# blocks used here succeed at radius 1 or 2.
-DEFAULT_RADIUS_CAP = 32
 
 
 class NotRealizableError(ValueError):
@@ -76,22 +77,6 @@ class NotRealizableError(ValueError):
             f"cost {report.total} exceeds budget {decision.budget} "
             f"by {decision.deficit}"
         )
-
-
-class FormSearchError(RuntimeError):
-    """Box search exhausted without finding a unimodular form."""
-
-
-@dataclass(frozen=True)
-class AlternatingForm:
-    """An antisymmetric integer Gram matrix with its determinant."""
-
-    gram: IntMatrix
-    determinant: int
-
-    @property
-    def unimodular(self) -> bool:
-        return abs(self.determinant) == 1
 
 
 @dataclass(frozen=True)
@@ -214,172 +199,40 @@ def companion(poly: tuple[int, ...]) -> IntMatrix:
 
 
 # ---------------------------------------------------------------------------
-# invariant forms
+# the trace form of Z[zeta_n]
 
 
-def invariant_alternating_lattice(c_matrix: IntMatrix) -> list[AlternatingForm]:
-    """Basis of the lattice {B : B^T = -B, C^T B C = B}, saturated.
+def _trace_form_row(poly: tuple[int, ...]) -> list[int]:
+    """First row s_(d-1), ..., s_(d+h-2) of the Toeplitz block T.
 
-    Antisymmetric matrices are coordinatized by their strict upper
-    triangle; the saturated integer kernel of B -> C^T B C - B in those
-    coordinates gives the basis.
+    s_e is the coefficient of x^(d-1) in x^e mod poly: zero below d - 1,
+    one at d - 1, and from d on the recurrence x^d = -sum c_i x^i.
     """
-    if c_matrix.rows != c_matrix.cols:
-        raise ValueError("square matrix required")
-    d = c_matrix.rows
-    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    ct = c_matrix.transpose()
-    rows = []
-    for i, j in pairs:
-        entries = [0] * (d * d)
-        entries[i * d + j] = 1
-        entries[j * d + i] = -1
-        image = ct @ IntMatrix(d, d, tuple(entries)) @ c_matrix
-        rows.append(
-            [image[a, b] - (1 if (a, b) == (i, j) else 0) for a, b in pairs]
-        )
-    kernel = left_kernel(IntMatrix.from_rows(rows))
-    if not kernel:
-        raise RuntimeError(
-            "invariant alternating lattice is empty; the input matrix does "
-            "not preserve any alternating form"
-        )
-    forms = []
-    for vec in kernel:
-        entries = [0] * (d * d)
-        for coeff, (i, j) in zip(vec, pairs):
-            entries[i * d + j] = coeff
-            entries[j * d + i] = -coeff
-        gram = IntMatrix(d, d, tuple(entries))
-        forms.append(AlternatingForm(gram, determinant(gram)))
-    return forms
+    d = len(poly) - 1
+    s = [0] * (d - 1) + [1]
+    for e in range(d, d + d // 2 - 1):
+        s.append(-sum(c * s[e - d + i] for i, c in enumerate(poly[:-1])))
+    return s[d - 1 :]
 
 
-def _sign_normalized(gram: IntMatrix) -> IntMatrix:
-    for x in gram.entries:
-        if x > 0:
-            return gram
-        if x < 0:
-            return -gram
-    return gram
+def _series_inverse(row: list[int]) -> list[int]:
+    """u with row * u = 1 mod x^len(row), for row[0] == 1."""
+    u = [1]
+    for k in range(1, len(row)):
+        u.append(-sum(row[j] * u[k - j] for j in range(1, k + 1)))
+    return u
 
 
-def find_unimodular_form(
-    basis: list[AlternatingForm], radius_cap: int = DEFAULT_RADIUS_CAP
-) -> AlternatingForm:
-    """First unimodular integer combination of the basis forms.
-
-    Coefficient vectors are scanned in boxes of growing max-norm radius,
-    lexicographically inside each box, skipping vectors already seen at a
-    smaller radius; the first hit is sign-normalized (first nonzero entry
-    positive) and returned. Deterministic by construction.
-    """
-    if not basis:
-        raise ValueError("empty form basis")
-    grams = [f.gram for f in basis]
-    d = grams[0].rows
-    rank = len(grams)
-    for radius in range(1, radius_cap + 1):
-        for coeffs in itertools.product(range(-radius, radius + 1), repeat=rank):
-            if max(map(abs, coeffs)) != radius:
-                continue
-            entries = tuple(
-                sum(c * gram.entries[k] for c, gram in zip(coeffs, grams))
-                for k in range(d * d)
-            )
-            candidate = IntMatrix(d, d, entries)
-            det = determinant(candidate)
-            if abs(det) == 1:
-                normalized = _sign_normalized(candidate)
-                return AlternatingForm(normalized, determinant(normalized))
-    raise FormSearchError(
-        f"no unimodular form found within search bound (radius {radius_cap}, "
-        f"rank {rank})"
-    )
-
-
-# ---------------------------------------------------------------------------
-# integer symplectic reduction
-
-
-def _pairing(gram: IntMatrix, u: list[int], v: list[int]) -> int:
-    n = gram.rows
-    total = 0
-    for i in range(n):
-        ui = u[i]
-        if ui:
-            row = gram.row(i)
-            total += ui * sum(row[j] * v[j] for j in range(n))
-    return total
-
-
-def symplectic_basis(form: AlternatingForm) -> IntMatrix:
-    """U with U^T B U = J for a unimodular alternating B, det U = +-1.
-
-    Classical symplectic reduction over the integers: pop a basis vector
-    e, gcd-reduce the rest until some f pairs with e to exactly 1 (the
-    pairing row is primitive because B is unimodular), then make every
-    other vector orthogonal to the pair via v + <f,v>e - <e,v>f, and
-    recurse on the rest. Columns of U are e_1..e_d, f_1..f_d.
-    """
-    gram = form.gram
-    n = gram.rows
-    if n < 2 or gram.cols != n or not gram.is_antisymmetric():
-        raise ValueError("alternating (antisymmetric square) form required")
-    if abs(form.determinant) != 1 or abs(determinant(gram)) != 1:
-        raise ValueError("form is not unimodular")
-    remaining = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    es: list[list[int]] = []
-    fs: list[list[int]] = []
-    while remaining:
-        e = remaining.pop(0)
-        f = remaining.pop(_reduce_to_unit_pairing(gram, e, remaining))
-        cleared = []
-        for v in remaining:
-            fv = _pairing(gram, f, v)
-            ev = _pairing(gram, e, v)
-            cleared.append(
-                [x + fv * ei - ev * fi for x, ei, fi in zip(v, e, f)]
-            )
-        remaining = cleared
-        es.append(e)
-        fs.append(f)
-    cols = es + fs
-    u_matrix = IntMatrix(
-        n, n, tuple(cols[j][i] for i in range(n) for j in range(n))
-    )
-    if u_matrix.transpose() @ gram @ u_matrix != standard_form(n // 2):
-        raise AssertionError("symplectic reduction failed to reach J")
-    return u_matrix
-
-
-def _reduce_to_unit_pairing(
-    gram: IntMatrix, e: list[int], remaining: list[list[int]]
-) -> int:
-    """Row-reduce `remaining` until some vector pairs with e to +1;
-    return its index. Mutates `remaining` by unimodular operations."""
-    while True:
-        a = [_pairing(gram, e, v) for v in remaining]
-        nonzero = [i for i, x in enumerate(a) if x != 0]
-        if not nonzero:
-            raise ValueError("pairing vanishes; form is degenerate")
-        j = min(nonzero, key=lambda i: (abs(a[i]), i))
-        progressed = False
-        for i in nonzero:
-            if i == j:
-                continue
-            q = a[i] // a[j]
-            if q:
-                remaining[i] = [x - q * y for x, y in zip(remaining[i], remaining[j])]
-                progressed = True
-        if not progressed:
-            if abs(a[j]) != 1:
-                raise ValueError(
-                    f"pairing row has gcd {abs(a[j])}; form is not unimodular"
-                )
-            if a[j] < 0:
-                remaining[j] = [-x for x in remaining[j]]
-            return j
+def _lift(row: list[int]) -> IntMatrix:
+    """diag(I_h, T) for the h x h upper-triangular Toeplitz T of `row`."""
+    h = len(row)
+    n = 2 * h
+    entries = [0] * (n * n)
+    for i in range(h):
+        entries[i * n + i] = 1
+        for j in range(i, h):
+            entries[(h + i) * n + h + j] = row[j - i]
+    return IntMatrix(n, n, tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -390,18 +243,12 @@ def _reduce_to_unit_pairing(
 def _prime_power_block(p: int, alpha: int) -> IntMatrix:
     """Symplectic block of exact order p^alpha, size phi(p^alpha).
 
-    Conjugates the cyclotomic companion matrix into the standard form:
-    with U^T B U = J and C^T B C = B, the matrix U^-1 C U satisfies
-    A^T J A = J. U^-1 is -J U^T B, no inversion needed.
+    The trace form is P^T J P with P = diag(I, T), so P C P^-1 is
+    symplectic for J; P^-1 is diag(I, T^-1), the inverse series.
     """
-    c_matrix = companion(cyclotomic(p**alpha))
-    form = find_unimodular_form(invariant_alternating_lattice(c_matrix))
-    u_matrix = symplectic_basis(form)
-    d = c_matrix.rows // 2
-    u_inverse = -standard_form(d) @ u_matrix.transpose() @ form.gram
-    if not (u_inverse @ u_matrix).is_identity():
-        raise AssertionError("symplectic inverse identity failed")
-    return u_inverse @ c_matrix @ u_matrix
+    poly = cyclotomic(p**alpha)
+    row = _trace_form_row(poly)
+    return _lift(row) @ companion(poly) @ _lift(_series_inverse(row))
 
 
 def build_witness(m: int, g: int) -> SymplecticWitness:

@@ -200,6 +200,7 @@ def test_repeated_runs_are_byte_identical():
             ("bounds", "--check", "lemma33", "--range", "23..25", "--format", "json"),
         ),
         ("witness_4_g1.json", ("witness", "4", "-g", "1", "--format", "json")),
+        ("witness_5_g2.json", ("witness", "5", "-g", "2", "--format", "json")),
     ],
 )
 def test_golden_json_schema_stable(golden, args):

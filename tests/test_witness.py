@@ -1,25 +1,32 @@
-"""Cyclotomic polynomials, symplectic reduction, and witness certificates."""
+"""Cyclotomic polynomials, the trace-form blocks, and witness certificates."""
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from sptorsion.criterion import enumerate_orders, membership
-from sptorsion.matrices import IntMatrix, determinant, identity, standard_form
+from sptorsion.matrices import IntMatrix, identity, standard_form
+from sptorsion.numtheory import is_prime, totient_prime_power
 from sptorsion.witness import (
-    AlternatingForm,
-    FormSearchError,
     NotRealizableError,
+    _lift,
+    _prime_power_block,
+    _trace_form_row,
     build_witness,
     companion,
     cyclotomic,
-    find_unimodular_form,
-    invariant_alternating_lattice,
-    symplectic_basis,
     verify_witness,
     witness_from_json,
     witness_to_json,
 )
+
+# every prime power n = p^alpha >= 3 with phi(n) <= 130: 45 blocks
+PRIME_POWERS = [
+    (p, alpha)
+    for p in range(2, 132)
+    if is_prime(p)
+    for alpha in range(1, 9)
+    if p**alpha >= 3 and totient_prime_power(p, alpha) <= 130
+]
 
 
 def poly_eval(poly: tuple[int, ...], x: int) -> int:
@@ -75,6 +82,7 @@ def test_cyclotomic_palindrome(n):
 
 
 def test_companion_shape_and_charpoly():
+    sympy = pytest.importorskip("sympy")
     for poly in [(1, 1, 1), (1, 0, 1), (-2, 3, 0, 1), (5, -1, 2, 0, 0, 1)]:
         c = companion(poly)
         d = len(poly) - 1
@@ -82,13 +90,13 @@ def test_companion_shape_and_charpoly():
         # char poly check by evaluation: det(xI - C) agrees with the input
         # polynomial at d+1 points, which pins a degree-d monic polynomial
         for x in range(-(d + 1) // 2, d // 2 + 2):
-            scaled = IntMatrix.from_rows(
+            scaled = sympy.Matrix(
                 [
                     [x * (1 if i == j else 0) - c[i, j] for j in range(d)]
                     for i in range(d)
                 ]
             )
-            assert determinant(scaled) == poly_eval(poly, x)
+            assert scaled.det() == poly_eval(poly, x)
 
 
 def test_companion_rejects_bad_input():
@@ -115,81 +123,51 @@ def test_companion_satisfies_own_polynomial():
 
 @pytest.mark.parametrize("n", [3, 4, 5, 7, 8, 9, 11, 13, 16])
 def test_invariant_lattice_and_form(n):
-    c = companion(cyclotomic(n))
-    basis = invariant_alternating_lattice(c)
-    assert basis
-    for form in basis:
-        gram = form.gram
-        assert gram.transpose() == -gram
-        assert c.transpose() @ gram @ c == gram
-    form = find_unimodular_form(basis)
-    assert abs(form.determinant) == 1
-    assert form.unimodular
-    assert c.transpose() @ form.gram @ c == form.gram
+    # the trace form on the lattice Z[zeta_n], in the power basis:
+    # P^T J P = [[0, T], [-T^T, 0]] with P = diag(I, T)
+    poly = cyclotomic(n)
+    d = len(poly) - 1
+    row = _trace_form_row(poly)
+    p_matrix = _lift(row)
+    form = p_matrix.transpose() @ standard_form(d // 2) @ p_matrix
+    c = companion(poly)
+    assert form.transpose() == -form
+    assert c.transpose() @ form @ c == form
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    phi = sympy.Poly(sympy.cyclotomic_poly(n, x), x)
+    # s_e is the coefficient of x^(d-1) in x^e mod Phi_n
+    expected = [
+        sympy.Poly(x**e, x).rem(phi).coeff_monomial(x ** (d - 1))
+        for e in range(d - 1, d - 1 + d // 2)
+    ]
+    assert row == expected
+    assert sympy.Matrix(form.to_rows()).det() == 1
+
+
+@pytest.mark.parametrize(
+    "p, alpha", PRIME_POWERS, ids=[str(p**a) for p, a in PRIME_POWERS]
+)
+def test_prime_power_block(p, alpha):
+    n = p**alpha
+    a = _prime_power_block(p, alpha)
+    j = standard_form(a.rows // 2)
+    assert a.transpose() @ j @ a == j
+    assert (a**n).is_identity()
+    assert not (a ** (n // p)).is_identity()
+    if a.rows <= 40:
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        charpoly = sympy.Matrix(a.to_rows()).charpoly(x)
+        assert charpoly == sympy.Poly(sympy.cyclotomic_poly(n, x), x)
 
 
 @pytest.mark.parametrize("p, alpha", [(17, 1), (19, 1), (3, 3), (2, 5), (5, 2)])
 def test_blocks_up_to_totient_twenty(p, alpha):
-    # the box-search radius cap holds for every block the g <= 10 sweeps need
+    # every block the g <= 10 sweeps need gives a certified witness
     totient = p ** (alpha - 1) * (p - 1)
     w = build_witness(p**alpha, totient // 2)
     assert w.certificate.all_passed
-
-
-def test_find_unimodular_form_radius_cap():
-    # a rank-1 basis whose only multiples have determinant 4, 16, ...
-    doubled = AlternatingForm(
-        IntMatrix.from_rows([[0, 2], [-2, 0]]), determinant=4
-    )
-    with pytest.raises(FormSearchError):
-        find_unimodular_form([doubled], radius_cap=3)
-
-
-def unimodular_change_of_basis(g: int, seed: list[int]) -> IntMatrix:
-    # product of elementary shears is unimodular by construction
-    n = 2 * g
-    result = identity(n)
-    k = 0
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            amount = seed[k % len(seed)]
-            k += 1
-            if amount == 0:
-                continue
-            shear = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-            shear[i][j] = amount
-            result = result @ IntMatrix.from_rows(shear)
-    return result
-
-
-@settings(deadline=None, max_examples=40)
-@given(
-    st.integers(min_value=1, max_value=3),
-    st.lists(st.integers(min_value=-2, max_value=2), min_size=4, max_size=12),
-)
-def test_symplectic_basis_reduces_conjugated_forms(g, seed):
-    v = unimodular_change_of_basis(g, seed)
-    gram = v.transpose() @ standard_form(g) @ v
-    det = determinant(gram)
-    assert abs(det) == 1
-    form = AlternatingForm(gram, determinant=det)
-    u = symplectic_basis(form)
-    assert u.transpose() @ gram @ u == standard_form(g)
-    assert abs(determinant(u)) == 1
-
-
-def test_symplectic_basis_on_standard_form():
-    j = standard_form(2)
-    u = symplectic_basis(AlternatingForm(j, determinant=1))
-    assert u.transpose() @ j @ u == j
-
-
-def test_symplectic_basis_rejects_non_unimodular():
-    gram = IntMatrix.from_rows([[0, 2], [-2, 0]])
-    with pytest.raises(ValueError):
-        symplectic_basis(AlternatingForm(gram, determinant=4))
 
 
 def test_witness_examples():
