@@ -46,6 +46,7 @@ from .extremal import (
 from .numtheory import Factorization
 from .witness import (
     NotRealizableError,
+    UnrealizableOrderError,
     build_witness,
     certificate_to_dict,
     verify_witness,
@@ -310,7 +311,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise UsageError(f"cannot read {args.path}: {exc}") from None
     witness = witness_from_json(text)  # ValueError on malformed -> exit 2
-    certificate = verify_witness(witness, witness.genus)
+    try:
+        certificate = verify_witness(witness, witness.genus)
+    except UnrealizableOrderError as exc:
+        if args.format == "json":
+            result = {
+                "size": str(witness.matrix.rows),
+                "genus": str(witness.genus),
+                "claimed_order": str(witness.claimed_order),
+                "all_passed": False,
+                "reason": str(exc),
+            }
+            _emit_json("verify", {"path": args.path}, result)
+        else:
+            print(f"claimed order {witness.claimed_order}, size {witness.matrix.rows}")
+            print("verdict: INVALID")
+        print(f"not realizable: {exc}", file=sys.stderr)
+        return EXIT_NEGATIVE
     result = _certificate_result(witness, certificate)
     if args.format == "json":
         _emit_json("verify", {"path": args.path}, result)

@@ -2,8 +2,9 @@
 
 Everything is plain Python integers in immutable row-major tuples, so
 arithmetic is exact at any size and values hash and compare structurally.
-Products skip zero entries of the left operand, and powers use binary
-exponentiation.
+Products skip zero entries of the left operand. diagonal_blocks splits a
+square matrix into the direct sum its nonzero pattern allows, so powers
+can be taken block by block.
 
 standard_form(g) is the block form J with upper-right +I_g, lower-left
 -I_g; a matrix A is symplectic for it when A^T J A = J.
@@ -65,18 +66,6 @@ class IntMatrix:
     def __neg__(self) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, tuple(-x for x in self.entries))
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in addition")
-        return IntMatrix(
-            self.rows,
-            self.cols,
-            tuple(a + b for a, b in zip(self.entries, other.entries)),
-        )
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return self + (-other)
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(
@@ -97,20 +86,41 @@ class IntMatrix:
                     out[base + j] += av * brow[j]
         return IntMatrix(n, m, tuple(out))
 
-    def __pow__(self, e: int) -> "IntMatrix":
+    def trace(self) -> int:
+        return sum(self.entries[:: self.cols + 1])
+
+    def diagonal_blocks(self) -> list["IntMatrix"]:
+        """Principal submatrices on the connected components of the
+        nonzero pattern, ordered by smallest index.
+
+        Union-find joins row i and column j whenever entry (i, j) is
+        nonzero, so every entry outside the blocks is zero: the matrix is
+        their direct sum after one simultaneous permutation of rows and
+        columns, and its k-th power is I exactly when every block's is.
+        """
         if self.rows != self.cols:
-            raise ValueError("only square matrices have powers")
-        if e < 0:
-            raise ValueError("negative powers not supported")
-        result = identity(self.rows)
-        base = self
-        while e:
-            if e & 1:
-                result = result @ base
-            e >>= 1
-            if e:
-                base = base @ base
-        return result
+            raise ValueError("only square matrices have diagonal blocks")
+        n = self.rows
+        parent = list(range(n))
+
+        def find(i: int) -> int:
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        for at, x in enumerate(self.entries):
+            if x:
+                parent[find(at // n)] = find(at % n)
+        members: dict[int, list[int]] = {}
+        for i in range(n):
+            members.setdefault(find(i), []).append(i)
+        return [
+            IntMatrix(
+                len(idx), len(idx), tuple(self.entries[r * n + c] for r in idx for c in idx)
+            )
+            for idx in members.values()
+        ]
 
     def is_identity(self) -> bool:
         if self.rows != self.cols:

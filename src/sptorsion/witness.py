@@ -37,25 +37,33 @@ block at all: the assembled odd-order matrix is negated, and -1 being
 central and symplectic doubles the order at no cost. Blocks are built
 independently (cached per prime power) and merged by ascending prime,
 so construction is deterministic: equal inputs give identical matrices.
-The assembled matrix is certified exactly (symplectic, A^m = I, and no
-proper power A^(m/p) = I) before it is returned.
+
+The assembled matrix is certified exactly before it is returned:
+A^T J A = J on the whole matrix, A^m = I, and no proper power
+A^(m/p) = I. The powers are taken per component: A is the direct sum of
+the diagonal blocks of its nonzero pattern, and each distinct block gets
+one squaring chain, cut short by a repeated square or by a trace that
+proves infinite order (_SquaringChain). `verify_witness` factors the
+claimed order only by the primes <= 2g + 1, which is all an order in
+S(g) can have.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
-from .criterion import MembershipDecision, membership
+from .criterion import MembershipDecision, membership, support_primes
 from .matrices import IntMatrix, standard_form
-from .numtheory import factor
 
 __all__ = [
     "ProperPowerCheck",
     "WitnessCertificate",
     "SymplecticWitness",
     "NotRealizableError",
+    "UnrealizableOrderError",
     "cyclotomic",
     "companion",
     "build_witness",
@@ -64,6 +72,20 @@ __all__ = [
     "witness_to_json",
     "witness_from_json",
 ]
+
+
+class UnrealizableOrderError(ValueError):
+    """Raised when a claimed order has a prime factor above 2g + 1.
+
+    Every prime of an order in S(g) is at most 2g + 1, so no element of
+    Sp(2g, Z) has such an order, whatever the matrix.
+    """
+
+    def __init__(self, m: int, g: int):
+        super().__init__(
+            f"no element of Sp({2 * g},Z) has order {m}: it has a prime "
+            f"factor above 2g + 1 = {2 * g + 1}"
+        )
 
 
 class NotRealizableError(ValueError):
@@ -287,7 +309,8 @@ def build_witness(m: int, g: int) -> SymplecticWitness:
     matrix = IntMatrix(n, n, tuple(entries))
     if negate:
         matrix = -matrix
-    witness = SymplecticWitness(matrix, m, _certify(matrix, m, g))
+    primes = tuple(t.prime for t in decision.report.terms)
+    witness = SymplecticWitness(matrix, m, _certify(matrix, m, g, primes))
     if not witness.certificate.all_passed:
         raise AssertionError(
             f"constructed witness failed checks: "
@@ -296,19 +319,101 @@ def build_witness(m: int, g: int) -> SymplecticWitness:
     return witness
 
 
-def _certify(matrix: IntMatrix, m: int, g: int) -> WitnessCertificate:
+def _certify(
+    matrix: IntMatrix, m: int, g: int, primes: tuple[int, ...]
+) -> WitnessCertificate:
+    """The three checks for claimed order m, given the primes of m."""
     j = standard_form(g)
     symplectic = matrix.transpose() @ j @ matrix == j
-    power_identity = (matrix**m).is_identity()
+    power_identity, identities = _power_identities(matrix, m, [m // p for p in primes])
     proper = tuple(
-        ProperPowerCheck(p, m // p, (matrix ** (m // p)).is_identity())
-        for p in factor(m).primes()
+        ProperPowerCheck(p, m // p, identity)
+        for p, identity in zip(primes, identities)
     )
     return WitnessCertificate(symplectic, power_identity, proper)
 
 
+def _power_identities(
+    matrix: IntMatrix, m: int, divisors: list[int]
+) -> tuple[bool, list[bool]]:
+    """Whether A^m = I, and A^k = I for each k in divisors (each k | m).
+
+    Works block by block on A's diagonal blocks (equal blocks once). If
+    some block has infinite order or B^m != I, then A^m != I, and no
+    A^k = I either, since that would give A^m = (A^k)^(m/k) = I.
+    """
+    chains = []
+    for block in dict.fromkeys(matrix.diagonal_blocks()):
+        chain = _SquaringChain(block, m.bit_length())
+        if chain.infinite or not chain.power(m).is_identity():
+            return False, [False] * len(divisors)
+        chains.append(chain)
+    return True, [all(c.power(k).is_identity() for c in chains) for k in divisors]
+
+
+class _SquaringChain:
+    """The squares B^(2^t) of one block, computed once for every exponent.
+
+    Squaring stops at t = bits - 1, or as soon as a square repeats an
+    earlier one: B^(2^i) = B^(2^j) with j < i gives B^k = B^(k - T) for
+    k >= 2^i, T = 2^i - 2^j, so every exponent folds into [2^j, 2^i).
+    It also stops once |tr B^(2^t)| > d for the block size d: all
+    eigenvalues of a finite-order integer matrix are roots of unity, so
+    such a block has infinite order and no power of it is I.
+    """
+
+    def __init__(self, block: IntMatrix, bits: int):
+        self.squares = [block]
+        self.cycle_start: int | None = None
+        self.infinite = False
+        seen = {block: 0}
+        while True:
+            last = self.squares[-1]
+            if abs(last.trace()) > block.rows:
+                self.infinite = True
+                return
+            if len(self.squares) == bits:
+                return
+            square = last @ last
+            if square in seen:
+                self.cycle_start = seen[square]
+                return
+            seen[square] = len(self.squares)
+            self.squares.append(square)
+
+    def power(self, k: int) -> IntMatrix:
+        """B^k for 1 <= k < 2^bits, one product per set bit after the first."""
+        top = len(self.squares)
+        if self.cycle_start is not None and k >> top:
+            low = 1 << self.cycle_start
+            k = low + (k - low) % ((1 << top) - low)
+        factors = [self.squares[t] for t in range(k.bit_length()) if k >> t & 1]
+        return reduce(operator.matmul, factors)
+
+
+def _order_primes(m: int, g: int) -> tuple[int, ...]:
+    """The primes of m, by trial division by the primes <= 2g + 1 only.
+
+    Raises UnrealizableOrderError when a cofactor > 1 remains.
+    """
+    primes = []
+    rest = m
+    for p in support_primes(g):
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+    if rest > 1:
+        raise UnrealizableOrderError(m, g)
+    return tuple(primes)
+
+
 def verify_witness(witness: SymplecticWitness, g: int) -> WitnessCertificate:
-    """Re-run all checks from scratch; ignores the stored certificate."""
+    """Re-run all checks from scratch; ignores the stored certificate.
+
+    Raises UnrealizableOrderError, before any matrix arithmetic, when the
+    claimed order has a prime factor above 2g + 1.
+    """
     matrix = witness.matrix
     if matrix.rows != 2 * g or matrix.cols != 2 * g:
         raise ValueError(
@@ -317,7 +422,8 @@ def verify_witness(witness: SymplecticWitness, g: int) -> WitnessCertificate:
         )
     if witness.claimed_order < 2:
         raise ValueError("claimed order must be >= 2")
-    return _certify(matrix, witness.claimed_order, g)
+    m = witness.claimed_order
+    return _certify(matrix, m, g, _order_primes(m, g))
 
 
 # ---------------------------------------------------------------------------

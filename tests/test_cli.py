@@ -134,6 +134,23 @@ def test_verify_tampered_file(tmp_path):
     assert "symplectic" in result.stdout + result.stderr
 
 
+def test_verify_order_with_large_prime(tmp_path):
+    path = tmp_path / "w.json"
+    run_cli("witness", "4", "-g", "1", "-o", str(path))
+    payload = json.loads(path.read_text())
+    payload["claimed_order"] = str(1000000007 * 1000000009)
+    path.write_text(json.dumps(payload))
+    result = run_cli("verify", str(path), "--format", "json")
+    assert result.returncode == 1
+    assert "prime factor above 2g + 1 = 3" in result.stderr
+    verdict = json.loads(result.stdout)["result"]
+    assert verdict["all_passed"] is False
+    assert verdict["reason"] in result.stderr
+    text = run_cli("verify", str(path))
+    assert text.returncode == 1
+    assert "INVALID" in text.stdout
+
+
 def test_verify_malformed_file(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -1,13 +1,23 @@
 """Cyclotomic polynomials, the trace-form blocks, and witness certificates."""
 from __future__ import annotations
 
+import hashlib
+import json
+import random
+from math import gcd
+
 import pytest
 
+from power_oracle import binary_power, oracle_certificate
+from sptorsion import cli
 from sptorsion.criterion import enumerate_orders, membership
 from sptorsion.matrices import IntMatrix, identity, standard_form
-from sptorsion.numtheory import is_prime, totient_prime_power
+from sptorsion.numtheory import factor, is_prime, totient_prime_power
 from sptorsion.witness import (
     NotRealizableError,
+    SymplecticWitness,
+    UnrealizableOrderError,
+    _certify,
     _lift,
     _prime_power_block,
     _trace_form_row,
@@ -110,15 +120,12 @@ def test_companion_satisfies_own_polynomial():
     poly = cyclotomic(12)
     c = companion(poly)
     d = c.rows
-    acc = IntMatrix.from_rows([[0] * d for _ in range(d)])
+    acc = [0] * (d * d)
     power = identity(d)
     for coeff in poly:
-        if coeff:
-            acc = acc + IntMatrix.from_rows(
-                [[coeff * power[i, j] for j in range(d)] for i in range(d)]
-            )
+        acc = [x + coeff * y for x, y in zip(acc, power.entries)]
         power = power @ c
-    assert acc.to_rows() == [[0] * d for _ in range(d)]
+    assert acc == [0] * (d * d)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 7, 8, 9, 11, 13, 16])
@@ -153,8 +160,8 @@ def test_prime_power_block(p, alpha):
     a = _prime_power_block(p, alpha)
     j = standard_form(a.rows // 2)
     assert a.transpose() @ j @ a == j
-    assert (a**n).is_identity()
-    assert not (a ** (n // p)).is_identity()
+    assert binary_power(a, n).is_identity()
+    assert not binary_power(a, n // p).is_identity()
     if a.rows <= 40:
         sympy = pytest.importorskip("sympy")
         x = sympy.Symbol("x")
@@ -177,9 +184,9 @@ def test_witness_examples():
     assert w.matrix.to_rows() == [[0, -1], [1, 0]]
     w = build_witness(6, 1)
     assert w.certificate.all_passed
-    assert (w.matrix**6).is_identity()
-    assert not (w.matrix**3).is_identity()
-    assert not (w.matrix**2).is_identity()
+    assert binary_power(w.matrix, 6).is_identity()
+    assert not binary_power(w.matrix, 3).is_identity()
+    assert not binary_power(w.matrix, 2).is_identity()
 
 
 def test_witness_not_realizable():
@@ -198,9 +205,32 @@ def test_witness_sweep_small(g):
         a = w.matrix
         assert a.rows == 2 * g
         assert a.transpose() @ j @ a == j
-        assert (a**m).is_identity()
+        assert binary_power(a, m).is_identity()
         for term in membership(m, g).report.terms:
-            assert not (a ** (m // term.prime)).is_identity()
+            assert not binary_power(a, m // term.prime).is_identity()
+
+
+# SHA-256 of the concatenated witness documents of S(g), ascending m
+WITNESS_DIGESTS = {
+    1: "33204b453c64ada4e48dd3307412356d9e2453e90abc73953c86634a4311fa3b",
+    2: "4251d9ae82a337f1cb9db9eee149e873a081a9997ee87fba9f70dae8fd0a6e48",
+    3: "db252cbd08a3211fb467cfe6e820e2b0a3f5c92627771a7aa01e8cfa52506685",
+    4: "2ad242f4715731ef5c451a5dc49bca93a0f2624585fc954e7d4c0253d2911070",
+    5: "8e396a7c640023d6b1e285eba6cd8748c38d4a59d53760b487ec80691f2b80ec",
+    6: "79d06aedec6e1674f478db6a27280a77a2164cb043d0d8458c2b20ef772f38f6",
+}
+
+
+def test_witness_documents_frozen_g1_6():
+    counts = {}
+    for g, expected in WITNESS_DIGESTS.items():
+        digest = hashlib.sha256()
+        orders = enumerate_orders(g)
+        for m in orders:
+            digest.update(witness_to_json(build_witness(m, g)).encode())
+        counts[g] = len(orders)
+        assert digest.hexdigest() == expected, g
+    assert sum(counts.values()) == 132
 
 
 def test_witness_deterministic():
@@ -245,3 +275,169 @@ def test_witness_from_json_rejects_garbage():
         witness_from_json("not json")
     with pytest.raises(ValueError):
         witness_from_json("{}")
+
+
+# ---------------------------------------------------------------------------
+# certification against whole-matrix binary powering
+
+# small blocks of known finite order, as (rows, order)
+FINITE_PIECES = [
+    ([[1]], 1),
+    ([[-1]], 2),
+    ([[0, -1], [1, 0]], 4),
+    ([[0, -1], [1, 1]], 6),
+    ([[0, -1], [1, -1]], 3),
+    ([[0, 1], [1, 0]], 2),
+    ([[0, 0, 1], [-1, 0, 0], [0, 1, 0]], 6),
+    (_prime_power_block(5, 1).to_rows(), 5),
+    (_prime_power_block(2, 3).to_rows(), 8),
+]
+
+
+def permuted(rows: list[list[int]], rng: random.Random) -> IntMatrix:
+    """P A P^T for a random permutation P."""
+    n = len(rows)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    entries = [0] * (n * n)
+    for i in range(n):
+        for j in range(n):
+            entries[perm[i] * n + perm[j]] = rows[i][j]
+    return IntMatrix(n, n, tuple(entries))
+
+
+def finite_order_matrix(n: int, rng: random.Random) -> tuple[IntMatrix, int]:
+    """A permuted direct sum of FINITE_PIECES, and its order."""
+    rows = [[0] * n for _ in range(n)]
+    order, at = 1, 0
+    while at < n:
+        piece, piece_order = rng.choice(
+            [p for p in FINITE_PIECES if len(p[0]) <= n - at]
+        )
+        for i, row in enumerate(piece):
+            rows[at + i][at : at + len(row)] = row
+        order = order * piece_order // gcd(order, piece_order)
+        at += len(piece)
+    return permuted(rows, rng), order
+
+
+def unipotent_matrix(n: int, rng: random.Random) -> IntMatrix:
+    rows = [
+        [int(i == j) if j <= i else rng.choice((0, 0, 0, -2, -1, 1, 2)) for j in range(n)]
+        for i in range(n)
+    ]
+    return permuted(rows, rng)
+
+
+def sparse_matrix(n: int, rng: random.Random) -> IntMatrix:
+    entries = tuple(
+        rng.choice((-2, -1, 1, 2)) if rng.random() < 0.3 else 0 for _ in range(n * n)
+    )
+    return IntMatrix(n, n, entries)
+
+
+def certify_cases(seed: int):
+    """(matrix, claimed order) pairs: exact, multiple and proper-divisor
+    claims for finite-order matrices; small and large claims for
+    unipotent and random sparse ones."""
+    rng = random.Random(seed)
+    for _ in range(60):
+        n = rng.choice((2, 4, 6, 8))
+        a, order = finite_order_matrix(n, rng)
+        claims = {order, 2 * order, 3 * order, 5 * order, order + 1, order << 20}
+        claims |= {order // p for p in factor(order).primes() if order // p >= 2}
+        for m in sorted(c for c in claims if c >= 2):
+            yield a, m
+        u = unipotent_matrix(n, rng)
+        for m in (2, 6, 2**30 * 3**5):
+            yield u, m
+        r = sparse_matrix(n, rng)
+        for m in (2, 3, 4, 12, 60, 720):
+            yield r, m
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_certify_matches_binary_powering(seed):
+    outcomes = set()
+    for a, m in certify_cases(seed):
+        expected = oracle_certificate(a, m, a.rows // 2)
+        assert _certify(a, m, a.rows // 2, factor(m).primes()) == expected, (
+            a.to_rows(),
+            m,
+        )
+        outcomes.add(expected.power_identity)
+        outcomes.update(f"proper-{c.identity}" for c in expected.proper_powers)
+    # both answers of both kinds of check occur
+    assert outcomes == {True, False, "proper-True", "proper-False"}
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """Sizes of the matrix products made while the fixture is active."""
+    made = []
+    matmul = IntMatrix.__matmul__
+
+    def counted(x, y):
+        made.append(x.rows)
+        return matmul(x, y)
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", counted)
+    return made
+
+
+def test_certify_heavy_order_product_count(products):
+    witness = build_witness(12252240, 34)
+    products.clear()
+    assert verify_witness(witness, 34).all_passed
+    # whole-matrix binary powering, one chain per exponent, took 251
+    assert len(products) < 251
+    assert products.count(68) == 2  # only the symplectic check is dense
+
+
+def test_trace_exit_makes_no_power_products(products):
+    # tr = 3 > 2 on the first square: infinite order, no squaring needed
+    a = IntMatrix.from_rows([[2, 1], [1, 1]])
+    m = 2**26 * 3**10
+    certificate = _certify(a, m, 1, (2, 3))
+    assert len(products) == 2  # A^T J A
+    assert certificate.symplectic
+    assert not certificate.power_identity
+    assert [c.identity for c in certificate.proper_powers] == [False, False]
+
+
+def forged_document(rows: list[list[int]], m: int) -> str:
+    return json.dumps(
+        {
+            "format": "symplectic-witness",
+            "version": "1",
+            "size": str(len(rows)),
+            "genus": str(len(rows) // 2),
+            "claimed_order": str(m),
+            "entries": [str(x) for row in rows for x in row],
+            "certificate": {"symplectic": True, "power_identity": True, "proper_powers": []},
+        }
+    )
+
+
+@pytest.mark.parametrize(
+    "rows, m",
+    [([[2, 1], [1, 1]], 10**8), ([[0, -1], [1, 0]], 1000000007 * 1000000009)],
+    ids=["forged-10^8", "two-large-primes"],
+)
+def test_verify_rejects_order_with_large_prime(rows, m, products, tmp_path, capsys):
+    witness = witness_from_json(forged_document(rows, m))
+    with pytest.raises(UnrealizableOrderError):
+        verify_witness(witness, 1)
+    path = tmp_path / "forged.json"
+    path.write_text(forged_document(rows, m))
+    assert cli.main(["verify", str(path)]) == 1
+    assert "prime factor above 2g + 1 = 3" in capsys.readouterr().err
+    assert products == []
+
+
+def test_verify_factors_only_by_small_primes():
+    w = build_witness(7, 3)
+    claimed = SymplecticWitness(w.matrix, 7 * 5**40, w.certificate)
+    assert [c.prime for c in verify_witness(claimed, 3).proper_powers] == [5, 7]
+    with pytest.raises(UnrealizableOrderError):
+        verify_witness(SymplecticWitness(w.matrix, 7 * 11, w.certificate), 3)
