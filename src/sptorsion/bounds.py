@@ -577,6 +577,12 @@ GENUS_CHECKS = frozenset(
 )
 
 
+# checks whose points are x (or n) and which sieve up to the top point;
+# run_check caps their ranges at 10 times the largest default range
+_X_CHECKS = frozenset({"lemma33", "dusart-sum", "dusart-pi", "dusart-product", "rosser"})
+_X_CAP = 10**6
+
+
 def default_range(name: str) -> tuple[int, int] | None:
     """Stated sweep range for a check; None means a range is required."""
     if name == "thm31" or name == "cor32":
@@ -607,7 +613,12 @@ def default_range(name: str) -> tuple[int, int] | None:
 def run_check(
     name: str, lo: int, hi: int, genus_cap: int | None = DEFAULT_GENUS_CAP
 ) -> Iterator[BoundReport]:
-    """Dispatch one named check over an inclusive range."""
+    """Dispatch one named check over an inclusive range.
+
+    genus_cap caps the genus checks. An x-indexed check whose range ends
+    above 10^6 is refused at once (ValueError), before any sieve is
+    sized, unless genus_cap is None: None lifts both caps.
+    """
     try:
         fn = CHECK_NAMES[name]
     except KeyError:
@@ -616,6 +627,11 @@ def run_check(
         ) from None
     if name in GENUS_CHECKS:
         return fn(lo, hi, genus_cap)
+    if name in _X_CHECKS and genus_cap is not None and hi > _X_CAP:
+        raise ValueError(
+            f"{name} range ends at {hi}, above the cap {_X_CAP}; "
+            "pass --allow-large (genus_cap=None) to lift it"
+        )
     return fn(lo, hi)
 
 

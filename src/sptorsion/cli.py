@@ -46,7 +46,6 @@ from .extremal import (
 from .numtheory import Factorization
 from .witness import (
     NotRealizableError,
-    UnrealizableOrderError,
     build_witness,
     certificate_to_dict,
     verify_witness,
@@ -130,8 +129,31 @@ def _print_decision_text(decision: MembershipDecision) -> None:
     print(f"=> {decision.m} is {verdict} of S({decision.g})")
 
 
+def _not_realizable(
+    args: argparse.Namespace, parameters: dict, fields: dict, text: str, exc: NotRealizableError
+) -> int:
+    """An order outside S(g): `fields` and the reason as the JSON result,
+    else `text`; the reason also goes to stderr. Exit 1."""
+    if args.format == "json":
+        _emit_json(args.command, parameters, {**fields, "reason": str(exc)})
+    elif args.format == "text":
+        print(text)
+    print(f"not realizable: {exc}", file=sys.stderr)
+    return EXIT_NEGATIVE
+
+
+def _beyond_prime_bound(args: argparse.Namespace, exc: NotRealizableError) -> int:
+    """m has a prime above 2g + 1, where factoring stopped: no cost table."""
+    d = exc.decision
+    fields = {"m": str(d.m), "genus": str(d.g), "member": False, "budget": str(d.budget)}
+    text = f"m = {d.m}, genus = {d.g}, budget = {d.budget}\n=> {d.m} is not a member of S({d.g})"
+    return _not_realizable(args, {"m": str(d.m), "genus": str(d.g)}, fields, text, exc)
+
+
 def cmd_member(args: argparse.Namespace) -> int:
     decision = membership(args.m, args.genus)
+    if decision.report.cofactor > 1:
+        return _beyond_prime_bound(args, NotRealizableError(decision))
     if args.format == "json":
         _emit_json(
             "member",
@@ -270,6 +292,8 @@ def cmd_witness(args: argparse.Namespace) -> int:
         witness = build_witness(args.m, args.genus)
     except NotRealizableError as exc:
         decision = exc.decision
+        if decision.report.cofactor > 1:
+            return _beyond_prime_bound(args, exc)
         if args.format == "json":
             _emit_json(
                 "witness",
@@ -313,21 +337,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     witness = witness_from_json(text)  # ValueError on malformed -> exit 2
     try:
         certificate = verify_witness(witness, witness.genus)
-    except UnrealizableOrderError as exc:
-        if args.format == "json":
-            result = {
-                "size": str(witness.matrix.rows),
-                "genus": str(witness.genus),
-                "claimed_order": str(witness.claimed_order),
-                "all_passed": False,
-                "reason": str(exc),
-            }
-            _emit_json("verify", {"path": args.path}, result)
-        else:
-            print(f"claimed order {witness.claimed_order}, size {witness.matrix.rows}")
-            print("verdict: INVALID")
-        print(f"not realizable: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
+    except NotRealizableError as exc:
+        fields = {
+            "size": str(witness.matrix.rows),
+            "genus": str(witness.genus),
+            "claimed_order": str(witness.claimed_order),
+            "all_passed": False,
+        }
+        text = f"claimed order {witness.claimed_order}, size {witness.matrix.rows}\nverdict: INVALID"
+        return _not_realizable(args, {"path": args.path}, fields, text, exc)
     result = _certificate_result(witness, certificate)
     if args.format == "json":
         _emit_json("verify", {"path": args.path}, result)
@@ -472,7 +490,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="certify one family of inequalities")
     p.add_argument("--check", required=True, choices=sorted(CHECK_NAMES), help="inequality family")
     p.add_argument("--range", help="inclusive range a..b (default: the stated sweep)")
-    p.add_argument("--allow-large", action="store_true", help="lift the genus cap")
+    p.add_argument("--allow-large", action="store_true", help="lift the genus and x caps")
     _add_format(p)
     p.set_defaults(handler=cmd_bounds)
 

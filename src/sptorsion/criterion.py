@@ -14,7 +14,9 @@ so S(g) = { m >= 2 : cost(m) <= 2g }. Two consequences shape everything
 downstream: doubling an odd member is free (m odd and admissible implies
 2m admissible at the same cost), and every prime factor of a member is
 <= 2g+1 (else its phi already exceeds the budget), so at most g+1 distinct
-primes can appear.
+primes can appear. The second one is also how membership factors m: by
+trial division up to 2g+1 alone, where any cofactor left over decides
+"not a member", so no order, however large, costs more than that loop.
 
 m = 1 is rejected with an error rather than classified: the order set is
 defined over nonidentity elements only.
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .numtheory import Factorization, factor, sieve, totient_prime_power
+from .numtheory import factor, sieve
 
 __all__ = [
     "CostTerm",
@@ -35,7 +37,6 @@ __all__ = [
     "GenusCapError",
     "DEFAULT_ENUMERATION_CAP",
     "prime_power_cost",
-    "degree_cost",
     "is_member",
     "membership",
     "support_primes",
@@ -63,19 +64,26 @@ class CostTerm:
 class DegreeCostReport:
     """Per-prime-power totient costs of m and their total.
 
-    exemption_applied is True exactly when m == 2 (mod 4); the prime-2
-    term then carries exponent 1 and cost 0.
+    The terms cover the primes <= 2g+1; cofactor is the part of m left
+    over, 1 exactly when m has no larger prime. exemption_applied is True
+    exactly when m == 2 (mod 4); the prime-2 term then carries exponent 1
+    and cost 0.
     """
 
     m: int
     terms: tuple[CostTerm, ...]
     total: int
     exemption_applied: bool
+    cofactor: int
 
 
 @dataclass(frozen=True)
 class MembershipDecision:
-    """Outcome of the budget test cost(m) <= 2g, with the full cost table."""
+    """Outcome of the budget test cost(m) <= 2g, with the cost table.
+
+    A cofactor > 1 means a prime above 2g+1, whose totient alone exceeds
+    the budget: m is then not a member whatever the other terms cost.
+    """
 
     m: int
     g: int
@@ -88,18 +96,35 @@ class MembershipDecision:
 
     @property
     def deficit(self) -> int:
-        """How far over budget the cost is (0 when member)."""
+        """How far over budget the cost is (0 when member).
+
+        With a cofactor > 1 the cost of its primes is not computed and this
+        is a lower bound: each such prime p is odd and > 2g+1, so its
+        phi(p) >= 2g+2 alone puts the cost at >= total + 2g + 2.
+        """
+        if self.report.cofactor > 1:
+            return self.report.total + 2
         return max(0, self.report.total - self.budget)
 
 
 def prime_power_cost(p: int, alpha: int) -> int:
     """Additive cost of the prime power p^alpha.
 
-    c(2) = 0; c(2^a) = 2^(a-1) for a >= 2; c(p^a) = phi(p^a) for odd p.
+    c(2) = 0; c(2^a) = 2^(a-1) for a >= 2; c(p^a) = phi(p^a) =
+    p^(alpha-1) (p-1) for odd p. Raises ValueError unless p is prime and
+    alpha >= 1.
     """
-    if p == 2:
-        return 0 if alpha == 1 else 2 ** (alpha - 1)
-    return totient_prime_power(p, alpha)
+    if alpha < 1:
+        raise ValueError(f"exponent must be >= 1, got {alpha}")
+    if p < 2 or factor(p, p - 1)[1] != p:  # p has no divisor below itself
+        raise ValueError(f"{p} is not prime")
+    return _cost(p, alpha)
+
+
+def _cost(p: int, alpha: int) -> int:
+    """prime_power_cost without the argument check, for primes that come
+    from a sieve (the DPs) or from factor (membership)."""
+    return 0 if p == 2 and alpha == 1 else p ** (alpha - 1) * (p - 1)
 
 
 def _require_order(m: int) -> None:
@@ -117,21 +142,19 @@ def _require_genus(g: int) -> None:
         raise ValueError(f"genus must be an integer >= 1, got {g}")
 
 
-def degree_cost(m: int, factorization: Factorization | None = None) -> DegreeCostReport:
-    """Cost table for m >= 2. Optionally reuse a known factorization."""
-    _require_order(m)
-    fact = factor(m) if factorization is None else factorization
-    exemption = m % 4 == 2
-    terms = tuple(CostTerm(p, a, prime_power_cost(p, a)) for p, a in fact)
-    total = sum(t.cost for t in terms)
-    return DegreeCostReport(m, terms, total, exemption)
-
-
 def membership(m: int, g: int) -> MembershipDecision:
-    """Decide m in S(g), returning the decision with its cost report."""
+    """Decide m in S(g), returning the decision with its cost report.
+
+    m is factored only by trial division up to 2g+1, so the work is
+    bounded by the genus whatever the size of m.
+    """
     _require_genus(g)
-    report = degree_cost(m)
-    return MembershipDecision(m, g, report.total <= 2 * g, report)
+    _require_order(m)
+    fact, cofactor = factor(m, 2 * g + 1)
+    terms = tuple(CostTerm(p, a, _cost(p, a)) for p, a in fact)
+    total = sum(t.cost for t in terms)
+    report = DegreeCostReport(m, terms, total, m % 4 == 2, cofactor)
+    return MembershipDecision(m, g, cofactor == 1 and total <= 2 * g, report)
 
 
 def is_member(m: int, g: int) -> bool:
@@ -147,10 +170,10 @@ def support_primes(g: int) -> tuple[int, ...]:
 
 def _prime_power_options(p: int, budget: int) -> list[tuple[int, int]]:
     """(cost, p^alpha) choices for one prime, alpha >= 1, cost <= budget,
-    ascending; each priced by prime_power_cost."""
+    ascending; each priced by the prime_power_cost formula."""
     options: list[tuple[int, int]] = []
     alpha, value = 1, p
-    while (cost := prime_power_cost(p, alpha)) <= budget:
+    while (cost := _cost(p, alpha)) <= budget:
         options.append((cost, value))
         alpha += 1
         value *= p

@@ -30,7 +30,6 @@ values from the full enumeration and exists purely as an oracle.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import add
@@ -41,7 +40,7 @@ from .criterion import (
     _require_genus,
     enumerate_orders,
 )
-from .numtheory import Factorization, sieve
+from .numtheory import Factorization, factor, sieve
 
 __all__ = [
     "ExtremalRecord",
@@ -158,24 +157,6 @@ def max_order(g: int, genus_cap: int | None = DEFAULT_GENUS_CAP) -> ExtremalReco
     return extremal_table(g, g, genus_cap)[0]
 
 
-def _factor_smooth(m: int, primes: tuple[int, ...]) -> Factorization:
-    """Factor an integer all of whose prime factors lie in `primes`."""
-    entries = []
-    rem = m
-    for p in primes:
-        if rem == 1:
-            break
-        if rem % p == 0:
-            a = 0
-            while rem % p == 0:
-                rem //= p
-                a += 1
-            entries.append((p, a))
-    if rem != 1:
-        raise AssertionError(f"{m} is not smooth over the support primes")
-    return Factorization(tuple(entries))
-
-
 def brute_force_extremal(g: int, cap: int = DEFAULT_ORACLE_CAP) -> ExtremalRecord:
     """f and h from the full enumeration. Oracle for the DPs; g <= cap."""
     if g > cap:
@@ -185,20 +166,24 @@ def brute_force_extremal(g: int, cap: int = DEFAULT_ORACLE_CAP) -> ExtremalRecor
         )
     orders = enumerate_orders(g, cap=cap)
     h = orders[-1]
-    return ExtremalRecord(g, len(orders), h, _factor_smooth(h, sieve(2 * g + 1).primes))
+    return ExtremalRecord(g, len(orders), h, factor(h, 2 * g + 1)[0])
 
 
 def extremal_table(
     g_from: int, g_to: int, genus_cap: int | None = DEFAULT_GENUS_CAP
 ) -> list[ExtremalRecord]:
     """Records for every g in [g_from, g_to], read off one count DP and one
-    knapsack at budget 2*g_to; each h(g) is factored over the primes <= 2g+1."""
+    knapsack at budget 2*g_to; each new h(g) is factored up to 2g+1."""
     _check_range(g_from, g_to, genus_cap)
     primes = sieve(2 * g_to + 1).primes
     fs = _f_values(g_from, g_to, primes)
     hs = _h_values(g_from, g_to, primes)
-    records = []
+    records: list[ExtremalRecord] = []
     for g, f, h in zip(range(g_from, g_to + 1), fs, hs):
-        support = primes[: bisect_right(primes, 2 * g + 1)]
-        records.append(ExtremalRecord(g, f, h, _factor_smooth(h, support)))
+        # h is nondecreasing and often repeats (at 37% of the g <= 5000)
+        if records and records[-1].h == h:
+            fact = records[-1].h_factorization
+        else:
+            fact = factor(h, 2 * g + 1)[0]
+        records.append(ExtremalRecord(g, f, h, fact))
     return records

@@ -1,7 +1,13 @@
-"""Exact prime, factorization, and totient arithmetic.
+"""Sieve, bounded factorization, and primorials.
 
-Everything here works on Python's native arbitrary-precision integers and
-is deterministic. All returned objects are immutable; every function is
+Every prime of an order in S(g) is at most 2g + 1, so trial division up
+to that limit is a complete test: `factor(m, limit)` returns the prime
+powers of m up to limit and the unfactored cofactor, and divides by
+nothing above min(limit, isqrt(m)). There is deliberately no
+large-integer machinery here.
+
+Everything works on Python's native arbitrary-precision integers and is
+deterministic. All returned objects are immutable; every function is
 pure and safe to call concurrently.
 """
 
@@ -14,10 +20,7 @@ __all__ = [
     "PrimeTable",
     "Factorization",
     "sieve",
-    "is_prime",
     "factor",
-    "totient_prime_power",
-    "totient",
     "primorial",
 ]
 
@@ -77,80 +80,33 @@ def sieve(limit: int) -> PrimeTable:
     return PrimeTable(limit, tuple(i for i, f in enumerate(flags) if f))
 
 
-# Shared, grow-on-demand prime list for trial division. Reads and
-# replacements of the module global are atomic under the GIL; a racing
-# thread at worst recomputes the same tuple.
-_TRIAL_PRIMES: tuple[int, ...] = sieve(1 << 10).primes
-_TRIAL_LIMIT: int = 1 << 10
+def factor(m: int, limit: int) -> tuple[Factorization, int]:
+    """The prime powers of m >= 1 whose primes are <= limit, and the rest.
 
-
-def _trial_primes(limit: int) -> tuple[int, ...]:
-    global _TRIAL_PRIMES, _TRIAL_LIMIT
-    if limit > _TRIAL_LIMIT:
-        new_limit = max(limit, 2 * _TRIAL_LIMIT)
-        _TRIAL_PRIMES = sieve(new_limit).primes
-        _TRIAL_LIMIT = new_limit
-    return _TRIAL_PRIMES
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality check."""
-    if n < 2:
-        return False
-    for p in _trial_primes(math.isqrt(n)):
-        if p * p > n:
-            break
-        if n % p == 0:
-            return n == p
-    return True
-
-
-def factor(m: int) -> Factorization:
-    """Trial-division factorization of m >= 1.
-
-    Raises ValueError for m <= 0. The toolkit only ever feeds this smooth
-    integers (every prime factor small), so trial division is the right
-    tool; there is deliberately no large-integer machinery here.
+    Trial division by 2 and the odd numbers up to min(limit, isqrt(rest)),
+    with no table: the cost is bounded by the smaller of the two, so a
+    huge m or a huge limit alone stays cheap. The cofactor (second item)
+    is 1 exactly when every prime of m is <= limit; otherwise it is the
+    product of the prime powers of m above limit. Raises ValueError for
+    m <= 0.
     """
     if m <= 0:
         raise ValueError(f"cannot factor non-positive integer {m}")
     entries: list[tuple[int, int]] = []
-    rem = m
-    idx = 0
-    while rem > 1:
-        # grow the table lazily: sizing it from isqrt(m) up front would
-        # try to sieve astronomically far for large smooth inputs
-        if idx >= len(_TRIAL_PRIMES):
-            _trial_primes(2 * _TRIAL_LIMIT)
-        p = _TRIAL_PRIMES[idx]
-        if p * p > rem:
-            entries.append((rem, 1))
-            break
-        if rem % p == 0:
+    rest = m
+    d = 2
+    while d <= limit and d * d <= rest:
+        if rest % d == 0:
             a = 0
-            while rem % p == 0:
-                rem //= p
+            while rest % d == 0:
+                rest //= d
                 a += 1
-            entries.append((p, a))
-        idx += 1
-    return Factorization(tuple(entries))
-
-
-def totient_prime_power(p: int, alpha: int) -> int:
-    """phi(p^alpha) = p^(alpha-1) * (p-1) for prime p, alpha >= 1."""
-    if alpha < 1:
-        raise ValueError(f"exponent must be >= 1, got {alpha}")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return p ** (alpha - 1) * (p - 1)
-
-
-def totient(m: int) -> int:
-    """Euler phi of m >= 1, via the prime factorization."""
-    result = 1
-    for p, a in factor(m):
-        result *= p ** (a - 1) * (p - 1)
-    return result
+            entries.append((d, a))
+        d += 1 if d == 2 else 2
+    if 1 < rest <= limit:  # no divisor up to isqrt(rest): rest is prime
+        entries.append((rest, 1))
+        rest = 1
+    return Factorization(tuple(entries)), rest
 
 
 def primorial(x: int) -> int:

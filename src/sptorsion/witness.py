@@ -43,9 +43,14 @@ A^T J A = J on the whole matrix, A^m = I, and no proper power
 A^(m/p) = I. The powers are taken per component: A is the direct sum of
 the diagonal blocks of its nonzero pattern, and each distinct block gets
 one squaring chain, cut short by a repeated square or by a trace that
-proves infinite order (_SquaringChain). `verify_witness` factors the
-claimed order only by the primes <= 2g + 1, which is all an order in
-S(g) can have.
+proves infinite order (_SquaringChain).
+
+`build_witness` and `verify_witness` pass through the same gate first:
+`criterion.membership(m, g)`, which factors m only up to 2g + 1. An
+order outside S(g) raises NotRealizableError before any matrix
+arithmetic, and the primes of an order inside it come from that one
+factorization; such an order is at most h(g), which bounds the length
+of every squaring chain.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
-from .criterion import MembershipDecision, membership, support_primes
+from .criterion import MembershipDecision, membership
 from .matrices import IntMatrix, standard_form
 
 __all__ = [
@@ -63,7 +68,6 @@ __all__ = [
     "WitnessCertificate",
     "SymplecticWitness",
     "NotRealizableError",
-    "UnrealizableOrderError",
     "cyclotomic",
     "companion",
     "build_witness",
@@ -74,31 +78,28 @@ __all__ = [
 ]
 
 
-class UnrealizableOrderError(ValueError):
-    """Raised when a claimed order has a prime factor above 2g + 1.
-
-    Every prime of an order in S(g) is at most 2g + 1, so no element of
-    Sp(2g, Z) has such an order, whatever the matrix.
-    """
-
-    def __init__(self, m: int, g: int):
-        super().__init__(
-            f"no element of Sp({2 * g},Z) has order {m}: it has a prime "
-            f"factor above 2g + 1 = {2 * g + 1}"
-        )
-
-
 class NotRealizableError(ValueError):
-    """Raised when m is not in S(g); carries the full cost decision."""
+    """Raised when m is not in S(g); carries the membership decision.
+
+    The message names the prime bound when m has a prime above 2g + 1,
+    and the cost overrun otherwise.
+    """
 
     def __init__(self, decision: MembershipDecision):
         self.decision = decision
-        report = decision.report
-        super().__init__(
-            f"no element of order {decision.m} exists for genus {decision.g}: "
-            f"cost {report.total} exceeds budget {decision.budget} "
-            f"by {decision.deficit}"
-        )
+        g = decision.g
+        if decision.report.cofactor > 1:
+            reason = (
+                f"no element of Sp({2 * g},Z) has order {decision.m}: it has a "
+                f"prime factor above 2g + 1 = {2 * g + 1}"
+            )
+        else:
+            reason = (
+                f"no element of order {decision.m} exists for genus {g}: "
+                f"cost {decision.report.total} exceeds budget {decision.budget} "
+                f"by {decision.deficit}"
+            )
+        super().__init__(reason)
 
 
 @dataclass(frozen=True)
@@ -273,15 +274,21 @@ def _prime_power_block(p: int, alpha: int) -> IntMatrix:
     return _lift(row) @ companion(poly) @ _lift(_series_inverse(row))
 
 
+def _realizable(m: int, g: int) -> MembershipDecision:
+    """The membership decision for m in S(g); NotRealizableError if not."""
+    decision = membership(m, g)
+    if not decision.member:
+        raise NotRealizableError(decision)
+    return decision
+
+
 def build_witness(m: int, g: int) -> SymplecticWitness:
     """A 2g x 2g symplectic matrix of exact order m, certified.
 
     Raises NotRealizableError (with the cost table) when m is not in
     S(g). The construction is deterministic.
     """
-    decision = membership(m, g)
-    if not decision.member:
-        raise NotRealizableError(decision)
+    decision = _realizable(m, g)
     negate = decision.report.exemption_applied
     blocks = [
         _prime_power_block(t.prime, t.exponent)
@@ -391,28 +398,11 @@ class _SquaringChain:
         return reduce(operator.matmul, factors)
 
 
-def _order_primes(m: int, g: int) -> tuple[int, ...]:
-    """The primes of m, by trial division by the primes <= 2g + 1 only.
-
-    Raises UnrealizableOrderError when a cofactor > 1 remains.
-    """
-    primes = []
-    rest = m
-    for p in support_primes(g):
-        if rest % p == 0:
-            primes.append(p)
-            while rest % p == 0:
-                rest //= p
-    if rest > 1:
-        raise UnrealizableOrderError(m, g)
-    return tuple(primes)
-
-
 def verify_witness(witness: SymplecticWitness, g: int) -> WitnessCertificate:
     """Re-run all checks from scratch; ignores the stored certificate.
 
-    Raises UnrealizableOrderError, before any matrix arithmetic, when the
-    claimed order has a prime factor above 2g + 1.
+    Raises NotRealizableError, before any matrix arithmetic, when the
+    claimed order is not in S(g): no matrix can then pass.
     """
     matrix = witness.matrix
     if matrix.rows != 2 * g or matrix.cols != 2 * g:
@@ -422,8 +412,9 @@ def verify_witness(witness: SymplecticWitness, g: int) -> WitnessCertificate:
         )
     if witness.claimed_order < 2:
         raise ValueError("claimed order must be >= 2")
-    m = witness.claimed_order
-    return _certify(matrix, m, g, _order_primes(m, g))
+    decision = _realizable(witness.claimed_order, g)
+    primes = tuple(t.prime for t in decision.report.terms)
+    return _certify(matrix, decision.m, g, primes)
 
 
 # ---------------------------------------------------------------------------

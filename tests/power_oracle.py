@@ -8,8 +8,9 @@ matrix into components.
 """
 from __future__ import annotations
 
+from sympy import primefactors
+
 from sptorsion.matrices import IntMatrix, identity, standard_form
-from sptorsion.numtheory import factor
 from sptorsion.witness import ProperPowerCheck, WitnessCertificate
 
 
@@ -40,6 +41,6 @@ def oracle_certificate(a: IntMatrix, m: int, g: int) -> WitnessCertificate:
         binary_power(a, m).is_identity(),
         tuple(
             ProperPowerCheck(p, m // p, binary_power(a, m // p).is_identity())
-            for p in factor(m).primes()
+            for p in primefactors(m)
         ),
     )

@@ -12,13 +12,13 @@ import subprocess
 import sys
 import time
 
+import sympy
 from power_oracle import binary_power
 
 from sptorsion.bounds import compute_K, compute_L, run_check
-from sptorsion.criterion import degree_cost, enumerate_orders, is_member
+from sptorsion.criterion import enumerate_orders, is_member, membership
 from sptorsion.extremal import brute_force_extremal, extremal_table, max_order
 from sptorsion.matrices import standard_form
-from sptorsion.numtheory import factor
 from sptorsion.witness import build_witness
 
 
@@ -73,7 +73,7 @@ def test_witness_soundness_sweep_g1_6():
                 assert a.rows == a.cols == 2 * g
                 assert a.transpose() @ j @ a == j
                 assert binary_power(a, m).is_identity()
-                for p, _ in factor(m):
+                for p in sympy.primefactors(m):
                     assert not binary_power(a, m // p).is_identity()
 
 
@@ -144,23 +144,27 @@ def test_determinism_byte_identical_json(tmp_path):
 
 def test_invariant_suite():
     with criterion("invariant suite", 300):
-        # cost additivity against the two-case definition, m <= 1e5
-        from sptorsion.numtheory import totient_prime_power
+        # cost additivity against the two-case definition, m <= 1e5; at
+        # genus m every prime of m is below 2g + 1, so the table is complete
+        def cost(m: int) -> int:
+            report = membership(m, m).report
+            assert report.cofactor == 1
+            return report.total
 
         for m in range(2, 10**5 + 1):
             expected = sum(
-                totient_prime_power(p, a)
-                for p, a in factor(m)
+                p ** (a - 1) * (p - 1)
+                for p, a in sympy.factorint(m).items()
                 if not (p == 2 and m % 4 == 2)
             )
-            assert degree_cost(m).total == expected, m
+            assert cost(m) == expected, m
 
         # free-doubling of odd members
         for g in range(1, 21):
             for m in enumerate_orders(g):
                 if m % 2 == 1:
                     assert is_member(2 * m, g)
-                    assert degree_cost(2 * m).total == degree_cost(m).total
+                    assert cost(2 * m) == cost(m)
 
         # monotonicity and evenness over a computed table
         table = extremal_table(1, 200)
@@ -172,6 +176,6 @@ def test_invariant_suite():
         # support bound: primes <= 2g+1 and at most g+1 of them, g <= 20
         for g in range(1, 21):
             for m in enumerate_orders(g):
-                fact = factor(m)
-                assert all(p <= 2 * g + 1 for p in fact.primes())
+                fact = sympy.factorint(m)
+                assert all(p <= 2 * g + 1 for p in fact)
                 assert len(fact) <= g + 1

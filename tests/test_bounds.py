@@ -189,6 +189,13 @@ def test_window_below_threshold_runs_no_dp(monkeypatch):
     assert all(r.passed is None for r in collect("cor37", 400, 488))
 
 
+def test_x_cap_lifted_with_the_genus_cap():
+    with pytest.raises(ValueError, match="--allow-large"):
+        run_check("lemma33", 23, 10**6 + 1)
+    assert len(collect("rosser", 10**6 - 1, 10**6)) == 2
+    run_check("lemma33", 23, 10**6 + 1, None)  # lazy: nothing is sieved yet
+
+
 def test_unknown_check_name():
     with pytest.raises(KeyError, match="valid names"):
         run_check("nosuch", 1, 2)

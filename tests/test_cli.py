@@ -5,6 +5,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -35,9 +36,31 @@ def test_member_exit_codes():
 
 
 def test_member_text_mentions_costs():
-    result = run_cli("member", "5", "-g", "1")
-    assert "total cost 4" in result.stdout
+    # 9 has no prime above 2g + 1 = 5, so the full cost table is shown
+    result = run_cli("member", "9", "-g", "2")
+    assert "total cost 6" in result.stdout
     assert "not a member" in result.stdout
+
+
+def test_member_with_prime_above_bound():
+    # 5 > 2g + 1 = 3: no cost table, the reason on stderr
+    result = run_cli("member", "5", "-g", "1")
+    assert result.returncode == 1
+    assert result.stdout == "m = 5, genus = 1, budget = 2\n=> 5 is not a member of S(1)\n"
+    reason = "no element of Sp(2,Z) has order 5: it has a prime factor above 2g + 1 = 3"
+    assert result.stderr == f"not realizable: {reason}\n"
+    for command in ("member", "witness"):
+        result = run_cli(command, "5", "-g", "1", "--format", "json")
+        assert result.returncode == 1
+        payload = json.loads(result.stdout)
+        assert payload["command"] == command
+        assert payload["result"] == {
+            "m": "5",
+            "genus": "1",
+            "member": False,
+            "budget": "2",
+            "reason": reason,
+        }
 
 
 def test_member_json_payload():
@@ -151,6 +174,27 @@ def test_verify_order_with_large_prime(tmp_path):
     assert "INVALID" in text.stdout
 
 
+def test_verify_order_over_budget(tmp_path):
+    # 12 has no prime above 2g + 1 = 3 but costs 4 > 2: rejected before
+    # any certificate is computed
+    path = tmp_path / "w.json"
+    run_cli("witness", "6", "-g", "1", "-o", str(path))
+    payload = json.loads(path.read_text())
+    payload["claimed_order"] = "12"
+    path.write_text(json.dumps(payload))
+    result = run_cli("verify", str(path), "--format", "json")
+    assert result.returncode == 1
+    reason = "no element of order 12 exists for genus 1: cost 4 exceeds budget 2 by 2"
+    assert result.stderr == f"not realizable: {reason}\n"
+    assert json.loads(result.stdout)["result"] == {
+        "size": "2",
+        "genus": "1",
+        "claimed_order": "12",
+        "all_passed": False,
+        "reason": reason,
+    }
+
+
 def test_verify_malformed_file(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -184,6 +228,30 @@ def test_bounds_range_required_for_improved_lower():
 def test_bounds_genus_cap_fails_fast():
     result = run_cli("bounds", "--check", "thm31", "--range", "1..6000")
     assert result.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "check", ["lemma33", "dusart-sum", "dusart-pi", "dusart-product", "rosser"]
+)
+def test_bounds_x_cap_fails_fast(check, capsys):
+    from sptorsion import cli
+
+    start = time.perf_counter()
+    argv = ["bounds", "--check", check, "--range", "23..2000000000", "--format", "csv"]
+    assert cli.main(argv) == 2
+    assert time.perf_counter() - start < 0.1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "cap 1000000" in err
+
+
+def test_bounds_allow_large_lifts_x_cap():
+    # just past the cap: refused by default, run with --allow-large
+    args = ("bounds", "--check", "rosser", "--range", "1000000..1000001")
+    assert run_cli(*args).returncode == 2
+    result = run_cli(*args, "--allow-large", "--format", "csv")
+    assert result.returncode == 0
+    assert len(result.stdout.splitlines()) == 3
 
 
 def test_bounds_unmet_rows_are_not_failures():
@@ -232,6 +300,42 @@ def test_extremal_table_csv_digest_stable():
     assert result.returncode == 0
     digest = hashlib.sha256(result.stdout.encode()).hexdigest()
     assert digest == "339d8e24dfce72f42e43bb2d76ee1a4d2b811efc58ad9e6b5a3c514dd0685bc1"
+
+
+# SHA-256 of `member m -g g` stdout, stderr and exit code, text then JSON,
+# for every m in 2..3000 whose primes are all <= 2g + 1, ascending m;
+# frozen from the code that still factored every order without bound
+MEMBER_DIGESTS = {
+    1: (51, "f18a89323e64c7e5788316979e9a132b3dc86709e4dbdf5edd1b54a5e4e78193"),
+    2: (122, "83c491ffc056f0e98769e8761b93d77becce3acf4688c2fd96420086af9915c8"),
+    3: (218, "cb1c893ebf191f15bc1503199aba9675903f496e98503d4fd6f3942e1ad1acbc"),
+    4: (218, "653409047e0808dd081b8200aaafdeab8371c62a00e1b8380a1527def27f9a4a"),
+    5: (316, "631796fa3bf014b5d592ae75c61e489abbb1fecfb76408d1ae2a16ab44e3595e"),
+    6: (420, "346aac41985f3090c5258c265041fe27be7b578ca4d33125d27893c67b2fe01b"),
+    7: (420, "c5631bdf1ddf3df06fe1282ab033f5156bb60b21b20cdb23f61952be582bd216"),
+    8: (520, "c984d1984152bb71493bef0335f6ddbad776f322e19d6411f869e4b48c8083da"),
+}
+
+
+def test_member_outputs_frozen_g1_8(capsys):
+    sympy = pytest.importorskip("sympy")
+    from sptorsion import cli
+
+    parser = cli._build_parser()
+    for g, (expected_count, expected) in MEMBER_DIGESTS.items():
+        digest = hashlib.sha256()
+        count = 0
+        for m in range(2, 3001):
+            if max(sympy.primefactors(m)) > 2 * g + 1:
+                continue
+            count += 1
+            for fmt in ("text", "json"):
+                args = parser.parse_args(["member", str(m), "-g", str(g), "--format", fmt])
+                code = args.handler(args)
+                out, err = capsys.readouterr()
+                digest.update(f"{out}{err}exit {code}\n".encode())
+        assert count == expected_count, g
+        assert digest.hexdigest() == expected, g
 
 
 def test_version_flag():

@@ -2,33 +2,41 @@
 from __future__ import annotations
 
 import math
+import time
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from sptorsion.criterion import (
     DEFAULT_ENUMERATION_CAP,
     GenusCapError,
     _prime_power_options,
-    degree_cost,
     enumerate_orders,
     is_member,
     membership,
     prime_power_cost,
     support_primes,
 )
-from sptorsion.numtheory import factor, totient_prime_power
 
 
 def two_case_cost(m: int) -> int:
-    # direct transcription of the cost definition: sum phi(p^a) over the
-    # factorization, dropping the prime-2 term when m == 2 (mod 4)
+    # direct transcription of the cost definition: sum phi(p^a) over
+    # sympy's factorization, dropping the prime-2 term when m == 2 (mod 4)
     total = 0
-    for p, a in factor(m):
+    for p, a in sympy.factorint(m).items():
         if p == 2 and m % 4 == 2:
             continue
-        total += totient_prime_power(p, a)
+        total += p ** (a - 1) * (p - 1)
     return total
+
+
+def cost_report(m: int):
+    """The complete cost table of m: at genus m every prime of m is
+    below 2g + 1, so nothing is left in the cofactor."""
+    report = membership(m, m).report
+    assert report.cofactor == 1
+    return report
 
 
 def test_prime_power_cost_cases():
@@ -42,20 +50,20 @@ def test_prime_power_cost_cases():
 
 
 def test_degree_cost_examples():
-    report = degree_cost(12)
+    report = cost_report(12)
     assert report.total == 4
     assert not report.exemption_applied
-    report = degree_cost(10)
+    report = cost_report(10)
     assert report.total == 4
     assert report.exemption_applied
-    report = degree_cost(2)
+    report = cost_report(2)
     assert report.total == 0
     assert report.exemption_applied
 
 
 def test_degree_cost_additivity_against_definition():
     for m in range(2, 10**5 + 1):
-        assert degree_cost(m).total == two_case_cost(m), m
+        assert cost_report(m).total == two_case_cost(m), m
 
 
 def test_membership_small():
@@ -63,16 +71,58 @@ def test_membership_small():
     assert decision.member
     assert decision.budget == 2
     assert decision.deficit == 0
+    decision = membership(9, 2)
+    assert not decision.member
+    assert decision.report.cofactor == 1
+    assert decision.deficit == 2
+    # 5 > 2g + 1: the factorization stops at 3 and leaves 5 over
     decision = membership(5, 1)
     assert not decision.member
+    assert decision.report.terms == ()
+    assert decision.report.cofactor == 5
+    # the cost of 5 is not computed; phi(5) = 4 alone is 2 over budget
     assert decision.deficit == 2
+
+
+def test_membership_factors_only_up_to_2g_plus_1():
+    decision = membership(2**3 * 7 * 11**2 * 13, 5)
+    assert [(t.prime, t.exponent) for t in decision.report.terms] == [(2, 3), (7, 1), (11, 2)]
+    assert decision.report.cofactor == 13
+    assert not decision.member
+    # within budget on the terms found, but 13 > 11 still decides it
+    decision = membership(2 * 13, 5)
+    assert decision.report.total == 0
+    assert not decision.member
+    assert decision.deficit == 2  # a lower bound: the true cost 12 is over by 2
+
+
+def test_deficit_is_a_positive_lower_bound():
+    # against the complete cost table, which membership(m, m) computes
+    for g in range(1, 9):
+        for m in range(2, 2001):
+            decision = membership(m, g)
+            over = membership(m, m).report.total - 2 * g
+            if decision.member:
+                assert decision.deficit == 0
+            else:
+                assert 1 <= decision.deficit <= over, (m, g)
+                if decision.report.cofactor == 1:
+                    assert decision.deficit == over
+
+
+def test_adversarial_orders_decide_fast():
+    start = time.perf_counter()
+    assert not is_member(1000000016000000063, 1)
+    assert not is_member(10**4000 + 1, 3)
+    assert is_member(6, 10**12)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_identity_order_rejected():
     with pytest.raises(ValueError, match="identity"):
         membership(1, 3)
-    with pytest.raises(ValueError):
-        degree_cost(1)
+    with pytest.raises(ValueError, match="identity"):
+        membership(1, 10**12)
 
 
 def test_bad_arguments_rejected():
@@ -121,7 +171,7 @@ def test_free_doubling(m, g):
     # doubling an odd order is free: 2m == 2 (mod 4) waives the new term
     if m == 1:
         return
-    assert degree_cost(2 * m).total == degree_cost(m).total
+    assert cost_report(2 * m).total == cost_report(m).total
     if is_member(m, g):
         assert is_member(2 * m, g)
 
@@ -130,8 +180,8 @@ def test_free_doubling(m, g):
 @given(st.integers(min_value=1, max_value=20))
 def test_support_bound(g):
     for m in enumerate_orders(g):
-        fact = factor(m)
-        assert all(p <= 2 * g + 1 for p in fact.primes())
+        fact = sympy.factorint(m)
+        assert all(p <= 2 * g + 1 for p in fact)
         assert len(fact) <= g + 1
 
 
@@ -150,7 +200,6 @@ def test_support_primes():
 
 @pytest.mark.parametrize("budget", [0, 1, 2, 10, 400, 10**4])
 def test_prime_power_options_against_sympy(budget):
-    sympy = pytest.importorskip("sympy")
     for p in sympy.primerange(2, 201):
         options = _prime_power_options(p, budget)
         n = len(options)

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from sptorsion.criterion import GenusCapError, degree_cost, is_member
+from sptorsion.criterion import GenusCapError, is_member, membership
 from sptorsion.extremal import (
     DEFAULT_ORACLE_CAP,
     brute_force_extremal,
@@ -42,7 +42,7 @@ def test_record_reconstructs_maximum():
         record = max_order(g)
         assert record.h_factorization.value() == record.h
         assert record.h % 2 == 0
-        assert degree_cost(record.h).total <= 2 * g
+        assert membership(record.h, g).member
 
 
 def test_maximum_is_member_and_maximal():
@@ -52,7 +52,8 @@ def test_maximum_is_member_and_maximal():
         # sample the window above h: everything there must cost too much
         for m in range(h + 1, 2 * h + 1, max(1, h // 7)):
             assert not is_member(m, g)
-            assert degree_cost(m).total > 2 * g
+            # the full cost: at genus m no prime of m is above 2g + 1
+            assert membership(m, m).report.total > 2 * g
 
 
 def test_monotone_and_even():

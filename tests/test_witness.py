@@ -4,19 +4,19 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import time
 from math import gcd
 
 import pytest
+import sympy
 
 from power_oracle import binary_power, oracle_certificate
 from sptorsion import cli
 from sptorsion.criterion import enumerate_orders, membership
 from sptorsion.matrices import IntMatrix, identity, standard_form
-from sptorsion.numtheory import factor, is_prime, totient_prime_power
 from sptorsion.witness import (
     NotRealizableError,
     SymplecticWitness,
-    UnrealizableOrderError,
     _certify,
     _lift,
     _prime_power_block,
@@ -32,10 +32,9 @@ from sptorsion.witness import (
 # every prime power n = p^alpha >= 3 with phi(n) <= 130: 45 blocks
 PRIME_POWERS = [
     (p, alpha)
-    for p in range(2, 132)
-    if is_prime(p)
+    for p in sympy.primerange(2, 132)
     for alpha in range(1, 9)
-    if p**alpha >= 3 and totient_prime_power(p, alpha) <= 130
+    if p**alpha >= 3 and sympy.totient(p**alpha) <= 130
 ]
 
 
@@ -77,6 +76,13 @@ def test_cyclotomic_product_identity(n):
         product = poly_mul(product, cyclotomic(d))
     expected = tuple([-1] + [0] * (n - 1) + [1])
     assert product == expected
+
+
+def test_cyclotomic_against_sympy():
+    x = sympy.Symbol("x")
+    for n in range(1, 301):
+        expected = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
+        assert list(cyclotomic(n)) == expected, n
 
 
 def test_cyclotomic_105_has_coefficient_two():
@@ -190,11 +196,14 @@ def test_witness_examples():
 
 
 def test_witness_not_realizable():
-    with pytest.raises(NotRealizableError) as exc_info:
-        build_witness(5, 1)
+    with pytest.raises(NotRealizableError, match="cost 6 exceeds budget 4 by 2") as exc_info:
+        build_witness(9, 2)
     decision = exc_info.value.decision
     assert not decision.member
     assert decision.deficit == 2
+    with pytest.raises(NotRealizableError, match="prime factor above 2g \\+ 1 = 3") as exc_info:
+        build_witness(5, 1)
+    assert exc_info.value.decision.report.cofactor == 5
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
@@ -345,7 +354,7 @@ def certify_cases(seed: int):
         n = rng.choice((2, 4, 6, 8))
         a, order = finite_order_matrix(n, rng)
         claims = {order, 2 * order, 3 * order, 5 * order, order + 1, order << 20}
-        claims |= {order // p for p in factor(order).primes() if order // p >= 2}
+        claims |= {order // p for p in sympy.primefactors(order) if order // p >= 2}
         for m in sorted(c for c in claims if c >= 2):
             yield a, m
         u = unipotent_matrix(n, rng)
@@ -361,7 +370,7 @@ def test_certify_matches_binary_powering(seed):
     outcomes = set()
     for a, m in certify_cases(seed):
         expected = oracle_certificate(a, m, a.rows // 2)
-        assert _certify(a, m, a.rows // 2, factor(m).primes()) == expected, (
+        assert _certify(a, m, a.rows // 2, tuple(sympy.primefactors(m))) == expected, (
             a.to_rows(),
             m,
         )
@@ -426,8 +435,9 @@ def forged_document(rows: list[list[int]], m: int) -> str:
 )
 def test_verify_rejects_order_with_large_prime(rows, m, products, tmp_path, capsys):
     witness = witness_from_json(forged_document(rows, m))
-    with pytest.raises(UnrealizableOrderError):
+    with pytest.raises(NotRealizableError) as exc_info:
         verify_witness(witness, 1)
+    assert exc_info.value.decision.report.cofactor > 1
     path = tmp_path / "forged.json"
     path.write_text(forged_document(rows, m))
     assert cli.main(["verify", str(path)]) == 1
@@ -435,9 +445,69 @@ def test_verify_rejects_order_with_large_prime(rows, m, products, tmp_path, caps
     assert products == []
 
 
-def test_verify_factors_only_by_small_primes():
+def test_verify_factors_only_by_small_primes(products):
     w = build_witness(7, 3)
+    products.clear()
+    # 5^40 passes the prime bound but not the budget
     claimed = SymplecticWitness(w.matrix, 7 * 5**40, w.certificate)
-    assert [c.prime for c in verify_witness(claimed, 3).proper_powers] == [5, 7]
-    with pytest.raises(UnrealizableOrderError):
+    with pytest.raises(NotRealizableError, match="exceeds budget 6") as exc_info:
+        verify_witness(claimed, 3)
+    assert [t.prime for t in exc_info.value.decision.report.terms] == [5, 7]
+    assert exc_info.value.decision.report.cofactor == 1
+    with pytest.raises(NotRealizableError, match="above 2g \\+ 1 = 7") as exc_info:
         verify_witness(SymplecticWitness(w.matrix, 7 * 11, w.certificate), 3)
+    assert exc_info.value.decision.report.cofactor == 11
+    assert products == []
+    # a claim in S(3) is certified with the primes of that one factorization
+    claimed = SymplecticWitness(w.matrix, 14, w.certificate)
+    assert [c.prime for c in verify_witness(claimed, 3).proper_powers] == [2, 7]
+
+
+def unipotent_document(n: int, m: int) -> str:
+    """The n x n matrix with ones on the diagonal and -1, 0, 1 above it."""
+    rng = random.Random(n)
+    rows = [
+        [int(i == j) if j <= i else rng.choice((-1, 0, 1)) for j in range(n)]
+        for i in range(n)
+    ]
+    return forged_document(rows, m)
+
+
+TWO_LARGE_PRIMES = str(1000000007 * 1000000009)
+
+
+@pytest.mark.parametrize(
+    "argv, document, code",
+    [
+        (["member", TWO_LARGE_PRIMES, "-g", "1"], None, 1),
+        (["member", TWO_LARGE_PRIMES, "-g", "1", "--format", "json"], None, 1),
+        (["witness", TWO_LARGE_PRIMES, "-g", "1"], None, 1),
+        (["witness", TWO_LARGE_PRIMES, "-g", "1", "--format", "json"], None, 1),
+        (["member", "6", "-g", "1000000000000"], None, 0),
+        (["verify"], unipotent_document(40, 2**1000), 1),
+        (["verify", "--format", "json"], unipotent_document(40, 2**1000), 1),
+    ],
+    ids=[
+        "member-two-large-primes",
+        "member-two-large-primes-json",
+        "witness-two-large-primes",
+        "witness-two-large-primes-json",
+        "member-huge-genus",
+        "verify-unipotent-2^1000",
+        "verify-unipotent-2^1000-json",
+    ],
+)
+def test_adversarial_inputs_fail_fast(argv, document, code, products, tmp_path, capsys):
+    if document is not None:
+        path = tmp_path / "doc.json"
+        path.write_text(document)
+        argv = argv + [str(path)]
+    start = time.perf_counter()
+    assert cli.main(argv) == code
+    assert time.perf_counter() - start < 0.1
+    assert products == []
+    out, err = capsys.readouterr()
+    if code:
+        assert err.startswith("not realizable: ")
+        if "--format" in argv:
+            assert json.loads(out)["result"]["reason"] == err.removeprefix("not realizable: ").strip()
