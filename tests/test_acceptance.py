@@ -7,6 +7,7 @@ the runtime budget.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import subprocess
 import sys
@@ -15,7 +16,7 @@ import time
 import sympy
 from power_oracle import binary_power
 
-from sptorsion.bounds import compute_K, compute_L, run_check
+from sptorsion.bounds import compute_K, compute_L, report_to_dict, run_check
 from sptorsion.criterion import enumerate_orders, is_member, membership
 from sptorsion.extremal import brute_force_extremal, extremal_table, max_order
 from sptorsion.matrices import standard_form
@@ -36,10 +37,14 @@ def criterion(name: str, budget_s: float):
     assert elapsed < budget_s, f"{name} exceeded {budget_s}s: {elapsed:.1f}s"
 
 
-def sweep_passes(name: str, lo: int, hi: int) -> int:
+def sweep_passes(name: str, lo: int, hi: int, digest=None) -> int:
+    """Rows of one sweep, none failing; each row's rendering is fed to
+    `digest` (a hashlib object) when one is given."""
     rows = 0
     for report in run_check(name, lo, hi):
         assert report.passed is not False, (name, report)
+        if digest is not None:
+            digest.update(json.dumps(report_to_dict(report)).encode() + b"\n")
         rows += 1
     return rows
 
@@ -96,14 +101,29 @@ def test_exponential_lower_bound_above_L():
         assert sweep_passes("cor37", level, level + 100) == 101
 
 
+# (check, range, rows, SHA-256 of the rows' JSON renderings one a line),
+# frozen from the code that converted every right side to a Fraction
+PRIME_ESTIMATE_SWEEPS = [
+    ("lemma33", 23, 10**5, 10**5 - 23 + 1,
+     "1556b977ee618858a0d92b6c7a20d29e65abd42730c41fc38fe791ad74979624"),
+    ("dusart-sum", 9, 10**4, 10**4 - 9 + 1,
+     "e24f63bf800b0eb2225e3e41c4f44ca52281265285fca707b7890d392701212b"),
+    ("rosser", 55, 10**5, 10**5 - 55 + 1,
+     "501e32f9d9b213b342b16a3e78b8f54893dfc2b1becc2404c651121355efe4e2"),
+    # both directions at every integer point, one row each
+    ("dusart-pi", 2, 10**5, 2 * (10**5 - 1),
+     "a95a10ecac9afe4fbfd3047e28c28399d691fb9f79b7b9bf9df8d8c34fd0f579"),
+    ("dusart-product", 2973, 10**5, 10**5 - 2973 + 1,
+     "19bcdc890dd6d48a2e410fbabc437b30125ae071255bd84ddca9cf6529533848"),
+]
+
+
 def test_prime_estimate_sweeps_combined():
     with criterion("prime estimate sweeps", 300):
-        assert sweep_passes("lemma33", 23, 10**5) == 10**5 - 23 + 1
-        assert sweep_passes("dusart-sum", 9, 10**4) == 10**4 - 9 + 1
-        assert sweep_passes("rosser", 55, 10**5) == 10**5 - 55 + 1
-        # both directions at every integer point, one row each
-        assert sweep_passes("dusart-pi", 2, 10**5) == 2 * (10**5 - 1)
-        assert sweep_passes("dusart-product", 2973, 10**5) == 10**5 - 2973 + 1
+        for name, lo, hi, rows, expected in PRIME_ESTIMATE_SWEEPS:
+            digest = hashlib.sha256()
+            assert sweep_passes(name, lo, hi, digest) == rows, name
+            assert digest.hexdigest() == expected, name
 
 
 def test_primorial_membership_above_K():
