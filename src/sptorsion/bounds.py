@@ -2,12 +2,16 @@
 
 Every checker yields BoundReport rows with an exact left side (integer
 or exact rational, never rounded) and a guarded real right side. Real
-right sides are evaluated with 50-digit working precision, converted to
-an exact dyadic rational, then tilted adversarially by a relative guard
-of 1e-9 before the comparison: an upper bound must clear rhs*(1-1e-9),
-a lower bound rhs*(1+1e-9). A reported pass therefore certifies the
-inequality with slack that dwarfs both the evaluation error (~1e-49)
-and the decimal-constant error, and a run is reproducible bit for bit.
+right sides are evaluated with 50-digit (169-bit) working precision;
+the x-sweeps call mpmath's raw-mpf functions at that precision directly,
+so no row enters a precision context. A right side is the exact dyadic
+rational man * 2^exp, and it is tilted adversarially by a relative guard
+of 1e-9 in one integer comparison: an upper bound must clear
+rhs*(1-1e-9), a lower bound rhs*(1+1e-9), and lhs < rhs*(1-1e-9) is
+decided as lhs * 10^9 * 2^-exp < man * (10^9 - 1). A reported pass
+therefore certifies the inequality with slack that dwarfs both the
+evaluation error (~1e-49) and the decimal-constant error, and a run is
+reproducible bit for bit.
 
 Rows whose point sits below an inequality's stated validity threshold
 get passed=None ("precondition unmet") rather than a failure; the
@@ -18,15 +22,19 @@ scanning, never hard-coded:
   L = least integer >= 2 with L*log(L) >= 3025   (= 55^2)
   improved cutoff = least g with g*log(g) >= 358801  (= 599^2)
 
-The comparisons all reduce to exact rational arithmetic; no float ever
-decides a verdict. The one display-only compromise: the Mertens-type
-product check keeps the running product as a raw numerator/denominator
-pair (tens of thousands of digits at the top of the sweep), decides by
-exact cross-multiplication, and renders the left side at float
-precision because printing the exact rational would be useless.
+Every verdict is an exact integer comparison; no float ever decides one.
+The one display-only compromise: the Mertens-type product check keeps
+the running product as a raw numerator/denominator pair (tens of
+thousands of digits at the top of the sweep), decides against a 256-bit
+bracket of it (exact cross-multiplication when the bracket cannot
+decide), and renders the left side at float precision because printing
+the exact rational would be useless.
 
 margin is rhs - lhs on the raw (unguarded) right side, so for upper
-bounds pass tracks margin >= 0 and for lower bounds margin <= 0.
+bounds pass tracks margin >= 0 and for lower bounds margin <= 0. The
+rhs and margin fields are exact Fractions built from the mantissa and
+exponent; rendering reads a dyadic value's numerator and power-of-two
+denominator without rational arithmetic.
 """
 
 from __future__ import annotations
@@ -40,6 +48,22 @@ from functools import lru_cache
 from typing import Callable, Iterator
 
 from mpmath import mp, mpf
+from mpmath.libmp import (
+    dps_to_prec,
+    fone,
+    from_int,
+    from_man_exp,
+    from_str,
+    mpf_add,
+    mpf_div,
+    mpf_log,
+    mpf_mul,
+    mpf_pow_int,
+    mpf_rdiv_int,
+    mpf_sub,
+    round_nearest,
+    to_str,
+)
 
 from .criterion import membership
 from .extremal import (
@@ -86,6 +110,8 @@ GUARD = Fraction(1, 10**9)
 EULER_GAMMA_20 = "0.57721566490153286061"
 
 _DPS = 50  # working precision for right-hand sides
+_PREC = dps_to_prec(_DPS)  # the same precision in bits (169)
+_RND = round_nearest  # mpmath's default rounding
 
 
 @dataclass(frozen=True)
@@ -105,51 +131,57 @@ class BoundReport:
     note: str = ""
 
 
-def _mpf_to_fraction(x: mpf) -> Fraction:
-    sign, man, exp, _ = x._mpf_
-    if man == 0:
-        if x == 0:
-            return Fraction(0)
-        raise ValueError(f"cannot convert nonfinite value {x!r}")
-    value = Fraction(-man if sign else man)
-    return value * Fraction(2) ** exp
-
-
-# op -> (comparison, guard factor tilting the right side against a pass)
-_COMPARISONS = {
-    "<=": (operator.le, 1 - GUARD),
-    "<": (operator.lt, 1 - GUARD),
-    ">": (operator.gt, 1 + GUARD),
-    ">=": (operator.ge, 1 + GUARD),
+# op -> (comparison, the right side's factor GUARD.denominator * (1 -+ GUARD),
+# tilting it against a pass)
+_GUARDED = {
+    "<=": (operator.le, GUARD.denominator - GUARD.numerator),
+    "<": (operator.lt, GUARD.denominator - GUARD.numerator),
+    ">": (operator.gt, GUARD.denominator + GUARD.numerator),
+    ">=": (operator.ge, GUARD.denominator + GUARD.numerator),
 }
 
 
-def _guarded_pass(lhs: int | Fraction, rhs: Fraction, op: str) -> bool:
-    """Exact comparison against the adversarially tilted right side."""
-    if rhs <= 0:
-        raise AssertionError("right sides here are positive by construction")
-    compare, guard = _COMPARISONS[op]
-    return compare(lhs, rhs * guard)
+def _guarded_verdict(num: int, den: int, man: int, exp: int, op: str) -> bool:
+    """num/den op man * 2^exp * (1 -+ GUARD), in one integer comparison.
+
+    Both sides are multiplied by den * GUARD.denominator * 2^-exp (all
+    positive), so the verdict is the rational one, exactly.
+    """
+    compare, tilt = _GUARDED[op]
+    left = num * GUARD.denominator
+    right = den * man * tilt
+    if exp < 0:
+        return compare(left << -exp, right)
+    return compare(left, right << exp)
 
 
-def _exact_pass(lhs: int | Fraction, rhs: int | Fraction, op: str) -> bool:
-    compare, _ = _COMPARISONS[op]
-    return compare(lhs, rhs)
+def _dyadic(man: int, exp: int, lhs: int | Fraction) -> tuple[Fraction, Fraction]:
+    """rhs = man * 2^exp and rhs - lhs as exact Fractions, built from
+    their integer numerators and denominators."""
+    num, den = lhs.numerator, lhs.denominator
+    if exp >= 0:
+        man <<= exp
+        return Fraction(man), Fraction(man * den - num, den)
+    return Fraction(man, 1 << -exp), Fraction(man * den - (num << -exp), den << -exp)
 
 
 def _real_row(
-    name: str, point: int, lhs: int | Fraction, rhs: mpf, op: str, note: str = ""
+    name: str, point: int, lhs: int | Fraction, rhs: tuple, op: str, note: str = ""
 ) -> BoundReport:
-    rhs_frac = _mpf_to_fraction(rhs)
-    return BoundReport(
-        name, point, lhs, rhs_frac, rhs_frac - lhs, _guarded_pass(lhs, rhs_frac, op), note
-    )
+    """A row against the raw mpf right side rhs, decided by its guard."""
+    sign, man, exp, _ = rhs
+    if sign or not man:
+        raise AssertionError("right sides here are positive and finite by construction")
+    passed = _guarded_verdict(lhs.numerator, lhs.denominator, man, exp, op)
+    return BoundReport(name, point, lhs, *_dyadic(man, exp, lhs), passed, note)
 
 
 def _exact_row(
     name: str, point: int, lhs: int | Fraction, rhs: int | Fraction, op: str, note: str = ""
 ) -> BoundReport:
-    return BoundReport(name, point, lhs, rhs, rhs - lhs, _exact_pass(lhs, rhs, op), note)
+    compare, _ = _GUARDED[op]
+    passed = compare(lhs.numerator * rhs.denominator, rhs.numerator * lhs.denominator)
+    return BoundReport(name, point, lhs, rhs, rhs - lhs, passed, note)
 
 
 def _unmet_row(name: str, point: int, threshold_desc: str) -> BoundReport:
@@ -272,7 +304,7 @@ def check_thm31(
     for g, (h,) in _genus_points(g_from, g_to, genus_cap, 1, max_order_value_range):
         with mp.workdps(_DPS):
             rhs = 3 * mp.e ** (3 * g)
-        yield _real_row("thm31", g, h, rhs, "<=")
+        yield _real_row("thm31", g, h, rhs._mpf_, "<=")
 
 
 def check_cor32(
@@ -307,7 +339,7 @@ def check_remark_upper(
             continue
         with mp.workdps(_DPS):
             rhs = _remark_upper_rhs(g)
-        yield _real_row("remark-upper", g, values[0], rhs, "<=")
+        yield _real_row("remark-upper", g, values[0], rhs._mpf_, "<=")
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +365,7 @@ def check_thm36(
             continue
         with mp.workdps(_DPS):
             rhs = _quarter_sqrt_bound(g)
-        yield _real_row("thm36", g, values[0], rhs, ">")
+        yield _real_row("thm36", g, values[0], rhs._mpf_, ">")
 
 
 def check_cor37(
@@ -347,7 +379,7 @@ def check_cor37(
             continue
         with mp.workdps(_DPS):
             rhs = _quarter_sqrt_bound(g)
-        yield _real_row("cor37", g, values[0], rhs, ">")
+        yield _real_row("cor37", g, values[0], rhs._mpf_, ">")
 
 
 def check_remark_lower(
@@ -366,8 +398,8 @@ def check_remark_lower(
         f, h = values
         with mp.workdps(_DPS):
             rhs = _improved_bound(g)
-        yield _real_row("remark-lower-f", g, f, rhs, ">")
-        yield _real_row("remark-lower-h", g, h, rhs, ">")
+        yield _real_row("remark-lower-f", g, f, rhs._mpf_, ">")
+        yield _real_row("remark-lower-h", g, h, rhs._mpf_, ">")
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +443,9 @@ def check_lemma34(g_from: int, g_to: int) -> Iterator[BoundReport]:
             log_y = mp.log(y)
             rhs_15 = (y / log_y) * (1 + mpf(3) / (2 * log_y))
             rhs_dusart = (y / log_y) * (1 + mpf("1.2762") / log_y)
-        yield _real_row("lemma34", g, lhs, main_rhs, "<")
-        yield _real_row("lemma34-step-1.5", g, lhs, rhs_15, "<")
-        yield _real_row("lemma34-step-1.2762", g, lhs, rhs_dusart, "<=")
+        yield _real_row("lemma34", g, lhs, main_rhs._mpf_, "<")
+        yield _real_row("lemma34-step-1.5", g, lhs, rhs_15._mpf_, "<")
+        yield _real_row("lemma34-step-1.2762", g, lhs, rhs_dusart._mpf_, "<=")
 
 
 def check_lemma35(g_from: int, g_to: int) -> Iterator[BoundReport]:
@@ -465,37 +497,83 @@ def check_dusart_sum(n_from: int, n_to: int) -> Iterator[BoundReport]:
         )
 
 
+# The x-sweeps' right sides, each a raw mpf evaluated with the same
+# mpmath functions, in the same order, that mpf arithmetic inside
+# mp.workdps(50) calls, so the bits are those of the written expression.
+
+_DUSART_PI_CONST = from_str("1.2762", _PREC, _RND)
+_FIFTH = from_str("0.2", _PREC, _RND)
+
+
+def _log(x: int) -> tuple:
+    return mpf_log(from_int(x), _PREC, _RND)
+
+
+def _rosser_rhs(x: int) -> tuple:
+    """mpf(x) / (log(x) + 2)"""
+    return mpf_div(from_int(x), mpf_add(_log(x), from_int(2), _PREC, _RND), _PREC, _RND)
+
+
+def _dusart_pi_rhs(x: int) -> tuple[tuple, tuple]:
+    """(x/log x)(1 + 1.2762/log x) and (x/log x)(1 + 1/log x)"""
+    log_x = _log(x)
+    main = mpf_rdiv_int(x, log_x, _PREC, _RND)
+    upper = mpf_add(mpf_div(_DUSART_PI_CONST, log_x, _PREC, _RND), fone, _PREC, _RND)
+    lower = mpf_add(mpf_rdiv_int(1, log_x, _PREC, _RND), fone, _PREC, _RND)
+    return mpf_mul(main, upper, _PREC, _RND), mpf_mul(main, lower, _PREC, _RND)
+
+
+@lru_cache(maxsize=None)
+def _exp_neg_gamma() -> tuple:
+    with mp.workdps(_DPS):
+        return (mp.e ** -mpf(EULER_GAMMA_20))._mpf_
+
+
+def _dusart_product_rhs(x: int) -> tuple:
+    """(e^-gamma / log x)(1 - 0.2/log^2 x)"""
+    log_x = _log(x)
+    log_sq = mpf_pow_int(log_x, 2, _PREC, _RND)
+    tilt = mpf_sub(fone, mpf_div(_FIFTH, log_sq, _PREC, _RND), _PREC, _RND)
+    return mpf_mul(mpf_div(_exp_neg_gamma(), log_x, _PREC, _RND), tilt, _PREC, _RND)
+
+
 def check_dusart_pi(x_from: int, x_to: int) -> Iterator[BoundReport]:
     """pi(x) <= (x/log x)(1 + 1.2762/log x) for x >= 2,
     and pi(x) >= (x/log x)(1 + 1/log x) for x >= 599."""
     _range_check(x_from, x_to, "x")
     view = _PrimeView(x_to)
-    with mp.workdps(_DPS):
-        dusart_const = mpf("1.2762")
     for x in range(x_from, x_to + 1):
         lhs = view.pi(x)
         if x < 2:
             yield _unmet_row("dusart-pi-upper", x, "x >= 2")
-        else:
-            with mp.workdps(_DPS):
-                log_x = mp.log(x)
-                upper = (x / log_x) * (1 + dusart_const / log_x)
-            yield _real_row("dusart-pi-upper", x, lhs, upper, "<=")
+            yield _unmet_row("dusart-pi-lower", x, "x >= 599")
+            continue
+        upper, lower = _dusart_pi_rhs(x)
+        yield _real_row("dusart-pi-upper", x, lhs, upper, "<=")
         if x < 599:
             yield _unmet_row("dusart-pi-lower", x, "x >= 599")
         else:
-            with mp.workdps(_DPS):
-                log_x = mp.log(x)
-                lower = (x / log_x) * (1 + 1 / log_x)
             yield _real_row("dusart-pi-lower", x, lhs, lower, ">=")
+
+
+# bits of the bracket q / 2^B <= prod < (q + 1) / 2^B on the running product
+_BRACKET_BITS = 256
+
+
+def _product_exceeds(num: int, den: int, man: int, exp: int) -> bool:
+    """num/den > man * 2^exp * (1 + GUARD) by full cross-multiplication."""
+    return _guarded_verdict(num, den, man, exp, ">")
 
 
 def check_dusart_product(x_from: int, x_to: int) -> Iterator[BoundReport]:
     """prod_{p <= x} (1 - 1/p) > (e^-gamma / log x)(1 - 0.2/log^2 x)
     for x >= 2973; the product side is an exact rational.
 
-    The verdict cross-multiplies the raw numerator/denominator pair
-    against the guarded dyadic right side, so it is exact; only the
+    The verdict is exact. Each time a prime enters, the running product
+    num/den is bracketed as q / 2^256 <= num/den < (q + 1) / 2^256; a row
+    whose guarded right side lies outside the bracket is decided by two
+    integer comparisons on q, and only a right side inside it falls back
+    to cross-multiplying the full numerator/denominator pair. The
     displayed lhs and margin are float approximations of the exact
     rational (noted on each row).
     """
@@ -505,9 +583,8 @@ def check_dusart_product(x_from: int, x_to: int) -> Iterator[BoundReport]:
     prod_float = 1.0
     next_prime_idx = 0
     primes = view.primes
-    with mp.workdps(_DPS):
-        exp_neg_gamma = mp.e ** -mpf(EULER_GAMMA_20)
-        fifth = mpf("0.2")
+    scale = 1 << _BRACKET_BITS
+    bracket = None
     note = "lhs and margin displayed at float precision; verdict exact"
     for x in range(x_from, x_to + 1):
         while next_prime_idx < len(primes) and primes[next_prime_idx] <= x:
@@ -516,25 +593,22 @@ def check_dusart_product(x_from: int, x_to: int) -> Iterator[BoundReport]:
             den *= p
             prod_float *= 1 - 1 / p
             next_prime_idx += 1
+            bracket = None
         if x < 2973:
             yield _unmet_row("dusart-product", x, "x >= 2973")
             continue
-        with mp.workdps(_DPS):
-            log_x = mp.log(x)
-            rhs = (exp_neg_gamma / log_x) * (1 - fifth / log_x**2)
-        rhs_frac = _mpf_to_fraction(rhs)
-        guarded = rhs_frac * (1 + GUARD)
-        # exact: num/den > guarded  <=>  num * g.den > g.num * den
-        passed = num * guarded.denominator > guarded.numerator * den
-        lhs_display = Fraction(prod_float)
+        if bracket is None:
+            bracket = (num * scale) // den
+            lhs_display = Fraction(prod_float)
+        _, man, exp, _ = _dusart_product_rhs(x)
+        if _guarded_verdict(bracket, scale, man, exp, ">"):
+            passed = True
+        elif not _guarded_verdict(bracket + 1, scale, man, exp, ">"):
+            passed = False
+        else:
+            passed = _product_exceeds(num, den, man, exp)
         yield BoundReport(
-            "dusart-product",
-            x,
-            lhs_display,
-            rhs_frac,
-            rhs_frac - lhs_display,
-            passed,
-            note,
+            "dusart-product", x, lhs_display, *_dyadic(man, exp, lhs_display), passed, note
         )
 
 
@@ -546,9 +620,7 @@ def check_rosser(x_from: int, x_to: int) -> Iterator[BoundReport]:
         if x < 55:
             yield _unmet_row("rosser", x, "x >= 55")
             continue
-        with mp.workdps(_DPS):
-            rhs = mpf(x) / (mp.log(x) + 2)
-        yield _real_row("rosser", x, view.pi(x), rhs, ">")
+        yield _real_row("rosser", x, view.pi(x), _rosser_rhs(x), ">")
 
 
 # ---------------------------------------------------------------------------
@@ -615,9 +687,11 @@ def run_check(
 ) -> Iterator[BoundReport]:
     """Dispatch one named check over an inclusive range.
 
-    genus_cap caps the genus checks. An x-indexed check whose range ends
-    above 10^6 is refused at once (ValueError), before any sieve is
-    sized, unless genus_cap is None: None lifts both caps.
+    genus_cap caps the genus checks. Any other check whose range ends
+    above its cap (10^6 for an x-indexed check, genus_cap for lemma34
+    and lemma35, whose points are genera) is refused at once
+    (ValueError), before any sieve or primorial is built, unless
+    genus_cap is None: None lifts every cap.
     """
     try:
         fn = CHECK_NAMES[name]
@@ -627,11 +701,13 @@ def run_check(
         ) from None
     if name in GENUS_CHECKS:
         return fn(lo, hi, genus_cap)
-    if name in _X_CHECKS and genus_cap is not None and hi > _X_CAP:
-        raise ValueError(
-            f"{name} range ends at {hi}, above the cap {_X_CAP}; "
-            "pass --allow-large (genus_cap=None) to lift it"
-        )
+    if genus_cap is not None:
+        cap = _X_CAP if name in _X_CHECKS else genus_cap
+        if hi > cap:
+            raise ValueError(
+                f"{name} range ends at {hi}, above the cap {cap}; "
+                "pass --allow-large (genus_cap=None) to lift it"
+            )
     return fn(lo, hi)
 
 
@@ -641,22 +717,30 @@ def run_check(
 REPORT_FIELDS = ("name", "point", "lhs", "rhs", "margin", "pass", "note")
 
 
+# a long value is printed at 20 significant digits from its quotient
+# rounded to 25 digits (86 bits)
+_RENDER_PREC = dps_to_prec(25)
+
+
 def render_value(value: int | Fraction) -> str:
     """Deterministic decimal rendering; exact when short, else 20
     significant digits."""
     if isinstance(value, int):
         return str(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    scaled = value * 10**12
-    if scaled.denominator == 1 and abs(value) < 10**40:
-        digits = f"{abs(scaled.numerator):013d}"
+    num, den = value.numerator, value.denominator
+    if den == 1:
+        return str(num)
+    if 10**12 % den == 0 and abs(num) < 10**40 * den:
+        digits = f"{abs(num) * (10**12 // den):013d}"
         whole, frac = digits[:-12], digits[-12:].rstrip("0")
-        sign = "-" if value < 0 else ""
+        sign = "-" if num < 0 else ""
         return f"{sign}{whole}.{frac}"
-    with mp.workdps(25):
-        approx = mpf(value.numerator) / mpf(value.denominator)
-        return mp.nstr(approx, 20)
+    if den & (den - 1) == 0:
+        # den = 2^k: the quotient is num rounded to 86 bits, shifted
+        approx = from_man_exp(num, 1 - den.bit_length(), _RENDER_PREC, _RND)
+    else:
+        approx = mpf_div(from_int(num), from_int(den), _RENDER_PREC, _RND)
+    return to_str(approx, 20)
 
 
 def report_to_dict(report: BoundReport) -> dict[str, object]:

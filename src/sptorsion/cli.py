@@ -6,7 +6,9 @@ Conventions shared by every subcommand:
   * exit 0 = success / all checks pass; exit 1 = mathematically negative
     answer (non-member, failed verification, failed bound); exit 2 =
     usage or parse error, including m = 1 (excluded by the A != 1
-    convention) and ranges beyond the computation caps.
+    convention) and ranges beyond the computation caps; exit 3 =
+    internal error (a bug, never an answer), with its traceback on
+    stderr.
   * --format text|json|csv. JSON payloads wrap results in an envelope
     {command, parameters, result, format}; every numeric value is a
     decimal string, so consumers never truncate big integers. CSV is
@@ -22,6 +24,7 @@ import argparse
 import csv
 import json
 import sys
+import traceback
 from pathlib import Path
 
 from . import __version__
@@ -56,6 +59,7 @@ from .witness import (
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 class UsageError(Exception):
@@ -505,6 +509,9 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,9 +1,13 @@
 """Inequality sweeps: exact verdicts, report rendering, scan constants."""
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
+import bounds_oracle as oracle
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from sptorsion import bounds, extremal
@@ -250,3 +254,208 @@ def test_report_is_plain_data():
     assert isinstance(row.lhs, int)
     assert isinstance(row.rhs, Fraction)
     assert row.margin == row.rhs - row.lhs
+
+
+def test_lemma_genus_caps_fail_fast(monkeypatch):
+    def built(*args):
+        raise AssertionError("sieve or primorial built for a refused range")
+
+    monkeypatch.setattr(bounds, "sieve", built)
+    monkeypatch.setattr(bounds, "primorial", built)
+    for name in ("lemma34", "lemma35"):
+        with pytest.raises(ValueError, match="--allow-large"):
+            run_check(name, 113, extremal.DEFAULT_GENUS_CAP + 1)
+        with pytest.raises(ValueError, match="cap 50;"):
+            run_check(name, 113, 51, 50)
+        run_check(name, 113, 10**12, None)  # lazy: nothing is built yet
+
+
+def test_lemma_genus_cap_admits_its_top():
+    cap = extremal.DEFAULT_GENUS_CAP
+    assert [r.passed for r in run_check("lemma34", cap, cap)] == [True] * 3
+    assert [r.passed for r in run_check("lemma35", cap, cap)] == [True] * 2
+
+
+# ---------------------------------------------------------------------------
+# the integer paths against the rational pipeline of tests/bounds_oracle.py
+
+OPS = ("<=", "<", ">", ">=")
+mantissas = st.integers(1, 2**170)
+exponents = st.integers(-400, 400)
+dyadic_lhs = st.one_of(
+    st.integers(-(2**200), 2**200),
+    st.builds(
+        lambda n, k: Fraction(n, 2**k), st.integers(-(2**200), 2**200), st.integers(0, 300)
+    ),
+)
+
+
+def rhs_fraction(man, exp):
+    return Fraction(man) * Fraction(2) ** exp
+
+
+@settings(max_examples=400, deadline=None)
+@given(dyadic_lhs, mantissas, exponents, st.sampled_from(OPS))
+@example(1, 1, 0, "<")
+@example(0, 3, -2, ">=")
+def test_guarded_verdict_matches_fractions(lhs, man, exp, op):
+    rhs = rhs_fraction(man, exp)
+    verdict = bounds._guarded_verdict(lhs.numerator, lhs.denominator, man, exp, op)
+    assert verdict == oracle.guarded_pass(lhs, rhs, op)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mantissas, exponents, st.sampled_from(OPS), st.integers(-1, 1))
+def test_guarded_verdict_on_the_guarded_boundary(man, exp, op, nudge):
+    # lhs exactly on rhs (1 -+ GUARD), or one unit of 2^-600 beside it
+    compare, guard = oracle.COMPARISONS[op]
+    lhs = rhs_fraction(man, exp) * guard + Fraction(nudge, 2**600)
+    verdict = bounds._guarded_verdict(lhs.numerator, lhs.denominator, man, exp, op)
+    assert verdict == oracle.guarded_pass(lhs, rhs_fraction(man, exp), op)
+    if nudge == 0:
+        assert verdict == (op in ("<=", ">="))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dyadic_lhs, mantissas, exponents, st.sampled_from(OPS))
+def test_real_row_matches_fractions(lhs, man, exp, op):
+    row = bounds._real_row("t", 7, lhs, (0, man, exp, man.bit_length()), op)
+    rhs = rhs_fraction(man, exp)
+    assert (row.rhs, row.margin, row.passed) == (rhs, rhs - lhs, oracle.guarded_pass(lhs, rhs, op))
+    assert isinstance(row.rhs, Fraction) and isinstance(row.margin, Fraction)
+
+
+@pytest.mark.parametrize("rhs", [(0, 0, 0, 0), (1, 3, -2, 2), (0, 0, 456, -2)])
+def test_real_row_refuses_nonpositive_or_nonfinite_rhs(rhs):
+    with pytest.raises(AssertionError):
+        bounds._real_row("t", 1, 1, rhs, "<")
+
+
+@settings(max_examples=200, deadline=None)
+@given(dyadic_lhs, dyadic_lhs, st.sampled_from(OPS))
+def test_exact_row_matches_fractions(lhs, rhs, op):
+    row = bounds._exact_row("t", 1, lhs, rhs, op)
+    compare, _ = oracle.COMPARISONS[op]
+    assert row.passed == compare(lhs, rhs)
+    assert row.margin == rhs - lhs and type(row.margin) is type(rhs - lhs)
+
+
+magnitudes = st.integers(0, 10**60)
+render_values = st.one_of(
+    # dyadic, either side of k = 12
+    st.builds(lambda n, k: Fraction(n, 2**k), st.integers(-(10**60), 10**60), st.integers(0, 200)),
+    # just either side of 10^40 with a short dyadic denominator
+    st.builds(
+        lambda k, delta, sign: sign * Fraction(10**40 * 2**k + delta, 2**k),
+        st.integers(1, 12), st.integers(-3, 3), st.sampled_from((1, -1)),
+    ),
+    # non-dyadic, with and without a short decimal expansion
+    st.builds(Fraction, st.integers(-(10**60), 10**60), st.integers(1, 10**15)),
+    st.builds(lambda n, a, b: Fraction(n, 2**a * 5**b), magnitudes, st.integers(0, 14), st.integers(0, 14)),
+    st.integers(-(10**50), 10**50),
+    # within about 2^-80 of a tie at the 20th digit, where the rounding
+    # to 86 bits before printing decides the last digit
+    st.builds(
+        lambda n, k, delta: Fraction(((10 * n + 5) << k) // 10**21 + delta, 2**k),
+        st.integers(10**19, 10**20 - 1), st.integers(100, 200), st.integers(-(2**20), 2**20),
+    ),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(render_values)
+@example(Fraction(0))
+@example(0)
+@example(Fraction(-1, 2**13))
+@example(Fraction(10**40 * 2**12 - 1, 2**12))
+@example(Fraction(10**40 * 2**12, 2**12))
+def test_render_value_matches_rational_rendering(value):
+    assert render_value(value) == oracle.render_value(value)
+
+
+def assert_right_sides_keep_their_bits(x):
+    assert bounds._rosser_rhs(x) == oracle.rosser_rhs(x)._mpf_
+    upper, lower = oracle.dusart_pi_rhs(x)
+    assert bounds._dusart_pi_rhs(x) == (upper._mpf_, lower._mpf_)
+    if x >= 2973:
+        assert bounds._dusart_product_rhs(x) == oracle.dusart_product_rhs(x)._mpf_
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 10**6))
+def test_x_sweep_right_sides_keep_their_bits(x):
+    assert_right_sides_keep_their_bits(x)
+
+
+def test_x_sweep_right_sides_keep_their_bits_at_thresholds():
+    for x in (2, 3, 55, 598, 599, 2972, 2973, 2974, 10**5, 10**6 - 1, 10**6, 10**9):
+        assert_right_sides_keep_their_bits(x)
+
+
+def test_x_sweep_rows_do_no_fraction_arithmetic(monkeypatch):
+    def arithmetic(*args):
+        raise AssertionError("Fraction arithmetic on the row path")
+
+    for name in (
+        "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+        "__truediv__", "__rtruediv__", "__pow__", "__lt__", "__le__", "__gt__", "__ge__",
+    ):
+        monkeypatch.setattr(Fraction, name, arithmetic)
+    for name, lo, hi in (("rosser", 50, 700), ("dusart-pi", 1, 700), ("dusart-product", 2970, 3600)):
+        for report in run_check(name, lo, hi):
+            report_to_dict(report)
+
+
+def product_rows(lo, hi):
+    return [(r.point, r.passed, report_to_dict(r)) for r in run_check("dusart-product", lo, hi)]
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Arguments of every full cross-multiplication the product check makes."""
+    calls = []
+    exceeds = bounds._product_exceeds
+    monkeypatch.setattr(
+        bounds, "_product_exceeds", lambda *args: calls.append(args) or exceeds(*args)
+    )
+    return calls
+
+
+def test_product_bracket_decides_without_cross_multiplication(monkeypatch, fallbacks):
+    rows = product_rows(2973, 4000)
+    assert all(passed for _, passed, _ in rows)
+    assert fallbacks == []
+    # a 0-bit bracket [0, 1] straddles every right side: the full
+    # cross-multiplication then decides every row, with the same rows
+    monkeypatch.setattr(bounds, "_BRACKET_BITS", 0)
+    assert product_rows(2973, 4000) == rows
+    assert len(fallbacks) == len(rows)
+
+
+def test_product_verdict_matches_cross_multiplication():
+    # the old verdict, recomputed from the exact running product
+    num, den, primes = 1, 1, iter(bounds._PrimeView(9000).primes)
+    p = next(primes)
+    for row in run_check("dusart-product", 2973, 9000):
+        while p is not None and p <= row.point:
+            num, den, p = num * (p - 1), den * p, next(primes, None)
+        rhs = oracle.dusart_product_rhs(row.point)
+        assert row.passed == oracle.product_passes(num, den, rhs)
+        assert row.rhs == oracle.mpf_to_fraction(rhs)
+
+
+def test_product_straddle_falls_back_to_the_exact_verdict(monkeypatch, fallbacks):
+    # guarded right sides within 2^-600 of the product on either side:
+    # the 256-bit bracket holds both, the cross-multiplication tells them apart
+    num = den = 1
+    for p in bounds._PrimeView(2973).primes:
+        num, den = num * (p - 1), den * p
+    scaled = Fraction(num, den) / (1 + bounds.GUARD) * 2**600
+    for extra, expected in ((0, True), (1, False)):
+        man = math.floor(scaled) + extra
+        monkeypatch.setattr(bounds, "_dusart_product_rhs", lambda x: (0, man, -600, 0))
+        fallbacks.clear()
+        (row,) = run_check("dusart-product", 2973, 2973)
+        assert len(fallbacks) == 1
+        assert row.passed is expected
+        assert row.passed == oracle.guarded_pass(Fraction(num, den), Fraction(man, 2**600), ">")

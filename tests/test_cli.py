@@ -245,6 +245,39 @@ def test_bounds_x_cap_fails_fast(check, capsys):
     assert "cap 1000000" in err
 
 
+@pytest.mark.parametrize("check", ["lemma34", "lemma35"])
+def test_bounds_lemma_genus_cap_fails_fast(check, capsys):
+    from sptorsion import cli
+
+    start = time.perf_counter()
+    argv = ["bounds", "--check", check, "--range", "113..1000000000000", "--format", "csv"]
+    assert cli.main(argv) == 2
+    assert time.perf_counter() - start < 0.1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "cap 5000" in err and "--allow-large" in err
+
+
+@pytest.mark.parametrize(
+    "error", [AssertionError("sieve limit too small"), KeyError("x"), ZeroDivisionError()]
+)
+def test_internal_error_exits_3_with_traceback(error, monkeypatch, capsys):
+    from sptorsion import bounds, cli
+
+    def broken(lo, hi):
+        raise error
+        yield
+
+    monkeypatch.setitem(bounds.CHECK_NAMES, "rosser", broken)
+    start = time.perf_counter()
+    assert cli.main(["bounds", "--check", "rosser", "--range", "55..60"]) == cli.EXIT_INTERNAL == 3
+    assert time.perf_counter() - start < 0.1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("Traceback (most recent call last):")
+    assert type(error).__name__ in err
+
+
 def test_bounds_allow_large_lifts_x_cap():
     # just past the cap: refused by default, run with --allow-large
     args = ("bounds", "--check", "rosser", "--range", "1000000..1000001")
