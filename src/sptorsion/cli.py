@@ -24,7 +24,6 @@ import argparse
 import csv
 import json
 import sys
-import traceback
 from pathlib import Path
 
 from . import __version__
@@ -510,6 +509,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception:
+        import traceback  # only on this path: it costs every command start-up
+
         traceback.print_exc()
         return EXIT_INTERNAL
 
