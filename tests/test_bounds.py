@@ -308,7 +308,7 @@ def test_guarded_verdict_matches_fractions(lhs, man, exp, op):
 @given(mantissas, exponents, st.sampled_from(OPS), st.integers(-1, 1))
 def test_guarded_verdict_on_the_guarded_boundary(man, exp, op, nudge):
     # lhs exactly on rhs (1 -+ GUARD), or one unit of 2^-600 beside it
-    compare, guard = oracle.COMPARISONS[op]
+    _, guard = oracle.COMPARISONS[op]
     lhs = rhs_fraction(man, exp) * guard + Fraction(nudge, 2**600)
     verdict = bounds._guarded_verdict(lhs.numerator, lhs.denominator, man, exp, op)
     assert verdict == oracle.guarded_pass(lhs, rhs_fraction(man, exp), op)
