@@ -359,6 +359,13 @@ render_values = st.one_of(
         lambda n, k, delta: Fraction(((10 * n + 5) << k) // 10**21 + delta, 2**k),
         st.integers(10**19, 10**20 - 1), st.integers(100, 200), st.integers(-(2**20), 2**20),
     ),
+    # the same with an odd denominator and a numerator of more than 86
+    # bits, where rounding the numerator before dividing decides it
+    st.builds(
+        lambda n, e, den, delta: Fraction(den * (10 * n + 5) * 10**e // 10 + delta, den),
+        st.integers(10**19, 10**20 - 1), st.integers(8, 30),
+        st.sampled_from((3, 7, 11, 13, 96)), st.integers(-(2**20), 2**20),
+    ),
 )
 
 
@@ -369,6 +376,8 @@ render_values = st.one_of(
 @example(Fraction(-1, 2**13))
 @example(Fraction(10**40 * 2**12 - 1, 2**12))
 @example(Fraction(10**40 * 2**12, 2**12))
+# one rounding of the exact quotient would print ...331 here
+@example(Fraction(8182504567245826523094999999999999999999789611, 13))
 def test_render_value_matches_rational_rendering(value):
     assert render_value(value) == oracle.render_value(value)
 
