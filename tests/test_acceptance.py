@@ -49,6 +49,27 @@ def sweep_passes(name: str, lo: int, hi: int, digest=None) -> int:
     return rows
 
 
+# SHA-256 of each genus sweep's rows, their JSON renderings one a line,
+# frozen before the checks were declared in one table
+GENUS_SWEEP_SHA256 = {
+    "thm31": "ffef942c11d363f595648fb7425570eedc4de8e9a5c7e7992cd8a30d77b1f154",
+    "cor32": "a5576d352289f5c197aebbb5e70bb9d28ca30e8be90f993ad43187d1d86b5947",
+    "remark-upper": "954004c14ca0e599c61b86bdccf19c1666b66908cb5355b579d48aa2e1b04ac1",
+    "thm36": "a53ff062e3d723171f90ba04dd6d86a901fb47cac45938bd7dafb2e78b4e390a",
+    "cor37": "ed94fbcb552b562149cee42e531bc2acb024984020c1c7b9999e912f1bd2ed91",
+    "lemma34": "6795c08c887239bb54d6fafaf11df01b6498be1eaeb004af3ddb8e1c5bab6902",
+    "lemma35": "cfbb3f316b1b5bb2403c26f05319cd4f45fe03121d34fdab4852d50e13643ecb",
+}
+
+
+def frozen_sweep_passes(name: str, lo: int, hi: int) -> int:
+    """sweep_passes, with the rows' bytes held to GENUS_SWEEP_SHA256."""
+    digest = hashlib.sha256()
+    rows = sweep_passes(name, lo, hi, digest)
+    assert digest.hexdigest() == GENUS_SWEEP_SHA256[name], name
+    return rows
+
+
 def test_oracle_equivalence_g1_12():
     with criterion("oracle-equivalence g=1..12", 10):
         for g in range(1, 13):
@@ -84,21 +105,21 @@ def test_witness_soundness_sweep_g1_6():
 
 def test_absolute_upper_bound_g1_300():
     with criterion("h <= 3e^{3g} and f <= h, g=1..300", 300):
-        assert sweep_passes("thm31", 1, 300) == 300
-        assert sweep_passes("cor32", 1, 300) == 300
+        assert frozen_sweep_passes("thm31", 1, 300) == 300
+        assert frozen_sweep_passes("cor32", 1, 300) == 300
 
 
 def test_refined_upper_bound_g1486_1500():
     with criterion("refined upper bound g=1486..1500", 600):
-        assert sweep_passes("remark-upper", 1486, 1500) == 15
+        assert frozen_sweep_passes("remark-upper", 1486, 1500) == 15
 
 
 def test_exponential_lower_bound_above_L():
     level = compute_L()
     assert level == 489
     with criterion("lower bounds on f and h, g in [L, L+100]", 300):
-        assert sweep_passes("thm36", level, level + 100) == 101
-        assert sweep_passes("cor37", level, level + 100) == 101
+        assert frozen_sweep_passes("thm36", level, level + 100) == 101
+        assert frozen_sweep_passes("cor37", level, level + 100) == 101
 
 
 # (check, range, rows, SHA-256 of the rows' JSON renderings one a line),
@@ -129,8 +150,9 @@ def test_prime_estimate_sweeps_combined():
 def test_primorial_membership_above_K():
     level = compute_K()
     assert level == 113
-    with criterion("primorial membership, g in [K, K+500]", 300):
-        assert sweep_passes("lemma35", level, level + 500) == 2 * 501
+    with criterion("prime count and primorial membership, g in [K, K+500]", 300):
+        assert frozen_sweep_passes("lemma34", level, level + 500) == 3 * 501
+        assert frozen_sweep_passes("lemma35", level, level + 500) == 2 * 501
 
 
 def run_cli(*args):
