@@ -15,12 +15,17 @@ reproducible bit for bit.
 
 Rows whose point sits below an inequality's stated validity threshold
 get passed=None ("precondition unmet") rather than a failure; the
-thresholds K, L, and the improved-lower-bound cutoff are computed by
-scanning, never hard-coded:
+thresholds K, L, and the improved-lower-bound cutoff are computed by a
+search, never hard-coded:
 
   K = least integer >= 3 with K*log(K) >= 529    (= 23^2)
   L = least integer >= 2 with L*log(L) >= 3025   (= 55^2)
   improved cutoff = least g with g*log(g) >= 358801  (= 599^2)
+
+Every check is declared once, in the CHECK_NAMES table: its sweep, the
+kind of its points (genus, x or n), and its default range. A range is
+validated and capped once, in run_check, before any DP, sieve or
+primorial is built; a sweep called directly takes any range.
 
 Every verdict is an exact integer comparison; no float ever decides one.
 The one display-only compromise: the Mertens-type product check keeps
@@ -65,13 +70,8 @@ from mpmath.libmp import (
     to_str,
 )
 
-from .criterion import membership
-from .extremal import (
-    DEFAULT_GENUS_CAP,
-    _check_genus_cap,
-    count_orders_range,
-    max_order_value_range,
-)
+from .criterion import GenusCapError, membership
+from .extremal import DEFAULT_GENUS_CAP, count_orders_range, max_order_value_range
 from .numtheory import primorial, sieve
 
 __all__ = [
@@ -94,8 +94,8 @@ __all__ = [
     "check_dusart_pi",
     "check_dusart_product",
     "check_rosser",
+    "Check",
     "CHECK_NAMES",
-    "GENUS_CHECKS",
     "run_check",
     "default_range",
     "render_value",
@@ -194,38 +194,17 @@ def _unmet_row(name: str, point: int, threshold_desc: str) -> BoundReport:
 
 
 @lru_cache(maxsize=None)
-def compute_K() -> int:
-    """Least integer >= 3 with sqrt(K log K) >= 23, by upward scan."""
-    with mp.workdps(_DPS):
-        k = 3
-        while mpf(k) * mp.log(k) < 529:
-            k += 1
-        return k
-
-
-@lru_cache(maxsize=None)
-def compute_L() -> int:
-    """Least integer >= 2 with sqrt(L log L) >= 55, by upward scan."""
-    with mp.workdps(_DPS):
-        n = 2
-        while mpf(n) * mp.log(n) < 3025:
-            n += 1
-        return n
-
-
-@lru_cache(maxsize=None)
-def improved_lower_threshold() -> int:
-    """Least integer g with g log g >= 599^2, by doubling plus bisection."""
-    target = 599**2
+def _least_n_log_n(target: int) -> int:
+    """Least integer n with n log n >= target > 0, by doubling plus
+    bisection (n log n increases, and 1 log 1 = 0 misses any target)."""
     with mp.workdps(_DPS):
 
         def holds(n: int) -> bool:
             return mpf(n) * mp.log(n) >= target
 
-        hi = 4
+        lo, hi = 1, 2
         while not holds(hi):
-            hi *= 2
-        lo = hi // 2
+            lo, hi = hi, 2 * hi
         while lo + 1 < hi:
             mid = (lo + hi) // 2
             if holds(mid):
@@ -233,6 +212,21 @@ def improved_lower_threshold() -> int:
             else:
                 lo = mid
         return hi
+
+
+def compute_K() -> int:
+    """Least integer K with sqrt(K log K) >= 23."""
+    return _least_n_log_n(23**2)
+
+
+def compute_L() -> int:
+    """Least integer L with sqrt(L log L) >= 55."""
+    return _least_n_log_n(55**2)
+
+
+def improved_lower_threshold() -> int:
+    """Least integer g with g log g >= 599^2."""
+    return _least_n_log_n(599**2)
 
 
 # ---------------------------------------------------------------------------
@@ -260,60 +254,56 @@ class _PrimeView:
         return self._cum[n - 1]
 
 
-def _range_check(lo: int, hi: int, what: str, minimum: int = 1) -> None:
-    if lo < minimum or hi < lo:
-        raise ValueError(f"invalid {what} range {lo}..{hi}")
-
-
 # ---------------------------------------------------------------------------
 # genus sweeps
 
 
-def _genus_points(
+def _dp_rows(
     g_from: int,
     g_to: int,
-    genus_cap: int | None,
-    start: int,
-    *dps: Callable[[int, int, int | None], list[int]],
-) -> Iterator[tuple[int, tuple[int, ...] | None]]:
-    """(g, values) for every g in [g_from, g_to].
+    dps: dict[str, Callable[[int, int, int | None], list[int]]],
+    op: str,
+    rhs: Callable[[int], mpf],
+    level: int = 1,
+    requires: str = "g >= 1",
+) -> Iterator[BoundReport]:
+    """For every g in [g_from, g_to], a row per name in `dps`: that range
+    DP's value at g against the real right side rhs(g), evaluated once
+    per genus at _DPS digits.
 
-    Below `start` (a check's validity threshold) values is None and no DP
-    runs; from max(g_from, start) on, values holds one entry per range DP
-    in `dps`, each run once over that whole stretch.
+    Below `level` (the check's validity threshold) each name gets an
+    unmet row stating what it `requires`, and no DP runs; from
+    max(g_from, level) on, each DP runs once over that whole stretch.
     """
-    _range_check(g_from, g_to, "genus")
-    _check_genus_cap(g_to, genus_cap)
-    first = max(g_from, start)
+    first = max(g_from, level)
     for g in range(g_from, min(first, g_to + 1)):
-        yield g, None
-    if first <= g_to:
-        columns = [dp(first, g_to, genus_cap) for dp in dps]
-        yield from zip(range(first, g_to + 1), zip(*columns))
+        for name in dps:
+            yield _unmet_row(name, g, requires)
+    if first > g_to:
+        return
+    columns = [dp(first, g_to, None) for dp in dps.values()]
+    for g, values in zip(range(first, g_to + 1), zip(*columns)):
+        with mp.workdps(_DPS):
+            bound = rhs(g)._mpf_
+        for name, value in zip(dps, values):
+            yield _real_row(name, g, value, bound, op)
 
 
 # ---------------------------------------------------------------------------
 # growth bounds (upper)
 
 
-def check_thm31(
-    g_from: int, g_to: int, genus_cap: int | None = DEFAULT_GENUS_CAP
-) -> Iterator[BoundReport]:
+def check_thm31(g_from: int, g_to: int) -> Iterator[BoundReport]:
     """h(g) <= 3 e^{3g}, exact h from the DP."""
-    for g, (h,) in _genus_points(g_from, g_to, genus_cap, 1, max_order_value_range):
-        with mp.workdps(_DPS):
-            rhs = 3 * mp.e ** (3 * g)
-        yield _real_row("thm31", g, h, rhs._mpf_, "<=")
+    dps = {"thm31": max_order_value_range}
+    return _dp_rows(g_from, g_to, dps, "<=", lambda g: 3 * mp.e ** (3 * g))
 
 
-def check_cor32(
-    g_from: int, g_to: int, genus_cap: int | None = DEFAULT_GENUS_CAP
-) -> Iterator[BoundReport]:
+def check_cor32(g_from: int, g_to: int) -> Iterator[BoundReport]:
     """f(g) <= h(g), both exact."""
-    points = _genus_points(
-        g_from, g_to, genus_cap, 1, count_orders_range, max_order_value_range
-    )
-    for g, (f, h) in points:
+    fs = count_orders_range(g_from, g_to, None)
+    hs = max_order_value_range(g_from, g_to, None)
+    for g, f, h in zip(range(g_from, g_to + 1), fs, hs):
         yield _exact_row("cor32", g, f, h, "<=")
 
 
@@ -325,20 +315,11 @@ def _remark_upper_rhs(g: int) -> mpf:
 REMARK_UPPER_START = 1486  # stated validity threshold of the refined bound
 
 
-def check_remark_upper(
-    g_from: int, g_to: int, genus_cap: int | None = DEFAULT_GENUS_CAP
-) -> Iterator[BoundReport]:
+def check_remark_upper(g_from: int, g_to: int) -> Iterator[BoundReport]:
     """h(g) <= 2 e^gamma log(2g+1) e^{(2g+1)/e} for g >= 1486."""
-    points = _genus_points(
-        g_from, g_to, genus_cap, REMARK_UPPER_START, max_order_value_range
-    )
-    for g, values in points:
-        if values is None:
-            yield _unmet_row("remark-upper", g, f"g >= {REMARK_UPPER_START}")
-            continue
-        with mp.workdps(_DPS):
-            rhs = _remark_upper_rhs(g)
-        yield _real_row("remark-upper", g, values[0], rhs._mpf_, "<=")
+    dps = {"remark-upper": max_order_value_range}
+    level = REMARK_UPPER_START
+    return _dp_rows(g_from, g_to, dps, "<=", _remark_upper_rhs, level, f"g >= {level}")
 
 
 # ---------------------------------------------------------------------------
@@ -353,52 +334,26 @@ def _improved_bound(g: int) -> mpf:
     return mp.e ** mp.sqrt(mpf(g) / (4 * mp.log(g)))
 
 
-def check_thm36(
-    g_from: int, g_to: int, genus_cap: int | None = DEFAULT_GENUS_CAP
-) -> Iterator[BoundReport]:
+def check_thm36(g_from: int, g_to: int) -> Iterator[BoundReport]:
     """f(g) > e^{(1/4) sqrt(g/log g)} for g >= L."""
     level = compute_L()
-    for g, values in _genus_points(g_from, g_to, genus_cap, level, count_orders_range):
-        if values is None:
-            yield _unmet_row("thm36", g, f"g >= L = {level}")
-            continue
-        with mp.workdps(_DPS):
-            rhs = _quarter_sqrt_bound(g)
-        yield _real_row("thm36", g, values[0], rhs._mpf_, ">")
+    dps = {"thm36": count_orders_range}
+    return _dp_rows(g_from, g_to, dps, ">", _quarter_sqrt_bound, level, f"g >= L = {level}")
 
 
-def check_cor37(
-    g_from: int, g_to: int, genus_cap: int | None = DEFAULT_GENUS_CAP
-) -> Iterator[BoundReport]:
+def check_cor37(g_from: int, g_to: int) -> Iterator[BoundReport]:
     """h(g) > e^{(1/4) sqrt(g/log g)} for g >= L."""
     level = compute_L()
-    for g, values in _genus_points(g_from, g_to, genus_cap, level, max_order_value_range):
-        if values is None:
-            yield _unmet_row("cor37", g, f"g >= L = {level}")
-            continue
-        with mp.workdps(_DPS):
-            rhs = _quarter_sqrt_bound(g)
-        yield _real_row("cor37", g, values[0], rhs._mpf_, ">")
+    dps = {"cor37": max_order_value_range}
+    return _dp_rows(g_from, g_to, dps, ">", _quarter_sqrt_bound, level, f"g >= L = {level}")
 
 
-def check_remark_lower(
-    g_from: int, g_to: int, genus_cap: int | None = DEFAULT_GENUS_CAP
-) -> Iterator[BoundReport]:
+def check_remark_lower(g_from: int, g_to: int) -> Iterator[BoundReport]:
     """f(g) and h(g) > e^{sqrt(g/(4 log g))} once g log g >= 599^2."""
     cutoff = improved_lower_threshold()
-    points = _genus_points(
-        g_from, g_to, genus_cap, cutoff, count_orders_range, max_order_value_range
-    )
-    for g, values in points:
-        if values is None:
-            yield _unmet_row("remark-lower-f", g, f"g log g >= 599^2 (g >= {cutoff})")
-            yield _unmet_row("remark-lower-h", g, f"g log g >= 599^2 (g >= {cutoff})")
-            continue
-        f, h = values
-        with mp.workdps(_DPS):
-            rhs = _improved_bound(g)
-        yield _real_row("remark-lower-f", g, f, rhs._mpf_, ">")
-        yield _real_row("remark-lower-h", g, h, rhs._mpf_, ">")
+    dps = {"remark-lower-f": count_orders_range, "remark-lower-h": max_order_value_range}
+    requires = f"g log g >= 599^2 (g >= {cutoff})"
+    return _dp_rows(g_from, g_to, dps, ">", _improved_bound, cutoff, requires)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +362,6 @@ def check_remark_lower(
 
 def check_lemma33(x_from: int, x_to: int) -> Iterator[BoundReport]:
     """Sum of primes <= x is < x pi(x) / 2 for x >= 23; exact halves."""
-    _range_check(x_from, x_to, "x")
     view = _PrimeView(x_to)
     for x in range(x_from, x_to + 1):
         if x < 23:
@@ -425,7 +379,6 @@ def check_lemma34(g_from: int, g_to: int) -> Iterator[BoundReport]:
     c = 3/2 step quoted in the argument and the sharper c = 1.2762
     estimate it leans on are recorded as separate rows.
     """
-    _range_check(g_from, g_to, "genus")
     level = compute_K()
     with mp.workdps(_DPS):
         y_max = mp.sqrt(mpf(g_to) * mp.log(g_to)) if g_to >= 2 else mpf(2)
@@ -453,7 +406,6 @@ def check_lemma35(g_from: int, g_to: int) -> Iterator[BoundReport]:
     Two rows per genus: the membership budget test itself (cost vs 2g)
     and the intermediate bound beta < (3/2) g on the odd-prime cost.
     """
-    _range_check(g_from, g_to, "genus")
     level = compute_K()
     for g in range(g_from, g_to + 1):
         if g < level:
@@ -481,7 +433,6 @@ def check_lemma35(g_from: int, g_to: int) -> Iterator[BoundReport]:
 
 def check_dusart_sum(n_from: int, n_to: int) -> Iterator[BoundReport]:
     """Sum of the first n primes < n p_n / 2 for n >= 9; exact halves."""
-    _range_check(n_from, n_to, "n")
     # p_n < n (log n + log log n) for n >= 6 sizes the sieve
     limit = max(100, int(n_to * (mp.log(n_to) + mp.log(mp.log(n_to)))) + 10) if n_to >= 6 else 100
     view = _PrimeView(limit)
@@ -539,7 +490,6 @@ def _dusart_product_rhs(x: int) -> tuple:
 def check_dusart_pi(x_from: int, x_to: int) -> Iterator[BoundReport]:
     """pi(x) <= (x/log x)(1 + 1.2762/log x) for x >= 2,
     and pi(x) >= (x/log x)(1 + 1/log x) for x >= 599."""
-    _range_check(x_from, x_to, "x")
     view = _PrimeView(x_to)
     for x in range(x_from, x_to + 1):
         lhs = view.pi(x)
@@ -576,7 +526,6 @@ def check_dusart_product(x_from: int, x_to: int) -> Iterator[BoundReport]:
     displayed lhs and margin are float approximations of the exact
     rational (noted on each row).
     """
-    _range_check(x_from, x_to, "x")
     view = _PrimeView(x_to)
     num, den = 1, 1
     prod_float = 1.0
@@ -613,7 +562,6 @@ def check_dusart_product(x_from: int, x_to: int) -> Iterator[BoundReport]:
 
 def check_rosser(x_from: int, x_to: int) -> Iterator[BoundReport]:
     """pi(x) > x / (log x + 2) for x >= 55."""
-    _range_check(x_from, x_to, "x")
     view = _PrimeView(x_to)
     for x in range(x_from, x_to + 1):
         if x < 55:
@@ -625,60 +573,47 @@ def check_rosser(x_from: int, x_to: int) -> Iterator[BoundReport]:
 # ---------------------------------------------------------------------------
 # named dispatch (shared by the CLI and scripts)
 
-CHECK_NAMES: dict[str, Callable[..., Iterator[BoundReport]]] = {
-    "thm31": check_thm31,
-    "cor32": check_cor32,
-    "remark-upper": check_remark_upper,
-    "thm36": check_thm36,
-    "cor37": check_cor37,
-    "remark-lower": check_remark_lower,
-    "lemma33": check_lemma33,
-    "lemma34": check_lemma34,
-    "lemma35": check_lemma35,
-    "dusart-sum": check_dusart_sum,
-    "dusart-pi": check_dusart_pi,
-    "dusart-product": check_dusart_product,
-    "rosser": check_rosser,
+@dataclass(frozen=True)
+class Check:
+    """A named check: its sweep over an inclusive range, the kind of its
+    points ("genus", "x" or "n"), which sets its cap, and its default
+    range (None when a range is required; a callable computes it on
+    first use)."""
+
+    sweep: Callable[[int, int], Iterator[BoundReport]]
+    points: str
+    default: tuple[int, int] | Callable[[], tuple[int, int]] | None
+
+
+def _above(level: Callable[[], int], width: int) -> Callable[[], tuple[int, int]]:
+    return lambda: (level(), level() + width)
+
+
+CHECK_NAMES: dict[str, Check] = {
+    "thm31": Check(check_thm31, "genus", (1, 300)),
+    "cor32": Check(check_cor32, "genus", (1, 300)),
+    "remark-upper": Check(check_remark_upper, "genus", (REMARK_UPPER_START, 1500)),
+    "thm36": Check(check_thm36, "genus", _above(compute_L, 100)),
+    "cor37": Check(check_cor37, "genus", _above(compute_L, 100)),
+    # any in-precondition genus is a deliberate large run
+    "remark-lower": Check(check_remark_lower, "genus", None),
+    "lemma33": Check(check_lemma33, "x", (23, 10**5)),
+    "lemma34": Check(check_lemma34, "genus", _above(compute_K, 500)),
+    "lemma35": Check(check_lemma35, "genus", _above(compute_K, 500)),
+    "dusart-sum": Check(check_dusart_sum, "n", (9, 10**4)),
+    "dusart-pi": Check(check_dusart_pi, "x", (2, 10**5)),
+    "dusart-product": Check(check_dusart_product, "x", (2973, 10**5)),
+    "rosser": Check(check_rosser, "x", (55, 10**5)),
 }
 
-# checks whose points are genera and whose work is dominated by the DPs;
-# each runs its DPs once over the in-threshold part of its range
-GENUS_CHECKS = frozenset(
-    {"thm31", "cor32", "remark-upper", "thm36", "cor37", "remark-lower"}
-)
-
-
-# checks whose points are x (or n) and which sieve up to the top point;
-# run_check caps their ranges at 10 times the largest default range
-_X_CHECKS = frozenset({"lemma33", "dusart-sum", "dusart-pi", "dusart-product", "rosser"})
+# the cap on an x or n range: 10 times the largest default range
 _X_CAP = 10**6
 
 
 def default_range(name: str) -> tuple[int, int] | None:
     """Stated sweep range for a check; None means a range is required."""
-    if name == "thm31" or name == "cor32":
-        return (1, 300)
-    if name == "remark-upper":
-        return (REMARK_UPPER_START, 1500)
-    if name == "thm36" or name == "cor37":
-        level = compute_L()
-        return (level, level + 100)
-    if name == "remark-lower":
-        return None  # any in-precondition genus is a deliberate large run
-    if name == "lemma33":
-        return (23, 10**5)
-    if name == "lemma34" or name == "lemma35":
-        level = compute_K()
-        return (level, level + 500)
-    if name == "dusart-sum":
-        return (9, 10**4)
-    if name == "dusart-pi":
-        return (2, 10**5)
-    if name == "dusart-product":
-        return (2973, 10**5)
-    if name == "rosser":
-        return (55, 10**5)
-    raise KeyError(name)
+    default = CHECK_NAMES[name].default
+    return default() if callable(default) else default
 
 
 def run_check(
@@ -686,28 +621,28 @@ def run_check(
 ) -> Iterator[BoundReport]:
     """Dispatch one named check over an inclusive range.
 
-    genus_cap caps the genus checks. Any other check whose range ends
-    above its cap (10^6 for an x-indexed check, genus_cap for lemma34
-    and lemma35, whose points are genera) is refused at once
-    (ValueError), before any sieve or primorial is built, unless
-    genus_cap is None: None lifts every cap.
+    This is the one place a range is validated and capped; a sweep
+    called directly takes any range. A range that ends above its cap
+    (genus_cap for a check whose points are genera, 10^6 for an x- or
+    n-indexed one) raises GenusCapError, and then one that is empty or
+    starts below 1 raises ValueError, both at once, before any DP, sieve
+    or primorial is built. genus_cap=None lifts every cap.
     """
     try:
-        fn = CHECK_NAMES[name]
+        check = CHECK_NAMES[name]
     except KeyError:
         raise KeyError(
             f"unknown check {name!r}; valid names: {', '.join(sorted(CHECK_NAMES))}"
         ) from None
-    if name in GENUS_CHECKS:
-        return fn(lo, hi, genus_cap)
-    if genus_cap is not None:
-        cap = _X_CAP if name in _X_CHECKS else genus_cap
-        if hi > cap:
-            raise ValueError(
-                f"{name} range ends at {hi}, above the cap {cap}; "
-                "pass --allow-large (genus_cap=None) to lift it"
-            )
-    return fn(lo, hi)
+    cap = genus_cap if check.points == "genus" else _X_CAP
+    if genus_cap is not None and hi > cap:
+        raise GenusCapError(
+            f"{name} range ends at {hi}, above the cap {cap}; "
+            "pass --allow-large (genus_cap=None) to lift it"
+        )
+    if lo < 1 or hi < lo:
+        raise ValueError(f"invalid {check.points} range {lo}..{hi}")
+    return check.sweep(lo, hi)
 
 
 # ---------------------------------------------------------------------------

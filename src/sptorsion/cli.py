@@ -41,6 +41,7 @@ from .criterion import (
 )
 from .extremal import (
     DEFAULT_GENUS_CAP,
+    DEFAULT_ORACLE_CAP,
     ExtremalRecord,
     brute_force_extremal,
     extremal_table,
@@ -80,14 +81,51 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _emit_json(command: str, parameters: dict, result: object) -> None:
+def _envelope(command: str, parameters: dict, result: object) -> str:
     envelope = {
         "command": command,
         "parameters": parameters,
         "result": result,
         "format": "json",
     }
-    sys.stdout.write(json.dumps(envelope, indent=2) + "\n")
+    return json.dumps(envelope, indent=2)
+
+
+def _emit_json(command: str, parameters: dict, result: object) -> None:
+    sys.stdout.write(_envelope(command, parameters, result) + "\n")
+
+
+class _JsonRows:
+    """Writes what _emit_json(command, parameters, {key: rows, **totals})
+    writes, byte for byte, a row at a time, so that no row is kept.
+    Nothing is written before the first row; totals come at the end."""
+
+    def __init__(self, command: str, parameters: dict, key: str):
+        self.command, self.parameters, self.key = command, parameters, key
+        self.encoder = json.JSONEncoder(indent=2)
+        self.indent = ""  # newline and a row's indentation, once started
+
+    def _around_rows(self, totals: dict) -> tuple[str, str]:
+        """The envelope's text before and after the rows of its list."""
+        mark = "\0"
+        text = _envelope(self.command, self.parameters, {self.key: [mark], **totals})
+        before, _, after = text.partition(json.dumps(mark))
+        return before, after
+
+    def add(self, row: dict) -> None:
+        if self.indent:
+            sys.stdout.write("," + self.indent)
+        else:
+            head, _ = self._around_rows({})
+            self.indent = "\n" + head.rpartition("\n")[2]
+            sys.stdout.write(head)
+        sys.stdout.write(self.encoder.encode(row).replace("\n", self.indent))
+
+    def close(self, totals: dict) -> None:
+        if not self.indent:
+            _emit_json(self.command, self.parameters, {self.key: [], **totals})
+            return
+        sys.stdout.write(self._around_rows(totals)[1] + "\n")
 
 
 def _factorization_pairs(fact: Factorization) -> list[list[str]]:
@@ -217,6 +255,11 @@ def cmd_extremal(args: argparse.Namespace) -> int:
     # column selection: either flag narrows the table, neither means both
     show_f = args.count or not args.max
     show_h = args.max or not args.count
+    if args.oracle and g_to > DEFAULT_ORACLE_CAP:
+        raise UsageError(
+            f"--oracle enumerates S(g), so it is limited to genus <= {DEFAULT_ORACLE_CAP}; "
+            f"the range ends at {g_to}"
+        )
     genus_cap = None if args.allow_large else DEFAULT_GENUS_CAP
     records = extremal_table(g_from, g_to, genus_cap)
     mismatches = []
@@ -385,7 +428,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         lo, hi = stated
     genus_cap = None if args.allow_large else DEFAULT_GENUS_CAP
     reports = run_check(name, lo, hi, genus_cap)
-    rows = []
+    parameters = {"check": name, "range": f"{lo}..{hi}", "allow_large": bool(args.allow_large)}
+    json_rows = _JsonRows("bounds", parameters, "reports")
     failures = 0
     unmet = 0
     total = 0
@@ -398,7 +442,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         failures += report.passed is False
         unmet += report.passed is None
         if args.format == "json":
-            rows.append(row)
+            json_rows.add(row)
         elif args.format == "csv":
             status = "" if report.passed is None else str(report.passed).lower()
             writer.writerow(
@@ -412,19 +456,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
                 f"rhs={row['rhs']}  margin={row['margin']}  {status}{note}"
             )
     if args.format == "json":
-        _emit_json(
-            "bounds",
-            {
-                "check": name,
-                "range": f"{lo}..{hi}",
-                "allow_large": bool(args.allow_large),
-            },
-            {
-                "reports": rows,
-                "total": str(total),
-                "failures": str(failures),
-                "precondition_unmet": str(unmet),
-            },
+        json_rows.close(
+            {"total": str(total), "failures": str(failures), "precondition_unmet": str(unmet)}
         )
     elif args.format == "text":
         print(f"{total} rows: {total - failures - unmet} pass, {failures} fail, {unmet} precondition-unmet")

@@ -73,20 +73,15 @@ class ExtremalRecord:
     h_factorization: Factorization
 
 
-def _check_genus_cap(g: int, genus_cap: int | None) -> None:
-    _require_genus(g)
-    if genus_cap is not None and g > genus_cap:
-        raise GenusCapError(
-            f"genus {g} exceeds the exact-DP cap {genus_cap}; "
-            "pass a larger cap (or none) to override"
-        )
-
-
 def _check_range(g_from: int, g_to: int, genus_cap: int | None) -> None:
     _require_genus(g_from)
     if g_to < g_from:
         raise ValueError(f"invalid genus range {g_from}..{g_to}")
-    _check_genus_cap(g_to, genus_cap)
+    if genus_cap is not None and g_to > genus_cap:
+        raise GenusCapError(
+            f"genus {g_to} exceeds the exact-DP cap {genus_cap}; "
+            "pass --allow-large (genus_cap=None) to lift it"
+        )
 
 
 def _order_counts(budget: int, primes: tuple[int, ...]) -> list[int]:

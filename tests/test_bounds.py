@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import bounds_oracle as oracle
 import pytest
@@ -13,7 +15,6 @@ from mpmath import mp, mpf
 from sptorsion import bounds, extremal
 from sptorsion.bounds import (
     EULER_GAMMA_20,
-    GENUS_CHECKS,
     CHECK_NAMES,
     BoundReport,
     compute_K,
@@ -141,10 +142,43 @@ def test_margin_is_rhs_minus_lhs_for_exact_rows():
     assert row.margin == row.rhs - row.lhs
 
 
-def test_genus_cap_fails_fast():
-    for name in sorted(GENUS_CHECKS):
-        with pytest.raises(GenusCapError):
+def test_genus_cap_fails_fast(monkeypatch):
+    def built(*args):
+        raise AssertionError("DP, sieve or primorial built for a refused range")
+
+    for target, attr in [
+        (extremal, "_order_counts"),
+        (extremal, "_best_products"),
+        (extremal, "sieve"),
+        (bounds, "sieve"),
+        (bounds, "primorial"),
+    ]:
+        monkeypatch.setattr(target, attr, built)
+    genus_checks = [name for name, check in CHECK_NAMES.items() if check.points == "genus"]
+    assert len(genus_checks) == 8  # the six DP-backed checks, lemma34 and lemma35
+    for name in genus_checks:
+        with pytest.raises(GenusCapError, match="--allow-large"):
             next(iter(run_check(name, 1, 5001)))
+    # x- and n-indexed caps refuse with the same error, and None lifts them all
+    for name in CHECK_NAMES:
+        with pytest.raises(GenusCapError, match="--allow-large"):
+            run_check(name, 1, 10**6 + 1)
+        run_check(name, 1, 10**12, None)  # lazy: nothing is built yet
+
+
+@pytest.mark.parametrize(
+    "name, lo, hi, message",
+    [
+        ("thm31", 0, 5, "invalid genus range 0..5"),
+        ("lemma35", 7, 6, "invalid genus range 7..6"),
+        ("lemma33", 0, 5, "invalid x range 0..5"),
+        ("dusart-sum", 0, 5, "invalid n range 0..5"),
+        ("rosser", 60, 55, "invalid x range 60..55"),
+    ],
+)
+def test_range_shape_refused_at_once(name, lo, hi, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_check(name, lo, hi)
 
 
 @pytest.mark.parametrize(
@@ -223,6 +257,20 @@ def test_default_ranges():
         "thm31", "cor32", "remark-upper", "thm36", "cor37", "remark-lower",
         "lemma33", "lemma34", "lemma35",
         "dusart-sum", "dusart-pi", "dusart-product", "rosser",
+    }
+
+
+def test_readme_check_table_matches_the_checks():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Bound checks", 1)[1].split("\n#", 1)[0]
+    stated = {}
+    for line in section.splitlines():
+        row = re.fullmatch(r"\| `([^`]+)` \|.*\| ([^|]+) \|", line)
+        if row:
+            span = re.fullmatch(r"(\d+)\.\.(\d+)", row[2])
+            stated[row[1]] = (int(span[1]), int(span[2])) if span else row[2]
+    assert stated == {
+        name: default_range(name) or "none (pass --range)" for name in CHECK_NAMES
     }
 
 

@@ -1,11 +1,14 @@
 """End-to-end CLI behavior: exit codes, formats, golden schemas."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -111,8 +114,26 @@ def test_extremal_oracle_cap_is_usage_error():
     assert run_cli("extremal", "-g", "1..35", "--oracle").returncode == 2
 
 
+def test_extremal_oracle_cap_fails_fast(monkeypatch, capsys):
+    from sptorsion import cli, extremal
+
+    def dp(*args):
+        raise AssertionError("DP run for a range the oracle refuses")
+
+    monkeypatch.setattr(extremal, "_order_counts", dp)
+    monkeypatch.setattr(extremal, "_best_products", dp)
+    start = time.perf_counter()
+    assert cli.main(["extremal", "-g", "1..5000", "--oracle"]) == 2
+    assert time.perf_counter() - start < 0.1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--oracle" in err and "genus <= 30" in err
+
+
 def test_extremal_genus_cap():
-    assert run_cli("extremal", "-g", "5001").returncode == 2
+    result = run_cli("extremal", "-g", "5001")
+    assert result.returncode == 2
+    assert "cap 5000" in result.stderr and "--allow-large" in result.stderr
     assert run_cli("extremal", "-g", "0").returncode == 2
     assert run_cli("extremal", "-g", "3..2").returncode == 2
 
@@ -228,6 +249,10 @@ def test_bounds_range_required_for_improved_lower():
 def test_bounds_genus_cap_fails_fast():
     result = run_cli("bounds", "--check", "thm31", "--range", "1..6000")
     assert result.returncode == 2
+    assert result.stderr == (
+        "error: thm31 range ends at 6000, above the cap 5000; "
+        "pass --allow-large (genus_cap=None) to lift it\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -245,7 +270,10 @@ def test_bounds_x_cap_fails_fast(check, capsys):
     assert "cap 1000000" in err
 
 
-@pytest.mark.parametrize("check", ["lemma34", "lemma35"])
+@pytest.mark.parametrize(
+    "check",
+    ["lemma34", "lemma35", "thm31", "cor32", "remark-upper", "thm36", "cor37", "remark-lower"],
+)
 def test_bounds_lemma_genus_cap_fails_fast(check, capsys):
     from sptorsion import cli
 
@@ -268,7 +296,8 @@ def test_internal_error_exits_3_with_traceback(error, monkeypatch, capsys):
         raise error
         yield
 
-    monkeypatch.setitem(bounds.CHECK_NAMES, "rosser", broken)
+    entry = dataclasses.replace(bounds.CHECK_NAMES["rosser"], sweep=broken)
+    monkeypatch.setitem(bounds.CHECK_NAMES, "rosser", entry)
     start = time.perf_counter()
     assert cli.main(["bounds", "--check", "rosser", "--range", "55..60"]) == cli.EXIT_INTERNAL == 3
     assert time.perf_counter() - start < 0.1
@@ -276,6 +305,65 @@ def test_internal_error_exits_3_with_traceback(error, monkeypatch, capsys):
     assert out == ""
     assert err.startswith("Traceback (most recent call last):")
     assert type(error).__name__ in err
+
+
+def _buffered_bounds_json(name, lo, hi, reports):
+    """The bounds envelope built whole, as one json.dumps."""
+    from sptorsion.bounds import report_to_dict
+
+    rows = [report_to_dict(r) for r in reports]
+    envelope = {
+        "command": "bounds",
+        "parameters": {"check": name, "range": f"{lo}..{hi}", "allow_large": False},
+        "result": {
+            "reports": rows,
+            "total": str(len(rows)),
+            "failures": str(sum(row["pass"] is False for row in rows)),
+            "precondition_unmet": str(sum(row["pass"] is None for row in rows)),
+        },
+        "format": "json",
+    }
+    return json.dumps(envelope, indent=2) + "\n"
+
+
+def test_bounds_json_streams_the_buffered_envelope(capsys):
+    from sptorsion import cli
+    from sptorsion.bounds import run_check
+
+    # two rows a point, and the lower direction unmet below 599
+    argv = ["bounds", "--check", "dusart-pi", "--range", "2..700", "--format", "json"]
+    assert cli.main(argv) == 0
+    out, _ = capsys.readouterr()
+    expected = _buffered_bounds_json("dusart-pi", 2, 700, run_check("dusart-pi", 2, 700))
+    assert '"precondition_unmet": "597"' in expected
+    assert out == expected
+
+
+def test_bounds_json_without_rows(monkeypatch, capsys):
+    from sptorsion import bounds, cli
+
+    entry = dataclasses.replace(bounds.CHECK_NAMES["rosser"], sweep=lambda lo, hi: iter(()))
+    monkeypatch.setitem(bounds.CHECK_NAMES, "rosser", entry)
+    assert cli.main(["bounds", "--check", "rosser", "--range", "55..60", "--format", "json"]) == 0
+    out, _ = capsys.readouterr()
+    assert out == _buffered_bounds_json("rosser", 55, 60, [])
+
+
+def test_bounds_json_keeps_no_rows(monkeypatch):
+    from sptorsion import cli
+
+    def peak(fmt):
+        argv = ["bounds", "--check", "rosser", "--range", "55..20000", "--format", fmt]
+        with open(os.devnull, "w") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                assert cli.main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    assert peak("json") < 2 * peak("csv")
 
 
 def test_bounds_allow_large_lifts_x_cap():
