@@ -102,8 +102,12 @@ class _JsonRows:
 
     def __init__(self, command: str, parameters: dict, key: str):
         self.command, self.parameters, self.key = command, parameters, key
-        self.encoder = json.JSONEncoder(indent=2)
-        self.indent = ""  # newline and a row's indentation, once started
+        self.head, _ = self._around_rows({})
+        self.indent = "\n" + self.head.rpartition("\n")[2]  # before a row
+        # a row's members one a line, as indent=2 writes them; without
+        # indent json uses its C encoder, about 3 times faster per row
+        self.encoder = json.JSONEncoder(separators=("," + self.indent + "  ", ": "))
+        self.started = False
 
     def _around_rows(self, totals: dict) -> tuple[str, str]:
         """The envelope's text before and after the rows of its list."""
@@ -113,16 +117,14 @@ class _JsonRows:
         return before, after
 
     def add(self, row: dict) -> None:
-        if self.indent:
-            sys.stdout.write("," + self.indent)
-        else:
-            head, _ = self._around_rows({})
-            self.indent = "\n" + head.rpartition("\n")[2]
-            sys.stdout.write(head)
-        sys.stdout.write(self.encoder.encode(row).replace("\n", self.indent))
+        """Write one row: a non-empty dict of strings, booleans or None."""
+        sys.stdout.write("," + self.indent if self.started else self.head)
+        self.started = True
+        members = self.encoder.encode(row)[1:-1]
+        sys.stdout.write("{" + self.indent + "  " + members + self.indent + "}")
 
     def close(self, totals: dict) -> None:
-        if not self.indent:
+        if not self.started:
             _emit_json(self.command, self.parameters, {self.key: [], **totals})
             return
         sys.stdout.write(self._around_rows(totals)[1] + "\n")
@@ -429,7 +431,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     genus_cap = None if args.allow_large else DEFAULT_GENUS_CAP
     reports = run_check(name, lo, hi, genus_cap)
     parameters = {"check": name, "range": f"{lo}..{hi}", "allow_large": bool(args.allow_large)}
-    json_rows = _JsonRows("bounds", parameters, "reports")
+    json_rows = _JsonRows("bounds", parameters, "reports") if args.format == "json" else None
     failures = 0
     unmet = 0
     total = 0
