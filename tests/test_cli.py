@@ -298,13 +298,15 @@ def test_internal_error_exits_3_with_traceback(error, monkeypatch, capsys):
 
     entry = dataclasses.replace(bounds.CHECK_NAMES["rosser"], sweep=broken)
     monkeypatch.setitem(bounds.CHECK_NAMES, "rosser", entry)
-    start = time.perf_counter()
-    assert cli.main(["bounds", "--check", "rosser", "--range", "55..60"]) == cli.EXIT_INTERNAL == 3
-    assert time.perf_counter() - start < 0.1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("Traceback (most recent call last):")
-    assert type(error).__name__ in err
+    for fmt in ("text", "json"):  # JSON writes nothing before its first row
+        start = time.perf_counter()
+        argv = ["bounds", "--check", "rosser", "--range", "55..60", "--format", fmt]
+        assert cli.main(argv) == cli.EXIT_INTERNAL == 3
+        assert time.perf_counter() - start < 0.1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("Traceback (most recent call last):")
+        assert type(error).__name__ in err
 
 
 def _buffered_bounds_json(name, lo, hi, reports):
