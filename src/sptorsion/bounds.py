@@ -23,9 +23,10 @@ search, never hard-coded:
   improved cutoff = least g with g*log(g) >= 358801  (= 599^2)
 
 Every check is declared once, in the CHECK_NAMES table: its sweep, the
-kind of its points (genus, x or n), and its default range. A range is
-validated and capped once, in run_check, before any DP, sieve or
-primorial is built; a sweep called directly takes any range.
+kind of its points (genus, x or n), and its default range. run_check
+refuses an empty range or one that starts below 1; a range of any size
+is otherwise swept, and the CLI caps it, by point kind, before calling
+run_check.
 
 Every verdict is an exact integer comparison; no float ever decides one.
 The one display-only compromise: the Mertens-type product check keeps
@@ -70,8 +71,8 @@ from mpmath.libmp import (
     to_str,
 )
 
-from .criterion import GenusCapError, membership
-from .extremal import DEFAULT_GENUS_CAP, count_orders_range, max_order_value_range
+from .criterion import membership
+from .extremal import count_orders_range, max_order_value_range
 from .numtheory import primorial, sieve
 
 __all__ = [
@@ -261,7 +262,7 @@ class _PrimeView:
 def _dp_rows(
     g_from: int,
     g_to: int,
-    dps: dict[str, Callable[[int, int, int | None], list[int]]],
+    dps: dict[str, Callable[[int, int], list[int]]],
     op: str,
     rhs: Callable[[int], mpf],
     level: int = 1,
@@ -281,7 +282,7 @@ def _dp_rows(
             yield _unmet_row(name, g, requires)
     if first > g_to:
         return
-    columns = [dp(first, g_to, None) for dp in dps.values()]
+    columns = [dp(first, g_to) for dp in dps.values()]
     for g, values in zip(range(first, g_to + 1), zip(*columns)):
         with mp.workdps(_DPS):
             bound = rhs(g)._mpf_
@@ -301,8 +302,8 @@ def check_thm31(g_from: int, g_to: int) -> Iterator[BoundReport]:
 
 def check_cor32(g_from: int, g_to: int) -> Iterator[BoundReport]:
     """f(g) <= h(g), both exact."""
-    fs = count_orders_range(g_from, g_to, None)
-    hs = max_order_value_range(g_from, g_to, None)
+    fs = count_orders_range(g_from, g_to)
+    hs = max_order_value_range(g_from, g_to)
     for g, f, h in zip(range(g_from, g_to + 1), fs, hs):
         yield _exact_row("cor32", g, f, h, "<=")
 
@@ -576,8 +577,8 @@ def check_rosser(x_from: int, x_to: int) -> Iterator[BoundReport]:
 @dataclass(frozen=True)
 class Check:
     """A named check: its sweep over an inclusive range, the kind of its
-    points ("genus", "x" or "n"), which sets its cap, and its default
-    range (None when a range is required; a callable computes it on
+    points ("genus", "x" or "n"), which sets its cap in the CLI, and its
+    default range (None when a range is required; a callable computes it on
     first use)."""
 
     sweep: Callable[[int, int], Iterator[BoundReport]]
@@ -606,9 +607,6 @@ CHECK_NAMES: dict[str, Check] = {
     "rosser": Check(check_rosser, "x", (55, 10**5)),
 }
 
-# the cap on an x or n range: 10 times the largest default range
-_X_CAP = 10**6
-
 
 def default_range(name: str) -> tuple[int, int] | None:
     """Stated sweep range for a check; None means a range is required."""
@@ -616,17 +614,12 @@ def default_range(name: str) -> tuple[int, int] | None:
     return default() if callable(default) else default
 
 
-def run_check(
-    name: str, lo: int, hi: int, genus_cap: int | None = DEFAULT_GENUS_CAP
-) -> Iterator[BoundReport]:
+def run_check(name: str, lo: int, hi: int) -> Iterator[BoundReport]:
     """Dispatch one named check over an inclusive range.
 
-    This is the one place a range is validated and capped; a sweep
-    called directly takes any range. A range that ends above its cap
-    (genus_cap for a check whose points are genera, 10^6 for an x- or
-    n-indexed one) raises GenusCapError, and then one that is empty or
-    starts below 1 raises ValueError, both at once, before any DP, sieve
-    or primorial is built. genus_cap=None lifts every cap.
+    A range that is empty or starts below 1 raises ValueError at once,
+    before any DP, sieve or primorial is built; any other range is swept
+    lazily, row by row, whatever its size.
     """
     try:
         check = CHECK_NAMES[name]
@@ -634,12 +627,6 @@ def run_check(
         raise KeyError(
             f"unknown check {name!r}; valid names: {', '.join(sorted(CHECK_NAMES))}"
         ) from None
-    cap = genus_cap if check.points == "genus" else _X_CAP
-    if genus_cap is not None and hi > cap:
-        raise GenusCapError(
-            f"{name} range ends at {hi}, above the cap {cap}; "
-            "pass --allow-large (genus_cap=None) to lift it"
-        )
     if lo < 1 or hi < lo:
         raise ValueError(f"invalid {check.points} range {lo}..{hi}")
     return check.sweep(lo, hi)

@@ -6,7 +6,8 @@ Conventions shared by every subcommand:
   * exit 0 = success / all checks pass; exit 1 = mathematically negative
     answer (non-member, failed verification, failed bound); exit 2 =
     usage or parse error, including m = 1 (excluded by the A != 1
-    convention) and ranges beyond the computation caps; exit 3 =
+    convention) and a range past its cap in CAPS, refused before any
+    DP, sieve or primorial is built unless --allow-large; exit 3 =
     internal error (a bug, never an answer), with its traceback on
     stderr.
   * --format text|json|csv. JSON payloads wrap results in an envelope
@@ -29,6 +30,7 @@ from pathlib import Path
 from . import __version__
 from .bounds import (
     CHECK_NAMES,
+    REPORT_FIELDS,
     default_range,
     report_to_dict,
     run_check,
@@ -40,7 +42,6 @@ from .criterion import (
     membership,
 )
 from .extremal import (
-    DEFAULT_GENUS_CAP,
     DEFAULT_ORACLE_CAP,
     ExtremalRecord,
     brute_force_extremal,
@@ -64,6 +65,22 @@ EXIT_INTERNAL = 3
 
 class UsageError(Exception):
     """Bad arguments discovered after argparse; maps to exit 2."""
+
+
+# The largest range end, by the kind of its points, that runs without
+# --allow-large. The genus DPs hold exact big integers, so their memory
+# grows roughly quadratically in g; an x or n range is sieved, and its cap
+# is 10 times the largest default range.
+CAPS = {"genus": 5000, "x": 10**6, "n": 10**6}
+
+
+def _refuse_over_cap(name: str, points: str, hi: int, allow_large: bool) -> None:
+    """Refuse a range of `points` ending above its cap, unless lifted."""
+    cap = CAPS[points]
+    if hi > cap and not allow_large:
+        raise UsageError(
+            f"{name} range ends at {hi}, above the cap {cap}; pass --allow-large to lift it"
+        )
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -252,8 +269,6 @@ def _record_row(record: ExtremalRecord, show_f: bool, show_h: bool) -> dict:
 
 def cmd_extremal(args: argparse.Namespace) -> int:
     g_from, g_to = _parse_range(args.genus)
-    if g_from < 1:
-        raise UsageError("genus range must start at 1 or above")
     # column selection: either flag narrows the table, neither means both
     show_f = args.count or not args.max
     show_h = args.max or not args.count
@@ -262,8 +277,8 @@ def cmd_extremal(args: argparse.Namespace) -> int:
             f"--oracle enumerates S(g), so it is limited to genus <= {DEFAULT_ORACLE_CAP}; "
             f"the range ends at {g_to}"
         )
-    genus_cap = None if args.allow_large else DEFAULT_GENUS_CAP
-    records = extremal_table(g_from, g_to, genus_cap)
+    _refuse_over_cap("extremal", "genus", g_to, args.allow_large)
+    records = extremal_table(g_from, g_to)
     mismatches = []
     if args.oracle:
         for record in records:
@@ -428,16 +443,14 @@ def cmd_bounds(args: argparse.Namespace) -> int:
                 "precondition is a large computation); pass --range a..b"
             )
         lo, hi = stated
-    genus_cap = None if args.allow_large else DEFAULT_GENUS_CAP
-    reports = run_check(name, lo, hi, genus_cap)
+    _refuse_over_cap(name, CHECK_NAMES[name].points, hi, args.allow_large)
+    reports = run_check(name, lo, hi)
     parameters = {"check": name, "range": f"{lo}..{hi}", "allow_large": bool(args.allow_large)}
     json_rows = _JsonRows("bounds", parameters, "reports") if args.format == "json" else None
     failures = 0
     unmet = 0
     total = 0
-    if args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["name", "point", "lhs", "rhs", "margin", "pass", "note"])
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     for report in reports:
         row = report_to_dict(report)
         total += 1
@@ -446,6 +459,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         if args.format == "json":
             json_rows.add(row)
         elif args.format == "csv":
+            # the header comes with the first row: a sweep that raises
+            # before it writes nothing
+            if total == 1:
+                writer.writerow(REPORT_FIELDS)
             status = "" if report.passed is None else str(report.passed).lower()
             writer.writerow(
                 [row["name"], row["point"], row["lhs"], row["rhs"], row["margin"], status, row["note"]]
@@ -461,6 +478,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         json_rows.close(
             {"total": str(total), "failures": str(failures), "precondition_unmet": str(unmet)}
         )
+    elif args.format == "csv" and not total:
+        writer.writerow(REPORT_FIELDS)
     elif args.format == "text":
         print(f"{total} rows: {total - failures - unmet} pass, {failures} fail, {unmet} precondition-unmet")
     return EXIT_NEGATIVE if failures else EXIT_OK

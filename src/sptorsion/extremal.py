@@ -24,8 +24,10 @@ genus off the same two arrays, and the one-genus functions are the range
 of length one.
 
 Exact integers in every cell keep the results platform-independent; there
-is no floating comparison anywhere. brute_force_extremal re-derives both
-values from the full enumeration and exists purely as an oracle.
+is no floating comparison anywhere. They also make memory grow roughly
+quadratically in G; the functions here take any range, and the CLI caps
+the genus it passes them. brute_force_extremal re-derives both values
+from the full enumeration and exists purely as an oracle.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .numtheory import Factorization, factor, sieve
 
 __all__ = [
     "ExtremalRecord",
-    "DEFAULT_GENUS_CAP",
     "DEFAULT_ORACLE_CAP",
     "count_orders",
     "count_orders_range",
@@ -54,10 +55,6 @@ __all__ = [
     "brute_force_extremal",
     "extremal_table",
 ]
-
-# Above this genus the exact DP wants an explicit opt-in: big-integer cells
-# make memory grow roughly quadratically in g.
-DEFAULT_GENUS_CAP = 5000
 
 # brute_force_extremal materializes all of S(g); keep it an oracle.
 DEFAULT_ORACLE_CAP = 30
@@ -73,15 +70,10 @@ class ExtremalRecord:
     h_factorization: Factorization
 
 
-def _check_range(g_from: int, g_to: int, genus_cap: int | None) -> None:
+def _check_range(g_from: int, g_to: int) -> None:
     _require_genus(g_from)
     if g_to < g_from:
         raise ValueError(f"invalid genus range {g_from}..{g_to}")
-    if genus_cap is not None and g_to > genus_cap:
-        raise GenusCapError(
-            f"genus {g_to} exceeds the exact-DP cap {genus_cap}; "
-            "pass --allow-large (genus_cap=None) to lift it"
-        )
 
 
 def _order_counts(budget: int, primes: tuple[int, ...]) -> list[int]:
@@ -121,35 +113,31 @@ def _h_values(g_from: int, g_to: int, primes: tuple[int, ...]) -> list[int]:
     return [best[2 * g] for g in range(g_from, g_to + 1)]
 
 
-def count_orders_range(
-    g_from: int, g_to: int, genus_cap: int | None = DEFAULT_GENUS_CAP
-) -> list[int]:
+def count_orders_range(g_from: int, g_to: int) -> list[int]:
     """f(g) for every g in [g_from, g_to], from one count DP at budget 2*g_to."""
-    _check_range(g_from, g_to, genus_cap)
+    _check_range(g_from, g_to)
     return _f_values(g_from, g_to, sieve(2 * g_to + 1).primes)
 
 
-def max_order_value_range(
-    g_from: int, g_to: int, genus_cap: int | None = DEFAULT_GENUS_CAP
-) -> list[int]:
+def max_order_value_range(g_from: int, g_to: int) -> list[int]:
     """h(g) for every g in [g_from, g_to], from one knapsack at budget 2*g_to."""
-    _check_range(g_from, g_to, genus_cap)
+    _check_range(g_from, g_to)
     return _h_values(g_from, g_to, sieve(2 * g_to + 1).primes)
 
 
-def count_orders(g: int, genus_cap: int | None = DEFAULT_GENUS_CAP) -> int:
+def count_orders(g: int) -> int:
     """|S(g)|, exactly."""
-    return count_orders_range(g, g, genus_cap)[0]
+    return count_orders_range(g, g)[0]
 
 
-def max_order_value(g: int, genus_cap: int | None = DEFAULT_GENUS_CAP) -> int:
+def max_order_value(g: int) -> int:
     """h(g) alone, skipping the count."""
-    return max_order_value_range(g, g, genus_cap)[0]
+    return max_order_value_range(g, g)[0]
 
 
-def max_order(g: int, genus_cap: int | None = DEFAULT_GENUS_CAP) -> ExtremalRecord:
+def max_order(g: int) -> ExtremalRecord:
     """The exact maximum h(g) of S(g), with |S(g)| and h's factorization."""
-    return extremal_table(g, g, genus_cap)[0]
+    return extremal_table(g, g)[0]
 
 
 def brute_force_extremal(g: int, cap: int = DEFAULT_ORACLE_CAP) -> ExtremalRecord:
@@ -164,12 +152,10 @@ def brute_force_extremal(g: int, cap: int = DEFAULT_ORACLE_CAP) -> ExtremalRecor
     return ExtremalRecord(g, len(orders), h, factor(h, 2 * g + 1)[0])
 
 
-def extremal_table(
-    g_from: int, g_to: int, genus_cap: int | None = DEFAULT_GENUS_CAP
-) -> list[ExtremalRecord]:
+def extremal_table(g_from: int, g_to: int) -> list[ExtremalRecord]:
     """Records for every g in [g_from, g_to], read off one count DP and one
     knapsack at budget 2*g_to; each new h(g) is factored up to 2g+1."""
-    _check_range(g_from, g_to, genus_cap)
+    _check_range(g_from, g_to)
     primes = sieve(2 * g_to + 1).primes
     fs = _f_values(g_from, g_to, primes)
     hs = _h_values(g_from, g_to, primes)

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from sptorsion import bounds, extremal
+from sptorsion import bounds, cli, extremal
 from sptorsion.bounds import (
     EULER_GAMMA_20,
     CHECK_NAMES,
@@ -25,7 +25,6 @@ from sptorsion.bounds import (
     report_to_dict,
     run_check,
 )
-from sptorsion.criterion import GenusCapError
 
 
 def collect(name, lo, hi):
@@ -142,30 +141,6 @@ def test_margin_is_rhs_minus_lhs_for_exact_rows():
     assert row.margin == row.rhs - row.lhs
 
 
-def test_genus_cap_fails_fast(monkeypatch):
-    def built(*args):
-        raise AssertionError("DP, sieve or primorial built for a refused range")
-
-    for target, attr in [
-        (extremal, "_order_counts"),
-        (extremal, "_best_products"),
-        (extremal, "sieve"),
-        (bounds, "sieve"),
-        (bounds, "primorial"),
-    ]:
-        monkeypatch.setattr(target, attr, built)
-    genus_checks = [name for name, check in CHECK_NAMES.items() if check.points == "genus"]
-    assert len(genus_checks) == 8  # the six DP-backed checks, lemma34 and lemma35
-    for name in genus_checks:
-        with pytest.raises(GenusCapError, match="--allow-large"):
-            next(iter(run_check(name, 1, 5001)))
-    # x- and n-indexed caps refuse with the same error, and None lifts them all
-    for name in CHECK_NAMES:
-        with pytest.raises(GenusCapError, match="--allow-large"):
-            run_check(name, 1, 10**6 + 1)
-        run_check(name, 1, 10**12, None)  # lazy: nothing is built yet
-
-
 @pytest.mark.parametrize(
     "name, lo, hi, message",
     [
@@ -219,7 +194,7 @@ def test_window_below_threshold_runs_no_dp(monkeypatch):
         monkeypatch.setattr(target, "max_order_value_range", no_dp)
     monkeypatch.setattr(extremal, "_order_counts", no_dp)
     monkeypatch.setattr(extremal, "_best_products", no_dp)
-    rows = list(run_check("remark-lower", 4990, 5000, None))
+    rows = collect("remark-lower", 4990, 5000)
     assert len(rows) == 2 * 11
     assert all(r.passed is None for r in rows)
     assert all(r.passed is None for r in collect("remark-upper", 1400, 1485))
@@ -227,11 +202,23 @@ def test_window_below_threshold_runs_no_dp(monkeypatch):
     assert all(r.passed is None for r in collect("cor37", 400, 488))
 
 
-def test_x_cap_lifted_with_the_genus_cap():
-    with pytest.raises(ValueError, match="--allow-large"):
-        run_check("lemma33", 23, 10**6 + 1)
-    assert len(collect("rosser", 10**6 - 1, 10**6)) == 2
-    run_check("lemma33", 23, 10**6 + 1, None)  # lazy: nothing is sieved yet
+def test_run_check_takes_any_range(monkeypatch):
+    # the caps are the CLI's: a range past them is swept, lazily
+    assert len(collect("rosser", 10**6, 10**6 + 1)) == 2
+
+    def built(*args):
+        raise AssertionError("DP, sieve or primorial built before the first row")
+
+    for target, attr in [
+        (extremal, "_order_counts"),
+        (extremal, "_best_products"),
+        (extremal, "sieve"),
+        (bounds, "sieve"),
+        (bounds, "primorial"),
+    ]:
+        monkeypatch.setattr(target, attr, built)
+    for name in CHECK_NAMES:
+        run_check(name, 1, 10**12)
 
 
 def test_unknown_check_name():
@@ -304,24 +291,14 @@ def test_report_is_plain_data():
     assert row.margin == row.rhs - row.lhs
 
 
-def test_lemma_genus_caps_fail_fast(monkeypatch):
-    def built(*args):
-        raise AssertionError("sieve or primorial built for a refused range")
-
-    monkeypatch.setattr(bounds, "sieve", built)
-    monkeypatch.setattr(bounds, "primorial", built)
-    for name in ("lemma34", "lemma35"):
-        with pytest.raises(ValueError, match="--allow-large"):
-            run_check(name, 113, extremal.DEFAULT_GENUS_CAP + 1)
-        with pytest.raises(ValueError, match="cap 50;"):
-            run_check(name, 113, 51, 50)
-        run_check(name, 113, 10**12, None)  # lazy: nothing is built yet
-
-
-def test_lemma_genus_cap_admits_its_top():
-    cap = extremal.DEFAULT_GENUS_CAP
-    assert [r.passed for r in run_check("lemma34", cap, cap)] == [True] * 3
-    assert [r.passed for r in run_check("lemma35", cap, cap)] == [True] * 2
+def test_lemma_genus_cap_admits_its_top(capsys):
+    # the CLI admits both lemmas at its genus cap, and every row passes
+    cap = cli.CAPS["genus"]
+    for name, rows in [("lemma34", 3), ("lemma35", 2)]:
+        argv = ["bounds", "--check", name, "--range", f"{cap}..{cap}", "--format", "csv"]
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(",")[5] for line in lines] == ["pass"] + ["true"] * rows
 
 
 # ---------------------------------------------------------------------------

@@ -251,8 +251,60 @@ def test_bounds_genus_cap_fails_fast():
     assert result.returncode == 2
     assert result.stderr == (
         "error: thm31 range ends at 6000, above the cap 5000; "
-        "pass --allow-large (genus_cap=None) to lift it\n"
+        "pass --allow-large to lift it\n"
     )
+
+
+# every command that takes a range, and its cap: 5000 where the points are
+# genera (lemma34 and lemma35 included), 10^6 where they are x or n
+CAPS = dict.fromkeys(
+    ["extremal", "thm31", "cor32", "remark-upper", "thm36", "cor37", "remark-lower"]
+    + ["lemma34", "lemma35"],
+    5000,
+) | dict.fromkeys(["lemma33", "dusart-sum", "dusart-pi", "dusart-product", "rosser"], 10**6)
+
+
+@pytest.mark.parametrize("name", sorted(CAPS))
+def test_cap_gate(name, monkeypatch, capsys):
+    from sptorsion import bounds, cli, extremal
+
+    assert set(CAPS) == {"extremal", *bounds.CHECK_NAMES}
+
+    def built(*args):
+        raise AssertionError("DP, sieve or primorial built for a refused range")
+
+    for target, attr in [
+        (extremal, "_order_counts"),
+        (extremal, "_best_products"),
+        (extremal, "sieve"),
+        (bounds, "sieve"),
+        (bounds, "primorial"),
+    ]:
+        monkeypatch.setattr(target, attr, built)
+
+    def argv(hi, *flags):
+        if name == "extremal":
+            return ["extremal", "-g", str(hi), *flags]
+        return ["bounds", "--check", name, "--range", f"{hi}..{hi}", *flags]
+
+    cap = CAPS[name]
+    start = time.perf_counter()
+    assert cli.main(argv(cap + 1)) == 2
+    assert time.perf_counter() - start < 0.1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"error: {name} range ends at {cap + 1}, above the cap {cap}; "
+        "pass --allow-large to lift it\n"
+    )
+    # the cap itself is admitted, and --allow-large lifts the cap
+    calls = []
+    monkeypatch.setattr(cli, "extremal_table", lambda *a: calls.append(a) or [])
+    monkeypatch.setattr(cli, "run_check", lambda *a: calls.append(a) or iter(()))
+    assert cli.main(argv(cap)) == 0
+    assert cli.main(argv(cap + 1, "--allow-large")) == 0
+    point = () if name == "extremal" else (name,)
+    assert calls == [(*point, cap, cap), (*point, cap + 1, cap + 1)]
 
 
 @pytest.mark.parametrize(
@@ -298,7 +350,7 @@ def test_internal_error_exits_3_with_traceback(error, monkeypatch, capsys):
 
     entry = dataclasses.replace(bounds.CHECK_NAMES["rosser"], sweep=broken)
     monkeypatch.setitem(bounds.CHECK_NAMES, "rosser", entry)
-    for fmt in ("text", "json"):  # JSON writes nothing before its first row
+    for fmt in ("text", "json", "csv"):  # nothing is written before the first row
         start = time.perf_counter()
         argv = ["bounds", "--check", "rosser", "--range", "55..60", "--format", fmt]
         assert cli.main(argv) == cli.EXIT_INTERNAL == 3
@@ -349,6 +401,16 @@ def test_bounds_json_without_rows(monkeypatch, capsys):
     assert cli.main(["bounds", "--check", "rosser", "--range", "55..60", "--format", "json"]) == 0
     out, _ = capsys.readouterr()
     assert out == _buffered_bounds_json("rosser", 55, 60, [])
+
+
+def test_bounds_csv_without_rows(monkeypatch, capsys):
+    from sptorsion import bounds, cli
+
+    entry = dataclasses.replace(bounds.CHECK_NAMES["rosser"], sweep=lambda lo, hi: iter(()))
+    monkeypatch.setitem(bounds.CHECK_NAMES, "rosser", entry)
+    assert cli.main(["bounds", "--check", "rosser", "--range", "55..60", "--format", "csv"]) == 0
+    out, _ = capsys.readouterr()
+    assert out == "name,point,lhs,rhs,margin,pass,note\n"
 
 
 def test_bounds_json_keeps_no_rows(monkeypatch):

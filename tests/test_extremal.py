@@ -73,14 +73,6 @@ def test_brute_force_cap():
         brute_force_extremal(10, cap=9)
 
 
-def test_genus_cap_on_dp():
-    with pytest.raises(GenusCapError):
-        max_order(5001)
-    with pytest.raises(GenusCapError):
-        count_orders(5001)
-    assert max_order(5001, genus_cap=None).h > 0
-
-
 def test_extremal_table():
     records = extremal_table(1, 6)
     assert [r.g for r in records] == [1, 2, 3, 4, 5, 6]
@@ -119,7 +111,3 @@ def test_range_values_validate():
         count_orders_range(3, 2)
     with pytest.raises(ValueError):
         max_order_value_range(0, 2)
-    with pytest.raises(GenusCapError):
-        max_order_value_range(4990, 5001)
-    with pytest.raises(GenusCapError):
-        extremal_table(1, 5001)
