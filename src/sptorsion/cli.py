@@ -26,36 +26,16 @@ import csv
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .bounds import (
-    CHECK_NAMES,
-    REPORT_FIELDS,
-    default_range,
-    report_to_dict,
-    run_check,
-)
-from .criterion import (
-    DEFAULT_ENUMERATION_CAP,
-    MembershipDecision,
-    enumerate_orders,
-    membership,
-)
-from .extremal import (
-    DEFAULT_ORACLE_CAP,
-    ExtremalRecord,
-    brute_force_extremal,
-    extremal_table,
-)
-from .numtheory import Factorization
-from .witness import (
-    NotRealizableError,
-    build_witness,
-    certificate_to_dict,
-    verify_witness,
-    witness_from_json,
-    witness_to_json,
-)
+
+# Each handler imports the library modules it runs, so that a command
+# loads only those: mpmath, for one, only under `bounds`.
+if TYPE_CHECKING:
+    from .criterion import MembershipDecision, NotRealizableError
+    from .extremal import ExtremalRecord
+    from .numtheory import Factorization
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -211,6 +191,8 @@ def _beyond_prime_bound(args: argparse.Namespace, exc: NotRealizableError) -> in
 
 
 def cmd_member(args: argparse.Namespace) -> int:
+    from .criterion import NotRealizableError, membership
+
     decision = membership(args.m, args.genus)
     if decision.report.cofactor > 1:
         return _beyond_prime_bound(args, NotRealizableError(decision))
@@ -235,11 +217,14 @@ def cmd_member(args: argparse.Namespace) -> int:
 
 
 def cmd_orders(args: argparse.Namespace) -> int:
-    orders = enumerate_orders(args.genus, cap=args.cap)
+    from .criterion import DEFAULT_ENUMERATION_CAP, enumerate_orders
+
+    cap = DEFAULT_ENUMERATION_CAP if args.cap is None else args.cap
+    orders = enumerate_orders(args.genus, cap=cap)
     if args.format == "json":
         _emit_json(
             "orders",
-            {"genus": str(args.genus), "cap": str(args.cap)},
+            {"genus": str(args.genus), "cap": str(cap)},
             {"count": str(len(orders)), "orders": [str(m) for m in orders]},
         )
     elif args.format == "csv":
@@ -268,6 +253,8 @@ def _record_row(record: ExtremalRecord, show_f: bool, show_h: bool) -> dict:
 
 
 def cmd_extremal(args: argparse.Namespace) -> int:
+    from .extremal import DEFAULT_ORACLE_CAP, brute_force_extremal, extremal_table
+
     g_from, g_to = _parse_range(args.genus)
     # column selection: either flag narrows the table, neither means both
     show_f = args.count or not args.max
@@ -338,6 +325,8 @@ def cmd_extremal(args: argparse.Namespace) -> int:
 
 
 def _certificate_result(witness, certificate) -> dict:
+    from .witness import certificate_to_dict
+
     return {
         "size": str(witness.matrix.rows),
         "genus": str(witness.genus),
@@ -351,6 +340,8 @@ def _certificate_result(witness, certificate) -> dict:
 def cmd_witness(args: argparse.Namespace) -> int:
     if args.format == "csv":
         raise UsageError("witness output is not tabular; use text or json")
+    from .witness import NotRealizableError, build_witness, witness_to_json
+
     try:
         witness = build_witness(args.m, args.genus)
     except NotRealizableError as exc:
@@ -393,6 +384,8 @@ def cmd_witness(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.format == "csv":
         raise UsageError("verification output is not tabular; use text or json")
+    from .witness import NotRealizableError, verify_witness, witness_from_json
+
     try:
         text = Path(args.path).read_text()
     except OSError as exc:
@@ -432,7 +425,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
+    from .bounds import CHECK_NAMES, REPORT_FIELDS, default_range, report_to_dict, run_check
+
     name = args.check
+    if name not in CHECK_NAMES:
+        raise UsageError(f"unknown check {name!r}; valid names: {', '.join(sorted(CHECK_NAMES))}")
     if args.range:
         lo, hi = _parse_range(args.range)
     else:
@@ -515,10 +512,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orders", help="enumerate all of S(g)")
     p.add_argument("-g", "--genus", type=int, required=True)
     p.add_argument(
-        "--cap",
-        type=int,
-        default=DEFAULT_ENUMERATION_CAP,
-        help=f"genus cap for full enumeration (default {DEFAULT_ENUMERATION_CAP})",
+        "--cap", type=int, help="genus cap for full enumeration (default: criterion.DEFAULT_ENUMERATION_CAP)"
     )
     _add_format(p)
     p.set_defaults(handler=cmd_orders)
@@ -545,7 +539,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("bounds", help="certify one family of inequalities")
-    p.add_argument("--check", required=True, choices=sorted(CHECK_NAMES), help="inequality family")
+    p.add_argument("--check", required=True, help="inequality family; an unknown name lists the valid ones")
     p.add_argument("--range", help="inclusive range a..b (default: the stated sweep)")
     p.add_argument("--allow-large", action="store_true", help="lift the genus and x caps")
     _add_format(p)

@@ -34,6 +34,7 @@ __all__ = [
     "CostTerm",
     "DegreeCostReport",
     "MembershipDecision",
+    "NotRealizableError",
     "GenusCapError",
     "DEFAULT_ENUMERATION_CAP",
     "prime_power_cost",
@@ -105,6 +106,30 @@ class MembershipDecision:
         if self.report.cofactor > 1:
             return self.report.total + 2
         return max(0, self.report.total - self.budget)
+
+
+class NotRealizableError(ValueError):
+    """Raised when m is not in S(g); carries the membership decision.
+
+    The message names the prime bound when m has a prime above 2g + 1,
+    and the cost overrun otherwise.
+    """
+
+    def __init__(self, decision: MembershipDecision):
+        self.decision = decision
+        g = decision.g
+        if decision.report.cofactor > 1:
+            reason = (
+                f"no element of Sp({2 * g},Z) has order {decision.m}: it has a "
+                f"prime factor above 2g + 1 = {2 * g + 1}"
+            )
+        else:
+            reason = (
+                f"no element of order {decision.m} exists for genus {g}: "
+                f"cost {decision.report.total} exceeds budget {decision.budget} "
+                f"by {decision.deficit}"
+            )
+        super().__init__(reason)
 
 
 def prime_power_cost(p: int, alpha: int) -> int:

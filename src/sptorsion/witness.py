@@ -60,14 +60,14 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
-from .criterion import MembershipDecision, membership
+from .criterion import MembershipDecision, NotRealizableError, membership
 from .matrices import IntMatrix, standard_form
 
 __all__ = [
     "ProperPowerCheck",
     "WitnessCertificate",
     "SymplecticWitness",
-    "NotRealizableError",
+    "NotRealizableError",  # from criterion, where `member` finds it without this module
     "cyclotomic",
     "companion",
     "build_witness",
@@ -76,30 +76,6 @@ __all__ = [
     "witness_to_json",
     "witness_from_json",
 ]
-
-
-class NotRealizableError(ValueError):
-    """Raised when m is not in S(g); carries the membership decision.
-
-    The message names the prime bound when m has a prime above 2g + 1,
-    and the cost overrun otherwise.
-    """
-
-    def __init__(self, decision: MembershipDecision):
-        self.decision = decision
-        g = decision.g
-        if decision.report.cofactor > 1:
-            reason = (
-                f"no element of Sp({2 * g},Z) has order {decision.m}: it has a "
-                f"prime factor above 2g + 1 = {2 * g + 1}"
-            )
-        else:
-            reason = (
-                f"no element of order {decision.m} exists for genus {g}: "
-                f"cost {decision.report.total} exceeds budget {decision.budget} "
-                f"by {decision.deficit}"
-            )
-        super().__init__(reason)
 
 
 @dataclass(frozen=True)

@@ -84,12 +84,14 @@ def test_orders_outputs():
     payload = json.loads(run_cli("orders", "-g", "2", "--format", "json").stdout)
     assert payload["result"]["orders"] == ["2", "3", "4", "5", "6", "8", "10", "12"]
     assert payload["result"]["count"] == "8"
+    assert payload["parameters"]["cap"] == "40"  # the library's default cap
     csv_out = run_cli("orders", "-g", "1", "--format", "csv").stdout
     assert csv_out.splitlines() == ["m", "2", "3", "4", "6"]
 
 
 def test_orders_cap():
     assert run_cli("orders", "-g", "100").returncode == 2
+    assert run_cli("orders", "-g", "1", "--cap", "0").returncode == 2  # 0 is a cap, not "unset"
 
 
 def test_extremal_table_and_oracle():
@@ -235,9 +237,12 @@ def test_bounds_exit_and_formats():
 
 
 def test_bounds_unknown_check():
-    result = run_cli("bounds", "--check", "nosuch", "--range", "1..2")
-    assert result.returncode == 2
-    assert "thm31" in result.stderr  # usage error lists the valid names
+    # without --range the name is looked up before any default range
+    for range_args in [("--range", "1..2"), ()]:
+        result = run_cli("bounds", "--check", "nosuch", *range_args)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "thm31" in result.stderr  # usage error lists the valid names
 
 
 def test_bounds_range_required_for_improved_lower():
@@ -299,8 +304,8 @@ def test_cap_gate(name, monkeypatch, capsys):
     )
     # the cap itself is admitted, and --allow-large lifts the cap
     calls = []
-    monkeypatch.setattr(cli, "extremal_table", lambda *a: calls.append(a) or [])
-    monkeypatch.setattr(cli, "run_check", lambda *a: calls.append(a) or iter(()))
+    monkeypatch.setattr(extremal, "extremal_table", lambda *a: calls.append(a) or [])
+    monkeypatch.setattr(bounds, "run_check", lambda *a: calls.append(a) or iter(()))
     assert cli.main(argv(cap)) == 0
     assert cli.main(argv(cap + 1, "--allow-large")) == 0
     point = () if name == "extremal" else (name,)
@@ -526,3 +531,57 @@ def test_member_outputs_frozen_g1_8(capsys):
 def test_version_flag():
     result = run_cli("--version")
     assert result.returncode == 0
+
+
+# the modules a command may not load, by command: mpmath, fractions and
+# bounds belong to `bounds` alone, matrices and witness to witness/verify
+HEAVY = ["mpmath", "fractions", "sptorsion.bounds"]
+FOOTPRINT_FORBIDDEN = {
+    "witness": HEAVY,
+    "verify": HEAVY,
+    "member": HEAVY + ["sptorsion.witness", "sptorsion.matrices"],
+    "orders": HEAVY + ["sptorsion.witness", "sptorsion.matrices"],
+    "extremal": HEAVY + ["sptorsion.witness", "sptorsion.matrices"],
+}
+
+
+def loaded_modules(*args):
+    """The sorted sys.modules of a fresh process after cli.main(args)."""
+    script = (
+        "import sys\n"
+        "from sptorsion import cli\n"
+        "try:\n"
+        "    cli.main(sys.argv[1:])\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "print('-- modules --', *sorted(sys.modules), sep='\\n')\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, timeout=300
+    )
+    assert result.returncode == 0, result.stderr
+    # the command's own output comes first
+    return result.stdout.rpartition("-- modules --\n")[2].splitlines()
+
+
+def test_version_loads_no_submodule():
+    loaded = loaded_modules("--version")
+    assert "sptorsion" in loaded
+    assert [m for m in loaded if m.startswith("sptorsion.")] == ["sptorsion.cli"]
+
+
+@pytest.mark.parametrize("command", sorted(FOOTPRINT_FORBIDDEN))
+def test_command_import_footprint(command, tmp_path):
+    document = tmp_path / "w.json"
+    argv = {
+        "witness": ["witness", "12", "-g", "3", "-o", str(document)],
+        "verify": ["verify", str(document)],
+        "member": ["member", "12", "-g", "2"],
+        "orders": ["orders", "-g", "3"],
+        "extremal": ["extremal", "-g", "1..5"],
+    }[command]
+    if command == "verify":
+        assert run_cli("witness", "12", "-g", "3", "-o", str(document)).returncode == 0
+    loaded = loaded_modules(*argv)
+    assert "sptorsion.criterion" in loaded  # the command ran
+    assert [m for m in loaded if m in FOOTPRINT_FORBIDDEN[command]] == []
