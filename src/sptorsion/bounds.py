@@ -1,17 +1,19 @@
 """Desk-scale certification of the growth and prime-distribution bounds.
 
 Every checker yields BoundReport rows with an exact left side (integer
-or exact rational, never rounded) and a guarded real right side. Real
-right sides are evaluated with 50-digit (169-bit) working precision;
-the x-sweeps call mpmath's raw-mpf functions at that precision directly,
-so no row enters a precision context. A right side is the exact dyadic
-rational man * 2^exp, and it is tilted adversarially by a relative guard
-of 1e-9 in one integer comparison: an upper bound must clear
-rhs*(1-1e-9), a lower bound rhs*(1+1e-9), and lhs < rhs*(1-1e-9) is
-decided as lhs * 10^9 * 2^-exp < man * (10^9 - 1). A reported pass
-therefore certifies the inequality with slack that dwarfs both the
-evaluation error (~1e-49) and the decimal-constant error, and a run is
-reproducible bit for bit.
+or exact rational, never rounded) and a guarded real right side. Every
+real a row depends on is evaluated by mpmath.libmp's raw-mpf functions
+at 169 bits (50 digits): no row enters a precision context or reads
+mpmath's global precision. Each right side calls the functions that
+mpf arithmetic on its written expression inside mp.workdps(50) calls,
+in the same order, so its bits are that expression's. A right side is
+the exact dyadic rational man * 2^exp, and it is tilted adversarially
+by a relative guard of 1e-9 in one integer comparison: an upper bound
+must clear rhs*(1-1e-9), a lower bound rhs*(1+1e-9), and
+lhs < rhs*(1-1e-9) is decided as lhs * 10^9 * 2^-exp < man * (10^9 - 1).
+A reported pass therefore certifies the inequality with slack that
+dwarfs both the evaluation error (~1e-49) and the decimal-constant
+error, and a run is reproducible bit for bit.
 
 Rows whose point sits below an inequality's stated validity threshold
 get passed=None ("precondition unmet") rather than a failure; the
@@ -21,6 +23,12 @@ search, never hard-coded:
   K = least integer >= 3 with K*log(K) >= 529    (= 23^2)
   L = least integer >= 2 with L*log(L) >= 3025   (= 55^2)
   improved cutoff = least g with g*log(g) >= 358801  (= 599^2)
+
+These, and x = floor(sqrt(g log g)) in lemmas 3.4 and 3.5, come from one
+guarded comparison of n log n, at 169 bits, with an integer: it decides
+only when they differ by more than 2^-161 n log n, and otherwise raises
+ArithmeticError (exit 3 in the CLI). n log n is never an integer for
+n >= 2 (n^n = e^k contradicts Lindemann-Weierstrass): more bits decide.
 
 Every check is declared once, in the CHECK_NAMES table: its sweep, the
 kind of its points (genus, x or n), and its default range. run_check
@@ -46,6 +54,7 @@ denominator without rational arithmetic.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -53,7 +62,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator
 
-from mpmath import mp, mpf
 from mpmath.libmp import (
     dps_to_prec,
     fone,
@@ -62,12 +70,18 @@ from mpmath.libmp import (
     from_str,
     mpf_add,
     mpf_div,
+    mpf_e,
     mpf_log,
     mpf_mul,
+    mpf_mul_int,
+    mpf_neg,
+    mpf_pow,
     mpf_pow_int,
     mpf_rdiv_int,
+    mpf_sqrt,
     mpf_sub,
     round_nearest,
+    to_int,
     to_str,
 )
 
@@ -110,9 +124,20 @@ GUARD = Fraction(1, 10**9)
 # Euler-Mascheroni constant, correctly rounded to 20 decimal digits.
 EULER_GAMMA_20 = "0.57721566490153286061"
 
-_DPS = 50  # working precision for right-hand sides
-_PREC = dps_to_prec(_DPS)  # the same precision in bits (169)
+_PREC = dps_to_prec(50)  # working precision of every real, in bits (169)
 _RND = round_nearest  # mpmath's default rounding
+
+# n log n is compared with an integer only when they differ by more than
+# 2^(_SLACK - _PREC) n log n; its log and product are each off by an ulp or so
+_SLACK = 8
+
+# each right side's docstring is the mpf expression whose bits it computes
+_E = mpf_e(_PREC, _RND)
+_GAMMA = from_str(EULER_GAMMA_20, _PREC, _RND)
+_TWO_E_GAMMA = mpf_mul_int(mpf_pow(_E, _GAMMA, _PREC, _RND), 2, _PREC, _RND)  # 2 * e^gamma
+_EXP_NEG_GAMMA = mpf_pow(_E, mpf_neg(_GAMMA, _PREC, _RND), _PREC, _RND)  # e^-gamma
+_DUSART_PI_CONST = from_str("1.2762", _PREC, _RND)
+_FIFTH = from_str("0.2", _PREC, _RND)
 
 
 @dataclass(frozen=True)
@@ -194,25 +219,48 @@ def _unmet_row(name: str, point: int, threshold_desc: str) -> BoundReport:
 # computed thresholds
 
 
+def _log(x: int) -> tuple:
+    return mpf_log(from_int(x), _PREC, _RND)
+
+
+def _n_log_n(n: int) -> tuple:
+    """mpf(n) * log(n)"""
+    return mpf_mul(from_int(n), _log(n), _PREC, _RND)
+
+
+def _n_log_n_exceeds(n: int, target: int) -> bool:
+    """n log n > target, for n >= 1; ArithmeticError when the two are too
+    close to tell apart at _PREC bits (never equal unless n log n = 0)."""
+    _, man, exp, _ = _n_log_n(n)
+    man, scaled = (man, target << -exp) if exp < 0 else (man << exp, target)
+    gap = man - scaled
+    if abs(gap) << _PREC <= man << _SLACK:
+        raise ArithmeticError(f"{n} log {n} is too close to {target} to decide at {_PREC} bits")
+    return gap > 0
+
+
+def _floor_sqrt_g_log_g(g: int) -> int:
+    """floor(sqrt(g log g)) for g >= 2: x with x^2 < g log g < (x + 1)^2."""
+    x = math.isqrt(to_int(_n_log_n(g)))
+    if not _n_log_n_exceeds(g, x * x) or _n_log_n_exceeds(g, (x + 1) ** 2):
+        raise ArithmeticError(f"floor(sqrt({g} log {g})) is not {x}")
+    return x
+
+
 @lru_cache(maxsize=None)
 def _least_n_log_n(target: int) -> int:
     """Least integer n with n log n >= target > 0, by doubling plus
     bisection (n log n increases, and 1 log 1 = 0 misses any target)."""
-    with mp.workdps(_DPS):
-
-        def holds(n: int) -> bool:
-            return mpf(n) * mp.log(n) >= target
-
-        lo, hi = 1, 2
-        while not holds(hi):
-            lo, hi = hi, 2 * hi
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if holds(mid):
-                hi = mid
-            else:
-                lo = mid
-        return hi
+    lo, hi = 1, 2
+    while not _n_log_n_exceeds(hi, target):
+        lo, hi = hi, 2 * hi
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if _n_log_n_exceeds(mid, target):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def compute_K() -> int:
@@ -264,13 +312,13 @@ def _dp_rows(
     g_to: int,
     dps: dict[str, Callable[[int, int], list[int]]],
     op: str,
-    rhs: Callable[[int], mpf],
+    rhs: Callable[[int], tuple],
     level: int = 1,
     requires: str = "g >= 1",
 ) -> Iterator[BoundReport]:
     """For every g in [g_from, g_to], a row per name in `dps`: that range
-    DP's value at g against the real right side rhs(g), evaluated once
-    per genus at _DPS digits.
+    DP's value at g against the raw mpf right side rhs(g), evaluated once
+    per genus.
 
     Below `level` (the check's validity threshold) each name gets an
     unmet row stating what it `requires`, and no DP runs; from
@@ -284,8 +332,7 @@ def _dp_rows(
         return
     columns = [dp(first, g_to) for dp in dps.values()]
     for g, values in zip(range(first, g_to + 1), zip(*columns)):
-        with mp.workdps(_DPS):
-            bound = rhs(g)._mpf_
+        bound = rhs(g)
         for name, value in zip(dps, values):
             yield _real_row(name, g, value, bound, op)
 
@@ -294,10 +341,15 @@ def _dp_rows(
 # growth bounds (upper)
 
 
+def _thm31_rhs(g: int) -> tuple:
+    """3 * e^(3g)"""
+    return mpf_mul_int(mpf_pow_int(_E, 3 * g, _PREC, _RND), 3, _PREC, _RND)
+
+
 def check_thm31(g_from: int, g_to: int) -> Iterator[BoundReport]:
     """h(g) <= 3 e^{3g}, exact h from the DP."""
     dps = {"thm31": max_order_value_range}
-    return _dp_rows(g_from, g_to, dps, "<=", lambda g: 3 * mp.e ** (3 * g))
+    return _dp_rows(g_from, g_to, dps, "<=", _thm31_rhs)
 
 
 def check_cor32(g_from: int, g_to: int) -> Iterator[BoundReport]:
@@ -308,9 +360,10 @@ def check_cor32(g_from: int, g_to: int) -> Iterator[BoundReport]:
         yield _exact_row("cor32", g, f, h, "<=")
 
 
-def _remark_upper_rhs(g: int) -> mpf:
-    gamma = mpf(EULER_GAMMA_20)
-    return 2 * mp.e**gamma * mp.log(2 * g + 1) * mp.e ** (mpf(2 * g + 1) / mp.e)
+def _remark_upper_rhs(g: int) -> tuple:
+    """2 * e^gamma * log(2g + 1) * e^(mpf(2g + 1) / e)"""
+    power = mpf_pow(_E, mpf_div(from_int(2 * g + 1), _E, _PREC, _RND), _PREC, _RND)
+    return mpf_mul(mpf_mul(_TWO_E_GAMMA, _log(2 * g + 1), _PREC, _RND), power, _PREC, _RND)
 
 
 REMARK_UPPER_START = 1486  # stated validity threshold of the refined bound
@@ -327,12 +380,16 @@ def check_remark_upper(g_from: int, g_to: int) -> Iterator[BoundReport]:
 # growth bounds (lower)
 
 
-def _quarter_sqrt_bound(g: int) -> mpf:
-    return mp.e ** (mp.sqrt(mpf(g) / mp.log(g)) / 4)
+def _quarter_sqrt_bound(g: int) -> tuple:
+    """e^(sqrt(mpf(g) / log(g)) / 4)"""
+    root = mpf_sqrt(mpf_div(from_int(g), _log(g), _PREC, _RND), _PREC, _RND)
+    return mpf_pow(_E, mpf_div(root, from_int(4), _PREC, _RND), _PREC, _RND)
 
 
-def _improved_bound(g: int) -> mpf:
-    return mp.e ** mp.sqrt(mpf(g) / (4 * mp.log(g)))
+def _improved_bound(g: int) -> tuple:
+    """e^sqrt(mpf(g) / (4 * log(g)))"""
+    quotient = mpf_div(from_int(g), mpf_mul_int(_log(g), 4, _PREC, _RND), _PREC, _RND)
+    return mpf_pow(_E, mpf_sqrt(quotient, _PREC, _RND), _PREC, _RND)
 
 
 def check_thm36(g_from: int, g_to: int) -> Iterator[BoundReport]:
@@ -373,6 +430,21 @@ def check_lemma33(x_from: int, x_to: int) -> Iterator[BoundReport]:
         )
 
 
+def _lemma34_rhs(g: int) -> tuple[tuple, tuple, tuple]:
+    """With glg = mpf(g) * log(g) and y = sqrt(glg): 3 * y / log(glg),
+    (y / log(y)) * (1 + mpf(3) / (2 * log(y))) and
+    (y / log(y)) * (1 + mpf("1.2762") / log(y))"""
+    glg = _n_log_n(g)
+    y = mpf_sqrt(glg, _PREC, _RND)
+    main = mpf_div(mpf_mul_int(y, 3, _PREC, _RND), mpf_log(glg, _PREC, _RND), _PREC, _RND)
+    log_y = mpf_log(y, _PREC, _RND)
+    ratio = mpf_div(y, log_y, _PREC, _RND)
+    half = mpf_div(from_int(3), mpf_mul_int(log_y, 2, _PREC, _RND), _PREC, _RND)
+    step_15 = mpf_mul(ratio, mpf_add(half, fone, _PREC, _RND), _PREC, _RND)
+    step_dusart = mpf_add(mpf_div(_DUSART_PI_CONST, log_y, _PREC, _RND), fone, _PREC, _RND)
+    return main, step_15, mpf_mul(ratio, step_dusart, _PREC, _RND)
+
+
 def check_lemma34(g_from: int, g_to: int) -> Iterator[BoundReport]:
     """pi(sqrt(g log g)) < 3 sqrt(g log g) / log(g log g) for g >= K.
 
@@ -381,24 +453,16 @@ def check_lemma34(g_from: int, g_to: int) -> Iterator[BoundReport]:
     estimate it leans on are recorded as separate rows.
     """
     level = compute_K()
-    with mp.workdps(_DPS):
-        y_max = mp.sqrt(mpf(g_to) * mp.log(g_to)) if g_to >= 2 else mpf(2)
-    view = _PrimeView(int(y_max) + 2)
+    view = _PrimeView(_floor_sqrt_g_log_g(max(g_to, 2)))
     for g in range(g_from, g_to + 1):
         if g < level:
             yield _unmet_row("lemma34", g, f"g >= K = {level}")
             continue
-        with mp.workdps(_DPS):
-            glg = mpf(g) * mp.log(g)
-            y = mp.sqrt(glg)
-            lhs = view.pi(int(mp.floor(y)))
-            main_rhs = 3 * y / mp.log(glg)
-            log_y = mp.log(y)
-            rhs_15 = (y / log_y) * (1 + mpf(3) / (2 * log_y))
-            rhs_dusart = (y / log_y) * (1 + mpf("1.2762") / log_y)
-        yield _real_row("lemma34", g, lhs, main_rhs._mpf_, "<")
-        yield _real_row("lemma34-step-1.5", g, lhs, rhs_15._mpf_, "<")
-        yield _real_row("lemma34-step-1.2762", g, lhs, rhs_dusart._mpf_, "<=")
+        lhs = view.pi(_floor_sqrt_g_log_g(g))
+        main_rhs, rhs_15, rhs_dusart = _lemma34_rhs(g)
+        yield _real_row("lemma34", g, lhs, main_rhs, "<")
+        yield _real_row("lemma34-step-1.5", g, lhs, rhs_15, "<")
+        yield _real_row("lemma34-step-1.2762", g, lhs, rhs_dusart, "<=")
 
 
 def check_lemma35(g_from: int, g_to: int) -> Iterator[BoundReport]:
@@ -412,9 +476,7 @@ def check_lemma35(g_from: int, g_to: int) -> Iterator[BoundReport]:
         if g < level:
             yield _unmet_row("lemma35", g, f"g >= K = {level}")
             continue
-        with mp.workdps(_DPS):
-            x = int(mp.floor(mp.sqrt(mpf(g) * mp.log(g))))
-        decision = membership(primorial(x), g)
+        decision = membership(primorial(_floor_sqrt_g_log_g(g)), g)
         report = decision.report
         beta = sum(t.cost for t in report.terms if t.prime != 2)
         yield BoundReport(
@@ -435,7 +497,7 @@ def check_lemma35(g_from: int, g_to: int) -> Iterator[BoundReport]:
 def check_dusart_sum(n_from: int, n_to: int) -> Iterator[BoundReport]:
     """Sum of the first n primes < n p_n / 2 for n >= 9; exact halves."""
     # p_n < n (log n + log log n) for n >= 6 sizes the sieve
-    limit = max(100, int(n_to * (mp.log(n_to) + mp.log(mp.log(n_to)))) + 10) if n_to >= 6 else 100
+    limit = max(100, int(n_to * (math.log(n_to) + math.log(math.log(n_to)))) + 10) if n_to >= 6 else 100
     view = _PrimeView(limit)
     if len(view.primes) < n_to:
         raise AssertionError(f"sieve limit {limit} too small for n = {n_to}")
@@ -446,18 +508,6 @@ def check_dusart_sum(n_from: int, n_to: int) -> Iterator[BoundReport]:
         yield _exact_row(
             "dusart-sum", n, view.sum_first(n), Fraction(n * view.nth(n), 2), "<"
         )
-
-
-# The x-sweeps' right sides, each a raw mpf evaluated with the same
-# mpmath functions, in the same order, that mpf arithmetic inside
-# mp.workdps(50) calls, so the bits are those of the written expression.
-
-_DUSART_PI_CONST = from_str("1.2762", _PREC, _RND)
-_FIFTH = from_str("0.2", _PREC, _RND)
-
-
-def _log(x: int) -> tuple:
-    return mpf_log(from_int(x), _PREC, _RND)
 
 
 def _rosser_rhs(x: int) -> tuple:
@@ -474,18 +524,12 @@ def _dusart_pi_rhs(x: int) -> tuple[tuple, tuple]:
     return mpf_mul(main, upper, _PREC, _RND), mpf_mul(main, lower, _PREC, _RND)
 
 
-@lru_cache(maxsize=None)
-def _exp_neg_gamma() -> tuple:
-    with mp.workdps(_DPS):
-        return (mp.e ** -mpf(EULER_GAMMA_20))._mpf_
-
-
 def _dusart_product_rhs(x: int) -> tuple:
     """(e^-gamma / log x)(1 - 0.2/log^2 x)"""
     log_x = _log(x)
     log_sq = mpf_pow_int(log_x, 2, _PREC, _RND)
     tilt = mpf_sub(fone, mpf_div(_FIFTH, log_sq, _PREC, _RND), _PREC, _RND)
-    return mpf_mul(mpf_div(_exp_neg_gamma(), log_x, _PREC, _RND), tilt, _PREC, _RND)
+    return mpf_mul(mpf_div(_EXP_NEG_GAMMA, log_x, _PREC, _RND), tilt, _PREC, _RND)
 
 
 def check_dusart_pi(x_from: int, x_to: int) -> Iterator[BoundReport]:

@@ -6,7 +6,9 @@ converted to an exact `Fraction`, tilted by the guard with `Fraction`
 arithmetic and compared on `Fraction`s; values are rendered through a
 `Fraction * 10**12` test and an `mpf` quotient at 25 digits. This is how
 the sweeps decided and printed every row before they worked on the
-mantissa and exponent directly.
+mantissa and exponent directly, and the genus checks' and lemma 3.4's
+right sides are the expressions they evaluated before every real moved
+to raw-mpf calls.
 """
 from __future__ import annotations
 
@@ -87,3 +89,41 @@ def product_passes(num: int, den: int, rhs: mpf) -> bool:
     """num/den > rhs (1 + GUARD) by full cross-multiplication."""
     guarded = mpf_to_fraction(rhs) * (1 + GUARD)
     return num * guarded.denominator > guarded.numerator * den
+
+
+def exp_neg_gamma() -> mpf:
+    with mp.workdps(50):
+        return mp.e ** -mpf(EULER_GAMMA_20)
+
+
+def thm31_rhs(g: int) -> mpf:
+    with mp.workdps(50):
+        return 3 * mp.e ** (3 * g)
+
+
+def remark_upper_rhs(g: int) -> mpf:
+    with mp.workdps(50):
+        gamma = mpf(EULER_GAMMA_20)
+        return 2 * mp.e**gamma * mp.log(2 * g + 1) * mp.e ** (mpf(2 * g + 1) / mp.e)
+
+
+def quarter_sqrt_bound(g: int) -> mpf:
+    with mp.workdps(50):
+        return mp.e ** (mp.sqrt(mpf(g) / mp.log(g)) / 4)
+
+
+def improved_bound(g: int) -> mpf:
+    with mp.workdps(50):
+        return mp.e ** mp.sqrt(mpf(g) / (4 * mp.log(g)))
+
+
+def lemma34_rhs(g: int) -> tuple[mpf, mpf, mpf]:
+    """The main right side and the c = 3/2 and c = 1.2762 steps."""
+    with mp.workdps(50):
+        glg = mpf(g) * mp.log(g)
+        y = mp.sqrt(glg)
+        main_rhs = 3 * y / mp.log(glg)
+        log_y = mp.log(y)
+        rhs_15 = (y / log_y) * (1 + mpf(3) / (2 * log_y))
+        rhs_dusart = (y / log_y) * (1 + mpf("1.2762") / log_y)
+    return main_rhs, rhs_15, rhs_dusart

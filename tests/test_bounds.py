@@ -1,6 +1,9 @@
 """Inequality sweeps: exact verdicts, report rendering, scan constants."""
 from __future__ import annotations
 
+import ast
+import hashlib
+import json
 import math
 import re
 from fractions import Fraction
@@ -8,6 +11,7 @@ from pathlib import Path
 
 import bounds_oracle as oracle
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
@@ -43,6 +47,74 @@ def test_scan_constants_are_minimal():
         for value, square in [(113, 529), (489, 3025), (34354, 358801)]:
             assert mpf(value) * mp.log(value) >= square
             assert mpf(value - 1) * mp.log(value - 1) < square
+
+
+def sympy_g_log_g(g):
+    return sympy.log(g).evalf(60) * g
+
+
+def test_scan_constants_are_minimal_by_sympy():
+    for value, square in [(113, 529), (489, 3025), (34354, 358801)]:
+        assert sympy_g_log_g(value) >= square
+        assert sympy_g_log_g(value - 1) < square
+
+
+def assert_floor_sqrt_g_log_g_matches_sympy(g):
+    value = sympy_g_log_g(g)
+    x = math.isqrt(int(value))
+    # the 60-digit value is far enough from both squares to fix the floor
+    assert min(value - x * x, (x + 1) ** 2 - value) > value / 10**40
+    assert bounds._floor_sqrt_g_log_g(g) == x
+
+
+def test_floor_sqrt_g_log_g_matches_sympy_to_5000():
+    for g in range(2, 5001):
+        assert_floor_sqrt_g_log_g_matches_sympy(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(5001, 10**12))
+@example(10**6)
+@example(10**9)
+@example(10**12)
+def test_floor_sqrt_g_log_g_matches_sympy_at_large_genus(g):
+    assert_floor_sqrt_g_log_g_matches_sympy(g)
+
+
+@pytest.fixture
+def undecided(monkeypatch):
+    """Every guarded n log n comparison undecided: the slack exceeds the
+    working precision. K, L and the cutoff are searched afresh, and the
+    cache is left empty for later tests."""
+    bounds._least_n_log_n.cache_clear()
+    monkeypatch.setattr(bounds, "_SLACK", 2 * bounds._PREC)
+    yield
+    bounds._least_n_log_n.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "argv, k_known, frames",
+    [
+        # K, searched before any row
+        (["--check", "lemma35", "--range", "113..113"], False, ["_least_n_log_n"]),
+        (["--check", "lemma34", "--range", "113..113"], False, ["_least_n_log_n"]),
+        # L, for the default range
+        (["--check", "thm36"], False, ["_least_n_log_n"]),
+        # K given: lemma35's primorial, and lemma34's sieve size before any row
+        (["--check", "lemma35", "--range", "113..113"], True, ["check_lemma35", "_floor_sqrt_g_log_g"]),
+        (["--check", "lemma34", "--range", "113..113"], True, ["check_lemma34", "_floor_sqrt_g_log_g"]),
+    ],
+)
+def test_undecided_guard_exits_3(argv, k_known, frames, undecided, monkeypatch, capsys):
+    if k_known:
+        monkeypatch.setattr(bounds, "compute_K", lambda: 113)
+    assert cli.main(["bounds", *argv]) == cli.EXIT_INTERNAL == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("Traceback (most recent call last):")
+    for frame in frames:
+        assert f"in {frame}\n" in err, frame
+    assert "in _n_log_n_exceeds\n" in err and "ArithmeticError: " in err
 
 
 def test_euler_gamma_digits():
@@ -183,6 +255,29 @@ def test_remark_lower_range_rows_equal_single_point_rows(monkeypatch):
     assert rows == single
     assert [r.passed for r in rows[:6]] == [None] * 6
     assert all(r.passed is not None for r in rows[6:])
+
+
+# SHA-256 of remark-lower's rows over 34354..35354, their JSON renderings
+# one a line, with both DPs replaced by the fixed values below (the real
+# ones take over a minute), frozen while its right side was an mpf
+# expression inside mp.workdps(50)
+REMARK_LOWER_SHA256 = "98cd9d29e566886292e8e2e22b6a82db05ff270c0032ed62dfd712c8c22b6ffe"
+
+
+def test_remark_lower_rows_keep_their_digest(monkeypatch):
+    monkeypatch.setattr(
+        bounds, "count_orders_range", lambda lo, hi: [g * 10**8 for g in range(lo, hi + 1)]
+    )
+    monkeypatch.setattr(
+        bounds, "max_order_value_range", lambda lo, hi: [2**42 - g**2 for g in range(lo, hi + 1)]
+    )
+    digest = hashlib.sha256()
+    verdicts = []
+    for report in run_check("remark-lower", 34354, 35354):
+        digest.update(json.dumps(report_to_dict(report)).encode() + b"\n")
+        verdicts.append(report.passed)
+    assert digest.hexdigest() == REMARK_LOWER_SHA256
+    assert (verdicts.count(True), verdicts.count(False)) == (1547, 455)
 
 
 def test_window_below_threshold_runs_no_dp(monkeypatch):
@@ -424,6 +519,53 @@ def test_x_sweep_right_sides_keep_their_bits(x):
 def test_x_sweep_right_sides_keep_their_bits_at_thresholds():
     for x in (2, 3, 55, 598, 599, 2972, 2973, 2974, 10**5, 10**6 - 1, 10**6, 10**9):
         assert_right_sides_keep_their_bits(x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 10**6))
+@example(113)
+@example(489)
+@example(1486)
+@example(34354)
+def test_genus_right_sides_keep_their_bits(g):
+    assert bounds._thm31_rhs(g) == oracle.thm31_rhs(g)._mpf_
+    assert bounds._remark_upper_rhs(g) == oracle.remark_upper_rhs(g)._mpf_
+    assert bounds._quarter_sqrt_bound(g) == oracle.quarter_sqrt_bound(g)._mpf_
+    assert bounds._improved_bound(g) == oracle.improved_bound(g)._mpf_
+    assert bounds._lemma34_rhs(g) == tuple(rhs._mpf_ for rhs in oracle.lemma34_rhs(g))
+    assert bounds._EXP_NEG_GAMMA == oracle.exp_neg_gamma()._mpf_
+
+
+def real_path_breaches(source: str) -> list[str]:
+    """Uses of mpmath outside mpmath.libmp, of workdps, or of mp.<name>."""
+    breaches = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+            if node.module == "mpmath":
+                modules = [f"mpmath.{alias.name}" for alias in node.names]
+        else:
+            modules = []
+        for module in modules:
+            top = module.split(".")[:2]
+            if top[0] == "mpmath" and top != ["mpmath", "libmp"]:
+                breaches.append(f"line {node.lineno}: imports {module}")
+        if isinstance(node, ast.Attribute) and (
+            node.attr == "workdps" or (isinstance(node.value, ast.Name) and node.value.id == "mp")
+        ):
+            breaches.append(f"line {node.lineno}: uses .{node.attr}")
+    return breaches
+
+
+def test_src_evaluates_reals_on_the_raw_mpf_path_only():
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "sptorsion").glob("*.py")):
+        assert real_path_breaches(path.read_text()) == [], path.name
+    # the scan itself sees each kind of breach
+    assert len(real_path_breaches("from mpmath import mp, mpf\nimport mpmath\n")) == 3
+    assert len(real_path_breaches("with ctx.workdps(50):\n    y = mp.floor(x)\n")) == 2
+    assert real_path_breaches("from mpmath import libmp\nfrom mpmath.libmp import mpf_e\n") == []
 
 
 def test_x_sweep_rows_do_no_fraction_arithmetic(monkeypatch):
