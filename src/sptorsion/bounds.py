@@ -57,10 +57,9 @@ import itertools
 import math
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from mpmath.libmp import (
     dps_to_prec,
@@ -140,8 +139,7 @@ _DUSART_PI_CONST = from_str("1.2762", _PREC, _RND)
 _FIFTH = from_str("0.2", _PREC, _RND)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """One inequality instance: exact lhs vs guarded rhs at one point.
 
     passed is None when the point is below the inequality's validity
@@ -618,8 +616,7 @@ def check_rosser(x_from: int, x_to: int) -> Iterator[BoundReport]:
 # ---------------------------------------------------------------------------
 # named dispatch (shared by the CLI and scripts)
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """A named check: its sweep over an inclusive range, the kind of its
     points ("genus", "x" or "n"), which sets its cap in the CLI, and its
     default range (None when a range is required; a callable computes it on

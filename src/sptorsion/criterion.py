@@ -26,7 +26,7 @@ All functions are pure; enumeration builds a fresh list per call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .numtheory import factor, sieve
 
@@ -54,15 +54,13 @@ class GenusCapError(ValueError):
     """A genus exceeded a configured materialization/oracle cap."""
 
 
-@dataclass(frozen=True)
-class CostTerm:
+class CostTerm(NamedTuple):
     prime: int
     exponent: int
     cost: int
 
 
-@dataclass(frozen=True)
-class DegreeCostReport:
+class DegreeCostReport(NamedTuple):
     """Per-prime-power totient costs of m and their total.
 
     The terms cover the primes <= 2g+1; cofactor is the part of m left
@@ -78,8 +76,7 @@ class DegreeCostReport:
     cofactor: int
 
 
-@dataclass(frozen=True)
-class MembershipDecision:
+class MembershipDecision(NamedTuple):
     """Outcome of the budget test cost(m) <= 2g, with the cost table.
 
     A cofactor > 1 means a prime above 2g+1, whose totient alone exceeds

@@ -32,9 +32,9 @@ from the full enumeration and exists purely as an oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import add
+from typing import NamedTuple
 
 from .criterion import (
     GenusCapError,
@@ -60,8 +60,7 @@ __all__ = [
 DEFAULT_ORACLE_CAP = 30
 
 
-@dataclass(frozen=True)
-class ExtremalRecord:
+class ExtremalRecord(NamedTuple):
     """(g, f(g), h(g)) with the factorization of h(g). Values are exact."""
 
     g: int

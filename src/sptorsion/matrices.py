@@ -12,7 +12,7 @@ standard_form(g) is the block form J with upper-right +I_g, lower-left
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 
 __all__ = [
     "IntMatrix",
@@ -21,22 +21,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class IntMatrix:
     """Immutable integer matrix; entries row-major."""
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    __slots__ = ("_rows", "_cols", "_entries")
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]) -> None:
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
-                f"entries, got {len(self.entries)}"
-            )
+        if len(entries) != rows * cols:
+            raise ValueError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
+        self._rows, self._cols, self._entries = rows, cols, entries
+
+    # read-only fields
+    rows = property(attrgetter("_rows"))
+    cols = property(attrgetter("_cols"))
+    entries = property(attrgetter("_entries"))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._rows, self._cols, self._entries) == (other._rows, other._cols, other._entries)
+
+    def __hash__(self) -> int:
+        return hash((self._rows, self._cols, self._entries))
+
+    def __repr__(self) -> str:
+        return f"IntMatrix(rows={self._rows!r}, cols={self._cols!r}, entries={self._entries!r})"
 
     @staticmethod
     def from_rows(rows: list[list[int]]) -> "IntMatrix":
@@ -48,7 +59,7 @@ class IntMatrix:
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
-        return self.entries[i * self.cols + j]
+        return self._entries[i * self._cols + j]
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
@@ -57,11 +68,8 @@ class IntMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(self[i, j] for j in range(self.cols) for i in range(self.rows)),
-        )
+        cols, entries = self._cols, self._entries
+        return IntMatrix(cols, self._rows, tuple(x for j in range(cols) for x in entries[j::cols]))
 
     def __neg__(self) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, tuple(-x for x in self.entries))
@@ -100,7 +108,7 @@ class IntMatrix:
         """
         if self.rows != self.cols:
             raise ValueError("only square matrices have diagonal blocks")
-        n = self.rows
+        n, entries = self.rows, self.entries
         parent = list(range(n))
 
         def find(i: int) -> int:
@@ -109,7 +117,7 @@ class IntMatrix:
                 i = parent[i]
             return i
 
-        for at, x in enumerate(self.entries):
+        for at, x in enumerate(entries):
             if x:
                 parent[find(at // n)] = find(at % n)
         members: dict[int, list[int]] = {}
@@ -117,7 +125,7 @@ class IntMatrix:
             members.setdefault(find(i), []).append(i)
         return [
             IntMatrix(
-                len(idx), len(idx), tuple(self.entries[r * n + c] for r in idx for c in idx)
+                len(idx), len(idx), tuple(entries[r * n + c] for r in idx for c in idx)
             )
             for idx in members.values()
         ]

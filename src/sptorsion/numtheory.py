@@ -14,7 +14,8 @@ pure and safe to call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
 __all__ = [
     "PrimeTable",
@@ -25,8 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PrimeTable:
+class PrimeTable(NamedTuple):
     """All primes up to ``limit``, in ascending order."""
 
     limit: int
@@ -37,7 +37,6 @@ class PrimeTable:
         return len(self.primes)
 
 
-@dataclass(frozen=True)
 class Factorization:
     """A positive integer as an ordered product of prime powers.
 
@@ -45,7 +44,23 @@ class Factorization:
     ascending, exponents >= 1. The empty tuple represents 1.
     """
 
-    entries: tuple[tuple[int, int], ...]
+    __slots__ = ("_entries",)
+
+    def __init__(self, entries: tuple[tuple[int, int], ...]) -> None:
+        self._entries = entries
+
+    entries = property(attrgetter("_entries"))  # read-only
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._entries == other._entries
+
+    def __hash__(self) -> int:
+        return hash((self._entries,))
+
+    def __repr__(self) -> str:
+        return f"Factorization(entries={self._entries!r})"
 
     def value(self) -> int:
         """Multiply the entries back into the represented integer."""

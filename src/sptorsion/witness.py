@@ -57,8 +57,8 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
 from functools import lru_cache, reduce
+from typing import NamedTuple
 
 from .criterion import MembershipDecision, NotRealizableError, membership
 from .matrices import IntMatrix, standard_form
@@ -78,8 +78,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ProperPowerCheck:
+class ProperPowerCheck(NamedTuple):
     """Result of testing A^(m/prime) against the identity."""
 
     prime: int
@@ -91,8 +90,7 @@ class ProperPowerCheck:
         return not self.identity  # a proper power must not collapse
 
 
-@dataclass(frozen=True)
-class WitnessCertificate:
+class WitnessCertificate(NamedTuple):
     """Transcript of the three exactness checks on a claimed witness."""
 
     symplectic: bool
@@ -119,8 +117,7 @@ class WitnessCertificate:
         return names
 
 
-@dataclass(frozen=True)
-class SymplecticWitness:
+class SymplecticWitness(NamedTuple):
     """A 2g x 2g integer matrix claimed to have exact order claimed_order."""
 
     matrix: IntMatrix

@@ -537,7 +537,9 @@ def test_genus_right_sides_keep_their_bits(g):
 
 
 def real_path_breaches(source: str) -> list[str]:
-    """Uses of mpmath outside mpmath.libmp, of workdps, or of mp.<name>."""
+    """Uses of mpmath outside mpmath.libmp, of workdps, or of mp.<name>,
+    and imports of dataclasses (whose import alone costs every CLI process
+    inspect, ast, dis and tokenize)."""
     breaches = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -550,7 +552,7 @@ def real_path_breaches(source: str) -> list[str]:
             modules = []
         for module in modules:
             top = module.split(".")[:2]
-            if top[0] == "mpmath" and top != ["mpmath", "libmp"]:
+            if (top[0] == "mpmath" and top != ["mpmath", "libmp"]) or top[0] == "dataclasses":
                 breaches.append(f"line {node.lineno}: imports {module}")
         if isinstance(node, ast.Attribute) and (
             node.attr == "workdps" or (isinstance(node.value, ast.Name) and node.value.id == "mp")
@@ -566,6 +568,7 @@ def test_src_evaluates_reals_on_the_raw_mpf_path_only():
     assert len(real_path_breaches("from mpmath import mp, mpf\nimport mpmath\n")) == 3
     assert len(real_path_breaches("with ctx.workdps(50):\n    y = mp.floor(x)\n")) == 2
     assert real_path_breaches("from mpmath import libmp\nfrom mpmath.libmp import mpf_e\n") == []
+    assert len(real_path_breaches("import dataclasses\nfrom dataclasses import dataclass\n")) == 2
 
 
 def test_x_sweep_rows_do_no_fraction_arithmetic(monkeypatch):

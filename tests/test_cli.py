@@ -1,7 +1,6 @@
 """End-to-end CLI behavior: exit codes, formats, golden schemas."""
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -353,7 +352,7 @@ def test_internal_error_exits_3_with_traceback(error, monkeypatch, capsys):
         raise error
         yield
 
-    entry = dataclasses.replace(bounds.CHECK_NAMES["rosser"], sweep=broken)
+    entry = bounds.CHECK_NAMES["rosser"]._replace(sweep=broken)
     monkeypatch.setitem(bounds.CHECK_NAMES, "rosser", entry)
     for fmt in ("text", "json", "csv"):  # nothing is written before the first row
         start = time.perf_counter()
@@ -401,7 +400,7 @@ def test_bounds_json_streams_the_buffered_envelope(capsys):
 def test_bounds_json_without_rows(monkeypatch, capsys):
     from sptorsion import bounds, cli
 
-    entry = dataclasses.replace(bounds.CHECK_NAMES["rosser"], sweep=lambda lo, hi: iter(()))
+    entry = bounds.CHECK_NAMES["rosser"]._replace(sweep=lambda lo, hi: iter(()))
     monkeypatch.setitem(bounds.CHECK_NAMES, "rosser", entry)
     assert cli.main(["bounds", "--check", "rosser", "--range", "55..60", "--format", "json"]) == 0
     out, _ = capsys.readouterr()
@@ -411,7 +410,7 @@ def test_bounds_json_without_rows(monkeypatch, capsys):
 def test_bounds_csv_without_rows(monkeypatch, capsys):
     from sptorsion import bounds, cli
 
-    entry = dataclasses.replace(bounds.CHECK_NAMES["rosser"], sweep=lambda lo, hi: iter(()))
+    entry = bounds.CHECK_NAMES["rosser"]._replace(sweep=lambda lo, hi: iter(()))
     monkeypatch.setitem(bounds.CHECK_NAMES, "rosser", entry)
     assert cli.main(["bounds", "--check", "rosser", "--range", "55..60", "--format", "csv"]) == 0
     out, _ = capsys.readouterr()
@@ -534,14 +533,19 @@ def test_version_flag():
 
 
 # the modules a command may not load, by command: mpmath, fractions and
-# bounds belong to `bounds` alone, matrices and witness to witness/verify
+# bounds belong to `bounds` alone, matrices and witness to witness/verify,
+# and no command needs dataclasses or inspect (with ast, dis and tokenize
+# behind them, over 1 MB of every process that loads them)
 HEAVY = ["mpmath", "fractions", "sptorsion.bounds"]
+NEVER = ["dataclasses", "inspect"]
+WITNESS = ["sptorsion.witness", "sptorsion.matrices"]
 FOOTPRINT_FORBIDDEN = {
-    "witness": HEAVY,
-    "verify": HEAVY,
-    "member": HEAVY + ["sptorsion.witness", "sptorsion.matrices"],
-    "orders": HEAVY + ["sptorsion.witness", "sptorsion.matrices"],
-    "extremal": HEAVY + ["sptorsion.witness", "sptorsion.matrices"],
+    "witness": HEAVY + NEVER,
+    "verify": HEAVY + NEVER,
+    "member": HEAVY + NEVER + WITNESS,
+    "orders": HEAVY + NEVER + WITNESS,
+    "extremal": HEAVY + NEVER + WITNESS,
+    "bounds": NEVER + WITNESS,
 }
 
 
@@ -564,6 +568,18 @@ def loaded_modules(*args):
     return result.stdout.rpartition("-- modules --\n")[2].splitlines()
 
 
+@pytest.fixture(scope="module")
+def bare_modules():
+    """What a bare interpreter (`python -c pass`, same environment) has
+    loaded already: a site hook may bring in modules no command asks for."""
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys; print(*sys.modules, sep='\\n')"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.splitlines())
+
+
 def test_version_loads_no_submodule():
     loaded = loaded_modules("--version")
     assert "sptorsion" in loaded
@@ -571,7 +587,7 @@ def test_version_loads_no_submodule():
 
 
 @pytest.mark.parametrize("command", sorted(FOOTPRINT_FORBIDDEN))
-def test_command_import_footprint(command, tmp_path):
+def test_command_import_footprint(command, tmp_path, bare_modules):
     document = tmp_path / "w.json"
     argv = {
         "witness": ["witness", "12", "-g", "3", "-o", str(document)],
@@ -579,9 +595,11 @@ def test_command_import_footprint(command, tmp_path):
         "member": ["member", "12", "-g", "2"],
         "orders": ["orders", "-g", "3"],
         "extremal": ["extremal", "-g", "1..5"],
+        "bounds": ["bounds", "--check", "lemma33", "--range", "23..30"],
     }[command]
     if command == "verify":
         assert run_cli("witness", "12", "-g", "3", "-o", str(document)).returncode == 0
     loaded = loaded_modules(*argv)
     assert "sptorsion.criterion" in loaded  # the command ran
-    assert [m for m in loaded if m in FOOTPRINT_FORBIDDEN[command]] == []
+    forbidden = set(FOOTPRINT_FORBIDDEN[command]) - bare_modules
+    assert [m for m in loaded if m in forbidden] == []

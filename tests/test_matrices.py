@@ -2,6 +2,9 @@
 standard form."""
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from power_oracle import binary_power
@@ -19,12 +22,41 @@ def test_construction_and_access():
         IntMatrix.from_rows([[1, 2], [3]])
 
 
+@pytest.mark.parametrize(
+    "rows, cols, entries",
+    [(2, 2, (1, 2, 3)), (1, 1, ()), (0, 0, (1,)), (-1, 0, ()), (0, -2, ()), (-1, -1, (1,))],
+)
+def test_construction_refuses_a_wrong_shape(rows, cols, entries):
+    with pytest.raises(ValueError):
+        IntMatrix(rows, cols, entries)
+
+
+def test_matrix_is_an_immutable_value():
+    m = IntMatrix(1, 1, (1,))
+    for name in ("rows", "cols", "entries"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, getattr(m, name))
+        with pytest.raises(AttributeError):
+            delattr(m, name)
+    assert repr(m) == "IntMatrix(rows=1, cols=1, entries=(1,))"
+    same = IntMatrix(rows=1, cols=1, entries=(1,))
+    assert m == same and not m != same and hash(m) == hash(same)
+    assert copy.copy(m) == m == pickle.loads(pickle.dumps(m))
+    assert dict.fromkeys([m, same, -m]) == {m: None, -m: None}
+    for other in (-m, IntMatrix(1, 1, (2,)), (1, 1, (1,)), identity(2)):
+        assert m != other and not m == other
+    # equal entries, different shapes
+    assert IntMatrix(0, 2, ()) != IntMatrix(2, 0, ())
+    assert IntMatrix(1, 2, (1, 0)) != IntMatrix(2, 1, (1, 0))
+
+
 def test_arithmetic():
     a = IntMatrix.from_rows([[1, 2], [3, 4]])
     b = IntMatrix.from_rows([[0, 1], [1, 0]])
     assert (a @ b).to_rows() == [[2, 1], [4, 3]]
     assert (-a).to_rows() == [[-1, -2], [-3, -4]]
     assert a.transpose().to_rows() == [[1, 3], [2, 4]]
+    assert IntMatrix.from_rows([[1, 2, 3]]).transpose().to_rows() == [[1], [2], [3]]
 
 
 def test_power():

@@ -2,7 +2,9 @@
 and sympy."""
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import random
 import time
 
@@ -176,3 +178,17 @@ def test_factorization_container():
     assert fact.primes() == (2, 3)
     assert len(fact) == 2
     assert list(fact) == [(2, 2), (3, 1)]
+
+
+def test_factorization_is_an_immutable_value():
+    fact = Factorization(((2, 2), (3, 1)))
+    with pytest.raises(AttributeError):
+        fact.entries = ()
+    with pytest.raises(AttributeError):
+        del fact.entries
+    assert repr(fact) == "Factorization(entries=((2, 2), (3, 1)))"
+    same = Factorization(entries=((2, 2), (3, 1)))
+    assert fact == same and not fact != same and hash(fact) == hash(same)
+    assert copy.copy(fact) == fact == pickle.loads(pickle.dumps(fact))
+    for other in (Factorization(((2, 2),)), Factorization(()), ((2, 2), (3, 1))):
+        assert fact != other and not fact == other
