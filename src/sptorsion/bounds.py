@@ -284,7 +284,7 @@ class _PrimeView:
     """Sieve-backed pi(x), sum of primes <= x, and n-th prime queries."""
 
     def __init__(self, limit: int):
-        self.primes = sieve(max(limit, 2)).primes
+        self.primes = sieve(max(limit, 2))
         self._cum = tuple(itertools.accumulate(self.primes))
 
     def pi(self, x: int | float) -> int:

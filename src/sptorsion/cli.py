@@ -7,7 +7,8 @@ Conventions shared by every subcommand:
     answer (non-member, failed verification, failed bound); exit 2 =
     usage or parse error, including m = 1 (excluded by the A != 1
     convention) and a range past its cap in CAPS, refused before any
-    DP, sieve or primorial is built unless --allow-large; exit 3 =
+    DP, sieve, primorial, enumeration or matrix is built unless
+    --allow-large; exit 3 =
     internal error (a bug, never an answer), with its traceback on
     stderr.
   * --format text|json|csv. JSON payloads wrap results in an envelope
@@ -22,16 +23,15 @@ Conventions shared by every subcommand:
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
 
-# Each handler imports the library modules it runs, so that a command
-# loads only those: mpmath, for one, only under `bounds`.
+# Each handler imports the library modules it runs, and each writer json
+# or csv, so that a command loads only those: mpmath, for one, only under
+# `bounds`, and --version none of them.
 if TYPE_CHECKING:
     from .criterion import MembershipDecision, NotRealizableError
     from .extremal import ExtremalRecord
@@ -48,10 +48,13 @@ class UsageError(Exception):
 
 
 # The largest range end, by the kind of its points, that runs without
-# --allow-large. The genus DPs hold exact big integers, so their memory
-# grows roughly quadratically in g; an x or n range is sieved, and its cap
-# is 10 times the largest default range.
-CAPS = {"genus": 5000, "x": 10**6, "n": 10**6}
+# --allow-large; the library takes any range, so this is every size limit
+# of the package. The genus DPs hold exact big integers, so their memory
+# grows roughly quadratically in g. S(g) grows at least exponentially, so
+# `orders` and `extremal --oracle`, which list it, stop far lower. A witness
+# matrix has 4g^2 entries. An x or n range is sieved, and its cap is 10
+# times the largest default range.
+CAPS = {"genus": 5000, "enumeration": 40, "witness": 500, "x": 10**6, "n": 10**6}
 
 
 def _refuse_over_cap(name: str, points: str, hi: int, allow_large: bool) -> None:
@@ -79,6 +82,8 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _envelope(command: str, parameters: dict, result: object) -> str:
+    import json
+
     envelope = {
         "command": command,
         "parameters": parameters,
@@ -98,6 +103,8 @@ class _JsonRows:
     Nothing is written before the first row; totals come at the end."""
 
     def __init__(self, command: str, parameters: dict, key: str):
+        import json
+
         self.command, self.parameters, self.key = command, parameters, key
         self.head, _ = self._around_rows({})
         self.indent = "\n" + self.head.rpartition("\n")[2]  # before a row
@@ -108,6 +115,8 @@ class _JsonRows:
 
     def _around_rows(self, totals: dict) -> tuple[str, str]:
         """The envelope's text before and after the rows of its list."""
+        import json
+
         mark = "\0"
         text = _envelope(self.command, self.parameters, {self.key: [mark], **totals})
         before, _, after = text.partition(json.dumps(mark))
@@ -125,6 +134,12 @@ class _JsonRows:
             _emit_json(self.command, self.parameters, {self.key: [], **totals})
             return
         sys.stdout.write(self._around_rows(totals)[1] + "\n")
+
+
+def _csv_writer():
+    import csv
+
+    return csv.writer(sys.stdout, lineterminator="\n")
 
 
 def _factorization_pairs(fact: Factorization) -> list[list[str]]:
@@ -203,7 +218,7 @@ def cmd_member(args: argparse.Namespace) -> int:
             _decision_result(decision),
         )
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer = _csv_writer()
         writer.writerow(["prime", "exponent", "cost"])
         for t in decision.report.terms:
             writer.writerow([t.prime, t.exponent, t.cost])
@@ -217,18 +232,18 @@ def cmd_member(args: argparse.Namespace) -> int:
 
 
 def cmd_orders(args: argparse.Namespace) -> int:
-    from .criterion import DEFAULT_ENUMERATION_CAP, enumerate_orders
+    from .criterion import enumerate_orders
 
-    cap = DEFAULT_ENUMERATION_CAP if args.cap is None else args.cap
-    orders = enumerate_orders(args.genus, cap=cap)
+    _refuse_over_cap("orders", "enumeration", args.genus, args.allow_large)
+    orders = enumerate_orders(args.genus)
     if args.format == "json":
         _emit_json(
             "orders",
-            {"genus": str(args.genus), "cap": str(cap)},
+            {"genus": str(args.genus), "allow_large": bool(args.allow_large)},
             {"count": str(len(orders)), "orders": [str(m) for m in orders]},
         )
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer = _csv_writer()
         writer.writerow(["m"])
         for m in orders:
             writer.writerow([m])
@@ -253,17 +268,14 @@ def _record_row(record: ExtremalRecord, show_f: bool, show_h: bool) -> dict:
 
 
 def cmd_extremal(args: argparse.Namespace) -> int:
-    from .extremal import DEFAULT_ORACLE_CAP, brute_force_extremal, extremal_table
+    from .extremal import brute_force_extremal, extremal_table
 
     g_from, g_to = _parse_range(args.genus)
     # column selection: either flag narrows the table, neither means both
     show_f = args.count or not args.max
     show_h = args.max or not args.count
-    if args.oracle and g_to > DEFAULT_ORACLE_CAP:
-        raise UsageError(
-            f"--oracle enumerates S(g), so it is limited to genus <= {DEFAULT_ORACLE_CAP}; "
-            f"the range ends at {g_to}"
-        )
+    if args.oracle:
+        _refuse_over_cap("extremal --oracle", "enumeration", g_to, args.allow_large)
     _refuse_over_cap("extremal", "genus", g_to, args.allow_large)
     records = extremal_table(g_from, g_to)
     mismatches = []
@@ -288,7 +300,7 @@ def cmd_extremal(args: argparse.Namespace) -> int:
         }
         _emit_json("extremal", parameters, result)
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer = _csv_writer()
         header = ["g"] + (["f"] if show_f else []) + (["h", "h_factorization"] if show_h else [])
         writer.writerow(header)
         for record in records:
@@ -340,7 +352,8 @@ def _certificate_result(witness, certificate) -> dict:
 def cmd_witness(args: argparse.Namespace) -> int:
     if args.format == "csv":
         raise UsageError("witness output is not tabular; use text or json")
-    from .witness import NotRealizableError, build_witness, witness_to_json
+    _refuse_over_cap("witness", "witness", args.genus, args.allow_large)
+    from .witness import NotRealizableError, build_witness, witness_to_dict, witness_to_json
 
     try:
         witness = build_witness(args.m, args.genus)
@@ -357,16 +370,15 @@ def cmd_witness(args: argparse.Namespace) -> int:
         else:
             _print_decision_text(decision)
         return EXIT_NEGATIVE
-    document = witness_to_json(witness)
     if args.output:
         try:
-            Path(args.output).write_text(document)
+            Path(args.output).write_text(witness_to_json(witness))
         except OSError as exc:
             raise UsageError(f"cannot write {args.output}: {exc}") from None
     if args.format == "json":
         result = {
             "built": True,
-            "witness": json.loads(document),
+            "witness": witness_to_dict(witness),
             "path": args.output or None,
         }
         _emit_json("witness", {"m": str(args.m), "genus": str(args.genus)}, result)
@@ -447,7 +459,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     failures = 0
     unmet = 0
     total = 0
-    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer = _csv_writer() if args.format == "csv" else None
     for report in reports:
         row = report_to_dict(report)
         total += 1
@@ -511,9 +523,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("orders", help="enumerate all of S(g)")
     p.add_argument("-g", "--genus", type=int, required=True)
-    p.add_argument(
-        "--cap", type=int, help="genus cap for full enumeration (default: criterion.DEFAULT_ENUMERATION_CAP)"
-    )
+    p.add_argument("--allow-large", action="store_true", help="lift the enumeration genus cap")
     _add_format(p)
     p.set_defaults(handler=cmd_orders)
 
@@ -522,7 +532,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", action="store_true", help="narrow the table to the f column (with --max: f and h)")
     p.add_argument("--max", action="store_true", help="narrow the table to the h columns (with --count: f and h)")
     p.add_argument("--oracle", action="store_true", help="cross-check against brute-force enumeration")
-    p.add_argument("--allow-large", action="store_true", help="lift the genus cap")
+    p.add_argument("--allow-large", action="store_true", help="lift the genus and --oracle enumeration caps")
     _add_format(p)
     p.set_defaults(handler=cmd_extremal)
 
@@ -530,6 +540,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("m", type=int)
     p.add_argument("-g", "--genus", type=int, required=True)
     p.add_argument("-o", "--output", help="write the witness document to this path")
+    p.add_argument("--allow-large", action="store_true", help="lift the witness genus cap")
     _add_format(p)
     p.set_defaults(handler=cmd_witness)
 

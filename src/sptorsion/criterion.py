@@ -35,24 +35,12 @@ __all__ = [
     "DegreeCostReport",
     "MembershipDecision",
     "NotRealizableError",
-    "GenusCapError",
-    "DEFAULT_ENUMERATION_CAP",
     "prime_power_cost",
     "is_member",
     "membership",
     "support_primes",
     "enumerate_orders",
 ]
-
-# Enumeration refuses above this genus unless told otherwise: the order set
-# grows at least exponentially, and materializing it should stay a
-# deliberate act.
-DEFAULT_ENUMERATION_CAP = 40
-
-
-class GenusCapError(ValueError):
-    """A genus exceeded a configured materialization/oracle cap."""
-
 
 class CostTerm(NamedTuple):
     prime: int
@@ -187,7 +175,7 @@ def is_member(m: int, g: int) -> bool:
 def support_primes(g: int) -> tuple[int, ...]:
     """The primes any member of S(g) can be built from: all p <= 2g+1."""
     _require_genus(g)
-    return sieve(2 * g + 1).primes
+    return sieve(2 * g + 1)
 
 
 def _prime_power_options(p: int, budget: int) -> list[tuple[int, int]]:
@@ -202,20 +190,15 @@ def _prime_power_options(p: int, budget: int) -> list[tuple[int, int]]:
     return options
 
 
-def enumerate_orders(g: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[int]:
+def enumerate_orders(g: int) -> list[int]:
     """All of S(g), ascending, each order exactly once.
 
     Depth-first search over exponent vectors: one cost/value choice per
     prime <= 2g+1 (including "absent"), keeping the running cost within
-    the budget 2g, then a final sort. Refuses g > cap (default 40) with
-    GenusCapError; pass a larger cap explicitly to go further.
+    the budget 2g, then a final sort. Takes any genus g >= 1; S(g) grows
+    at least exponentially in g, and the CLI caps the genus it passes.
     """
     _require_genus(g)
-    if g > cap:
-        raise GenusCapError(
-            f"enumerating S({g}) would materialize an at-least-exponentially "
-            f"large set; the cap is {cap} (raise `cap` to proceed)"
-        )
     budget = 2 * g
     per_prime = [_prime_power_options(p, budget) for p in support_primes(g)]
 

@@ -25,9 +25,10 @@ of length one.
 
 Exact integers in every cell keep the results platform-independent; there
 is no floating comparison anywhere. They also make memory grow roughly
-quadratically in G; the functions here take any range, and the CLI caps
-the genus it passes them. brute_force_extremal re-derives both values
-from the full enumeration and exists purely as an oracle.
+quadratically in G. brute_force_extremal re-derives both values from the
+full enumeration of S(g), which grows at least exponentially, and exists
+purely as an oracle. Every function here takes any genus range and checks
+only its shape; the CLI caps the genus it passes them.
 """
 
 from __future__ import annotations
@@ -36,17 +37,11 @@ from itertools import accumulate
 from operator import add
 from typing import NamedTuple
 
-from .criterion import (
-    GenusCapError,
-    _prime_power_options,
-    _require_genus,
-    enumerate_orders,
-)
+from .criterion import _prime_power_options, _require_genus, enumerate_orders
 from .numtheory import Factorization, factor, sieve
 
 __all__ = [
     "ExtremalRecord",
-    "DEFAULT_ORACLE_CAP",
     "count_orders",
     "count_orders_range",
     "max_order",
@@ -55,10 +50,6 @@ __all__ = [
     "brute_force_extremal",
     "extremal_table",
 ]
-
-# brute_force_extremal materializes all of S(g); keep it an oracle.
-DEFAULT_ORACLE_CAP = 30
-
 
 class ExtremalRecord(NamedTuple):
     """(g, f(g), h(g)) with the factorization of h(g). Values are exact."""
@@ -115,13 +106,13 @@ def _h_values(g_from: int, g_to: int, primes: tuple[int, ...]) -> list[int]:
 def count_orders_range(g_from: int, g_to: int) -> list[int]:
     """f(g) for every g in [g_from, g_to], from one count DP at budget 2*g_to."""
     _check_range(g_from, g_to)
-    return _f_values(g_from, g_to, sieve(2 * g_to + 1).primes)
+    return _f_values(g_from, g_to, sieve(2 * g_to + 1))
 
 
 def max_order_value_range(g_from: int, g_to: int) -> list[int]:
     """h(g) for every g in [g_from, g_to], from one knapsack at budget 2*g_to."""
     _check_range(g_from, g_to)
-    return _h_values(g_from, g_to, sieve(2 * g_to + 1).primes)
+    return _h_values(g_from, g_to, sieve(2 * g_to + 1))
 
 
 def count_orders(g: int) -> int:
@@ -139,14 +130,9 @@ def max_order(g: int) -> ExtremalRecord:
     return extremal_table(g, g)[0]
 
 
-def brute_force_extremal(g: int, cap: int = DEFAULT_ORACLE_CAP) -> ExtremalRecord:
-    """f and h from the full enumeration. Oracle for the DPs; g <= cap."""
-    if g > cap:
-        raise GenusCapError(
-            f"brute-force oracle refuses genus {g} > cap {cap}; "
-            "it exists to cross-check small cases"
-        )
-    orders = enumerate_orders(g, cap=cap)
+def brute_force_extremal(g: int) -> ExtremalRecord:
+    """f and h from the full enumeration of S(g); an oracle for the DPs."""
+    orders = enumerate_orders(g)
     h = orders[-1]
     return ExtremalRecord(g, len(orders), h, factor(h, 2 * g + 1)[0])
 
@@ -155,7 +141,7 @@ def extremal_table(g_from: int, g_to: int) -> list[ExtremalRecord]:
     """Records for every g in [g_from, g_to], read off one count DP and one
     knapsack at budget 2*g_to; each new h(g) is factored up to 2g+1."""
     _check_range(g_from, g_to)
-    primes = sieve(2 * g_to + 1).primes
+    primes = sieve(2 * g_to + 1)
     fs = _f_values(g_from, g_to, primes)
     hs = _h_values(g_from, g_to, primes)
     records: list[ExtremalRecord] = []

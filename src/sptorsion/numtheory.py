@@ -15,26 +15,13 @@ from __future__ import annotations
 
 import math
 from operator import attrgetter
-from typing import NamedTuple
 
 __all__ = [
-    "PrimeTable",
     "Factorization",
     "sieve",
     "factor",
     "primorial",
 ]
-
-
-class PrimeTable(NamedTuple):
-    """All primes up to ``limit``, in ascending order."""
-
-    limit: int
-    primes: tuple[int, ...]
-
-    def count(self) -> int:
-        """pi(limit): how many primes the table holds."""
-        return len(self.primes)
 
 
 class Factorization:
@@ -79,8 +66,9 @@ class Factorization:
         return len(self.entries)
 
 
-def sieve(limit: int) -> PrimeTable:
-    """Eratosthenes sieve: every prime <= limit, ascending.
+def sieve(limit: int) -> tuple[int, ...]:
+    """Eratosthenes sieve: every prime <= limit, ascending, so pi(limit)
+    is the length of the result.
 
     Raises ValueError for limit < 2.
     """
@@ -92,7 +80,7 @@ def sieve(limit: int) -> PrimeTable:
         if flags[p]:
             start = p * p
             flags[start :: p] = bytearray(len(range(start, limit + 1, p)))
-    return PrimeTable(limit, tuple(i for i, f in enumerate(flags) if f))
+    return tuple(i for i, f in enumerate(flags) if f)
 
 
 def factor(m: int, limit: int) -> tuple[Factorization, int]:
@@ -129,6 +117,6 @@ def primorial(x: int) -> int:
     if x < 2:
         raise ValueError(f"primorial needs x >= 2, got {x}")
     m = 1
-    for p in sieve(x).primes:
+    for p in sieve(x):
         m *= p
     return m

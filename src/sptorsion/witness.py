@@ -73,6 +73,7 @@ __all__ = [
     "build_witness",
     "verify_witness",
     "certificate_to_dict",
+    "witness_to_dict",
     "witness_to_json",
     "witness_from_json",
 ]
@@ -410,9 +411,11 @@ def certificate_to_dict(cert: WitnessCertificate) -> dict:
     }
 
 
-def witness_to_json(witness: SymplecticWitness) -> str:
+def witness_to_dict(witness: SymplecticWitness) -> dict:
+    """The witness document as a JSON-ready mapping; integers as decimal
+    strings."""
     matrix = witness.matrix
-    payload = {
+    return {
         "format": "symplectic-witness",
         "version": "1",
         "size": str(matrix.rows),
@@ -421,7 +424,10 @@ def witness_to_json(witness: SymplecticWitness) -> str:
         "entries": [str(x) for x in matrix.entries],
         "certificate": certificate_to_dict(witness.certificate),
     }
-    return json.dumps(payload, indent=2) + "\n"
+
+
+def witness_to_json(witness: SymplecticWitness) -> str:
+    return json.dumps(witness_to_dict(witness), indent=2) + "\n"
 
 
 def witness_from_json(text: str) -> SymplecticWitness:

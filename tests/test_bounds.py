@@ -571,6 +571,33 @@ def test_src_evaluates_reals_on_the_raw_mpf_path_only():
     assert len(real_path_breaches("import dataclasses\nfrom dataclasses import dataclass\n")) == 2
 
 
+def cap_breaches(source: str, defines_caps: bool = False) -> list[str]:
+    """Functions that take a `cap` parameter and, unless the module is
+    the one that holds the size policy, names ending in _CAP that it
+    defines: every size limit is an entry of cli.CAPS."""
+    breaches = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            if any(p.arg == "cap" for p in params):
+                breaches.append(f"line {node.lineno}: takes a cap parameter")
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            if node.id.endswith("_CAP") and not defines_caps:
+                breaches.append(f"line {node.lineno}: defines {node.id}")
+    return breaches
+
+
+def test_src_caps_sizes_in_the_cli_only():
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "sptorsion").glob("*.py")):
+        assert cap_breaches(path.read_text(), path.name == "cli.py") == [], path.name
+    # the scan itself sees each kind of breach
+    assert len(cap_breaches("def f(g, cap=40):\n    pass\n")) == 1
+    assert len(cap_breaches("g = lambda *, cap: cap\nDEFAULT_ORACLE_CAP = 30\n")) == 2
+    assert cap_breaches("DEFAULT_ORACLE_CAP = 30\n", defines_caps=True) == []
+    assert cap_breaches("def f(g, capped=False):\n    CAPS = {}\n") == []
+
+
 def test_x_sweep_rows_do_no_fraction_arithmetic(monkeypatch):
     def arithmetic(*args):
         raise AssertionError("Fraction arithmetic on the row path")

@@ -83,14 +83,15 @@ def test_orders_outputs():
     payload = json.loads(run_cli("orders", "-g", "2", "--format", "json").stdout)
     assert payload["result"]["orders"] == ["2", "3", "4", "5", "6", "8", "10", "12"]
     assert payload["result"]["count"] == "8"
-    assert payload["parameters"]["cap"] == "40"  # the library's default cap
+    assert payload["parameters"] == {"genus": "2", "allow_large": False}
     csv_out = run_cli("orders", "-g", "1", "--format", "csv").stdout
     assert csv_out.splitlines() == ["m", "2", "3", "4", "6"]
 
 
 def test_orders_cap():
     assert run_cli("orders", "-g", "100").returncode == 2
-    assert run_cli("orders", "-g", "1", "--cap", "0").returncode == 2  # 0 is a cap, not "unset"
+    assert run_cli("orders", "-g", "1", "--cap", "0").returncode == 2  # no such option
+    assert run_cli("orders", "-g", "0", "--allow-large").returncode == 2
 
 
 def test_extremal_table_and_oracle():
@@ -112,7 +113,7 @@ def test_extremal_column_selectors():
 
 
 def test_extremal_oracle_cap_is_usage_error():
-    assert run_cli("extremal", "-g", "1..35", "--oracle").returncode == 2
+    assert run_cli("extremal", "-g", "1..41", "--oracle").returncode == 2
 
 
 def test_extremal_oracle_cap_fails_fast(monkeypatch, capsys):
@@ -124,11 +125,12 @@ def test_extremal_oracle_cap_fails_fast(monkeypatch, capsys):
     monkeypatch.setattr(extremal, "_order_counts", dp)
     monkeypatch.setattr(extremal, "_best_products", dp)
     start = time.perf_counter()
+    # inside the genus cap, beyond the enumeration cap
     assert cli.main(["extremal", "-g", "1..5000", "--oracle"]) == 2
     assert time.perf_counter() - start < 0.1
     out, err = capsys.readouterr()
     assert out == ""
-    assert "--oracle" in err and "genus <= 30" in err
+    assert "--oracle range ends at 5000, above the cap 40" in err
 
 
 def test_extremal_genus_cap():
@@ -259,23 +261,30 @@ def test_bounds_genus_cap_fails_fast():
     )
 
 
-# every command that takes a range, and its cap: 5000 where the points are
-# genera (lemma34 and lemma35 included), 10^6 where they are x or n
-CAPS = dict.fromkeys(
-    ["extremal", "thm31", "cor32", "remark-upper", "thm36", "cor37", "remark-lower"]
-    + ["lemma34", "lemma35"],
-    5000,
-) | dict.fromkeys(["lemma33", "dusart-sum", "dusart-pi", "dusart-product", "rosser"], 10**6)
+# every command that takes a range or a genus, and its cap: 5000 where the
+# points are genera for a DP (lemma34 and lemma35 included), 40 where S(g)
+# is listed, 500 for a witness matrix, 10^6 where the points are x or n
+CAPS = (
+    dict.fromkeys(
+        ["extremal", "thm31", "cor32", "remark-upper", "thm36", "cor37", "remark-lower"]
+        + ["lemma34", "lemma35"],
+        5000,
+    )
+    | dict.fromkeys(["lemma33", "dusart-sum", "dusart-pi", "dusart-product", "rosser"], 10**6)
+    | {"orders": 40, "extremal --oracle": 40, "witness": 500}
+)
 
 
 @pytest.mark.parametrize("name", sorted(CAPS))
 def test_cap_gate(name, monkeypatch, capsys):
-    from sptorsion import bounds, cli, extremal
+    from sptorsion import bounds, cli, criterion, extremal, witness
 
-    assert set(CAPS) == {"extremal", *bounds.CHECK_NAMES}
+    assert set(CAPS) == {"extremal", "extremal --oracle", "orders", "witness", *bounds.CHECK_NAMES}
+    assert set(cli.CAPS.values()) == set(CAPS.values())
+    small_witness = witness.build_witness(4, 1)
 
     def built(*args):
-        raise AssertionError("DP, sieve or primorial built for a refused range")
+        raise AssertionError("DP, sieve, primorial, enumeration or matrix built for a refused range")
 
     for target, attr in [
         (extremal, "_order_counts"),
@@ -283,12 +292,20 @@ def test_cap_gate(name, monkeypatch, capsys):
         (extremal, "sieve"),
         (bounds, "sieve"),
         (bounds, "primorial"),
+        (criterion, "enumerate_orders"),
+        (extremal, "brute_force_extremal"),
+        (witness, "build_witness"),
+        (witness, "membership"),
     ]:
         monkeypatch.setattr(target, attr, built)
 
     def argv(hi, *flags):
-        if name == "extremal":
-            return ["extremal", "-g", str(hi), *flags]
+        if name in ("extremal", "extremal --oracle"):
+            return ["extremal", "-g", str(hi), *name.split()[1:], *flags]
+        if name == "orders":
+            return ["orders", "-g", str(hi), *flags]
+        if name == "witness":
+            return ["witness", "2", "-g", str(hi), *flags]
         return ["bounds", "--check", name, "--range", f"{hi}..{hi}", *flags]
 
     cap = CAPS[name]
@@ -305,10 +322,15 @@ def test_cap_gate(name, monkeypatch, capsys):
     calls = []
     monkeypatch.setattr(extremal, "extremal_table", lambda *a: calls.append(a) or [])
     monkeypatch.setattr(bounds, "run_check", lambda *a: calls.append(a) or iter(()))
+    monkeypatch.setattr(criterion, "enumerate_orders", lambda *a: calls.append(a) or [])
+    monkeypatch.setattr(witness, "build_witness", lambda *a: calls.append(a[1:]) or small_witness)
     assert cli.main(argv(cap)) == 0
     assert cli.main(argv(cap + 1, "--allow-large")) == 0
-    point = () if name == "extremal" else (name,)
-    assert calls == [(*point, cap, cap), (*point, cap + 1, cap + 1)]
+    if name in ("orders", "witness"):
+        assert calls == [(cap,), (cap + 1,)]
+    else:
+        point = () if name.startswith("extremal") else (name,)
+        assert calls == [(*point, cap, cap), (*point, cap + 1, cap + 1)]
 
 
 @pytest.mark.parametrize(
@@ -539,13 +561,17 @@ def test_version_flag():
 HEAVY = ["mpmath", "fractions", "sptorsion.bounds"]
 NEVER = ["dataclasses", "inspect"]
 WITNESS = ["sptorsion.witness", "sptorsion.matrices"]
+# json and csv are loaded by the writers that use them alone, so neither
+# --version nor a text-format table loads them
+WRITERS = ["json", "csv"]
 FOOTPRINT_FORBIDDEN = {
+    "--version": HEAVY + NEVER + WITNESS + WRITERS,
     "witness": HEAVY + NEVER,
     "verify": HEAVY + NEVER,
-    "member": HEAVY + NEVER + WITNESS,
-    "orders": HEAVY + NEVER + WITNESS,
-    "extremal": HEAVY + NEVER + WITNESS,
-    "bounds": NEVER + WITNESS,
+    "member": HEAVY + NEVER + WITNESS + WRITERS,
+    "orders": HEAVY + NEVER + WITNESS + WRITERS,
+    "extremal": HEAVY + NEVER + WITNESS + WRITERS,
+    "bounds": NEVER + WITNESS + WRITERS,
 }
 
 
@@ -590,6 +616,7 @@ def test_version_loads_no_submodule():
 def test_command_import_footprint(command, tmp_path, bare_modules):
     document = tmp_path / "w.json"
     argv = {
+        "--version": ["--version"],
         "witness": ["witness", "12", "-g", "3", "-o", str(document)],
         "verify": ["verify", str(document)],
         "member": ["member", "12", "-g", "2"],
@@ -600,6 +627,6 @@ def test_command_import_footprint(command, tmp_path, bare_modules):
     if command == "verify":
         assert run_cli("witness", "12", "-g", "3", "-o", str(document)).returncode == 0
     loaded = loaded_modules(*argv)
-    assert "sptorsion.criterion" in loaded  # the command ran
+    assert ("sptorsion.cli" if command == "--version" else "sptorsion.criterion") in loaded  # it ran
     forbidden = set(FOOTPRINT_FORBIDDEN[command]) - bare_modules
     assert [m for m in loaded if m in forbidden] == []

@@ -9,8 +9,6 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from sptorsion.criterion import (
-    DEFAULT_ENUMERATION_CAP,
-    GenusCapError,
     _prime_power_options,
     enumerate_orders,
     is_member,
@@ -153,14 +151,6 @@ def test_enumerate_is_sorted_and_member(g):
     orders = enumerate_orders(g)
     assert orders == sorted(set(orders))
     assert all(is_member(m, g) for m in orders)
-
-
-def test_enumeration_cap():
-    with pytest.raises(GenusCapError):
-        enumerate_orders(DEFAULT_ENUMERATION_CAP + 1)
-    enumerate_orders(5, cap=5)
-    with pytest.raises(GenusCapError):
-        enumerate_orders(6, cap=5)
 
 
 @given(

@@ -3,9 +3,8 @@ from __future__ import annotations
 
 import pytest
 
-from sptorsion.criterion import GenusCapError, is_member, membership
+from sptorsion.criterion import enumerate_orders, is_member, membership
 from sptorsion.extremal import (
-    DEFAULT_ORACLE_CAP,
     brute_force_extremal,
     count_orders,
     count_orders_range,
@@ -66,11 +65,9 @@ def test_monotone_and_even():
         previous_f, previous_h = record.f, record.h
 
 
-def test_brute_force_cap():
-    with pytest.raises(GenusCapError):
-        brute_force_extremal(31)
-    with pytest.raises(GenusCapError):
-        brute_force_extremal(10, cap=9)
+def test_enumeration_takes_any_genus():
+    # the library sets no genus cap: one past the CLI's enumeration cap
+    assert len(enumerate_orders(41)) == count_orders(41) == 13804
 
 
 def test_extremal_table():
@@ -92,7 +89,7 @@ def test_extremal_table_read_off_is_window_independent():
 
 
 def test_extremal_table_matches_oracle():
-    table = extremal_table(1, DEFAULT_ORACLE_CAP)
+    table = extremal_table(1, 40)  # every genus that `extremal --oracle` admits
     for record in table:
         reference = brute_force_extremal(record.g)
         assert (record.f, record.h) == (reference.f, reference.h)

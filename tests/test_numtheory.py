@@ -15,7 +15,6 @@ from hypothesis import given, strategies as st
 from sptorsion.criterion import prime_power_cost
 from sptorsion.numtheory import (
     Factorization,
-    PrimeTable,
     factor,
     primorial,
     sieve,
@@ -32,7 +31,7 @@ def naive_primes(limit: int) -> list[int]:
 
 @pytest.mark.parametrize("limit", [2, 3, 10, 97, 100, 1000])
 def test_sieve_matches_naive(limit):
-    assert list(sieve(limit).primes) == naive_primes(limit)
+    assert list(sieve(limit)) == naive_primes(limit)
 
 
 def test_sieve_rejects_tiny_limit():
@@ -41,10 +40,10 @@ def test_sieve_rejects_tiny_limit():
 
 
 def test_prime_table_count():
-    assert sieve(23).count() == 9
-    assert sieve(22).count() == 8
-    assert sieve(2).count() == 1
-    assert sieve(1000).count() == 168
+    assert len(sieve(23)) == 9
+    assert len(sieve(22)) == 8
+    assert len(sieve(2)) == 1
+    assert len(sieve(1000)) == 168
 
 
 def totient(n: int) -> int:
@@ -157,9 +156,9 @@ def test_totient_multiplicative_on_coprimes(a, b):
 
 @pytest.mark.parametrize("limit", [2, 3, 4, 100, 7919, 10**5])
 def test_sieve_against_sympy(limit):
-    primes = sieve(limit).primes
+    primes = sieve(limit)
     assert list(primes) == list(sympy.primerange(2, limit + 1))
-    assert sieve(limit).count() == sympy.primepi(limit)
+    assert len(primes) == sympy.primepi(limit)
 
 
 def test_primorial_values():
