@@ -16,6 +16,7 @@ from sptorsion.criterion import (
     prime_power_cost,
     support_primes,
 )
+from sptorsion.extremal import count_orders
 
 
 def two_case_cost(m: int) -> int:
@@ -136,6 +137,14 @@ def test_enumerate_small_genera():
     assert enumerate_orders(3) == [
         2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 18, 20, 24, 30,
     ]
+
+
+def test_enumeration_cap():
+    # the library sets no genus cap: one past the CLI's enumeration cap it
+    # enumerates all of S(41); it refuses only a genus below 1
+    assert len(enumerate_orders(41)) == count_orders(41) == 13804
+    with pytest.raises(ValueError):
+        enumerate_orders(0)
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from sptorsion.criterion import enumerate_orders, is_member, membership
+from sptorsion.criterion import is_member, membership
 from sptorsion.extremal import (
     brute_force_extremal,
     count_orders,
@@ -65,9 +65,12 @@ def test_monotone_and_even():
         previous_f, previous_h = record.f, record.h
 
 
-def test_enumeration_takes_any_genus():
-    # the library sets no genus cap: one past the CLI's enumeration cap
-    assert len(enumerate_orders(41)) == count_orders(41) == 13804
+def test_brute_force_cap():
+    # the oracle sets no genus cap: one past the CLI's enumeration cap it
+    # still agrees with the DPs; it refuses only a genus below 1
+    assert brute_force_extremal(41) == max_order(41)
+    with pytest.raises(ValueError):
+        brute_force_extremal(0)
 
 
 def test_extremal_table():
