@@ -2,18 +2,19 @@
 
 Every checker yields BoundReport rows with an exact left side (integer
 or exact rational, never rounded) and a guarded real right side. Every
-real a row depends on is evaluated by mpmath.libmp's raw-mpf functions
-at 169 bits (50 digits): no row enters a precision context or reads
-mpmath's global precision. Each right side calls the functions that
-mpf arithmetic on its written expression inside mp.workdps(50) calls,
-in the same order, so its bits are that expression's. A right side is
-the exact dyadic rational man * 2^exp, and it is tilted adversarially
-by a relative guard of 1e-9 in one integer comparison: an upper bound
-must clear rhs*(1-1e-9), a lower bound rhs*(1+1e-9), and
-lhs < rhs*(1-1e-9) is decided as lhs * 10^9 * 2^-exp < man * (10^9 - 1).
-A reported pass therefore certifies the inequality with slack that
-dwarfs both the evaluation error (~1e-49) and the decimal-constant
-error, and a run is reproducible bit for bit.
+real a row depends on is evaluated in `sptorsion.reals`, the raw-mpf
+layer, at 169 bits (50 digits), with the bits of its written mpf
+expression inside mp.workdps(50). A check imports that layer when it
+runs, and only if it evaluates a real: this module imports nothing from
+mpmath, and lemma33, dusart-sum and cor32, whose rows are integers
+alone, never load it. A right side is the exact dyadic rational
+man * 2^exp, and it is tilted adversarially by a relative guard of 1e-9
+in one integer comparison: an upper bound must clear rhs*(1-1e-9), a
+lower bound rhs*(1+1e-9), and lhs < rhs*(1-1e-9) is decided as
+lhs * 10^9 * 2^-exp < man * (10^9 - 1). A reported pass therefore
+certifies the inequality with slack that dwarfs both the evaluation
+error (~1e-49) and the decimal-constant error, and a run is
+reproducible bit for bit.
 
 Rows whose point sits below an inequality's stated validity threshold
 get passed=None ("precondition unmet") rather than a failure; the
@@ -37,18 +38,28 @@ is otherwise swept, and the CLI caps it, by point kind, before calling
 run_check.
 
 Every verdict is an exact integer comparison; no float ever decides one.
-The one display-only compromise: the Mertens-type product check keeps
-the running product as a raw numerator/denominator pair (tens of
-thousands of digits at the top of the sweep), decides against a 256-bit
-bracket of it (exact cross-multiplication when the bracket cannot
-decide), and renders the left side at float precision because printing
-the exact rational would be useless.
+The halves of lemma 3.3, dusart-sum and lemma35-beta are decided as
+2 * lhs < x * pi(x) (and the like), on integers. The one display-only
+compromise: the Mertens-type product check keeps the running product as
+a raw numerator/denominator pair (tens of thousands of digits at the top
+of the sweep), decides against a 256-bit bracket of it (exact
+cross-multiplication when the bracket cannot decide), and renders the
+left side at float precision because printing the exact rational would
+be useless.
 
-margin is rhs - lhs on the raw (unguarded) right side, so for upper
-bounds pass tracks margin >= 0 and for lower bounds margin <= 0. The
-rhs and margin fields are exact Fractions built from the mantissa and
-exponent; rendering reads a dyadic value's numerator and power-of-two
-denominator without rational arithmetic.
+A row keeps the integers it was decided from: its left side, and its
+right side as an int or as num * 2^exp. margin is rhs - lhs on the raw
+(unguarded) right side, so for upper bounds pass tracks margin >= 0 and
+for lower bounds margin <= 0; rhs and margin are built, as an int where
+the right side is one and as an exact Fraction elsewhere, only when
+read (fractions is imported only then, for GUARD, or for
+dusart-product's displayed left side). Rendering never builds them: a
+value whose denominator divides 10^12 and whose magnitude is below 10^40
+is printed exactly, and any other at 20 significant digits, byte for
+byte as mpmath's to_str(x, 20) prints x rounded to 86 bits (25 digits;
+for a denominator that is not a power of two, the quotient of the
+numerator and denominator each rounded to 86 bits), all in integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -57,36 +68,14 @@ import itertools
 import math
 import operator
 from bisect import bisect_right
-from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Iterator, NamedTuple
-
-from mpmath.libmp import (
-    dps_to_prec,
-    fone,
-    from_int,
-    from_man_exp,
-    from_str,
-    mpf_add,
-    mpf_div,
-    mpf_e,
-    mpf_log,
-    mpf_mul,
-    mpf_mul_int,
-    mpf_neg,
-    mpf_pow,
-    mpf_pow_int,
-    mpf_rdiv_int,
-    mpf_sqrt,
-    mpf_sub,
-    round_nearest,
-    to_int,
-    to_str,
-)
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from .criterion import membership
 from .extremal import count_orders_range, max_order_value_range
 from .numtheory import primorial, sieve
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "BoundReport",
@@ -117,79 +106,139 @@ __all__ = [
     "REPORT_FIELDS",
 ]
 
-# Relative guard applied to every real right-hand side.
-GUARD = Fraction(1, 10**9)
+# Relative guard applied to every real right-hand side: GUARD = 1 / 10^9, a
+# Fraction built when it is read (see __getattr__), so that a process whose
+# rows never build a Fraction, as no CLI sweep but dusart-product's does,
+# never imports fractions.
+_GUARD_DEN = 10**9
 
 # Euler-Mascheroni constant, correctly rounded to 20 decimal digits.
 EULER_GAMMA_20 = "0.57721566490153286061"
 
-_PREC = dps_to_prec(50)  # working precision of every real, in bits (169)
-_RND = round_nearest  # mpmath's default rounding
 
-# n log n is compared with an integer only when they differ by more than
-# 2^(_SLACK - _PREC) n log n; its log and product are each off by an ulp or so
-_SLACK = 8
-
-# each right side's docstring is the mpf expression whose bits it computes
-_E = mpf_e(_PREC, _RND)
-_GAMMA = from_str(EULER_GAMMA_20, _PREC, _RND)
-_TWO_E_GAMMA = mpf_mul_int(mpf_pow(_E, _GAMMA, _PREC, _RND), 2, _PREC, _RND)  # 2 * e^gamma
-_EXP_NEG_GAMMA = mpf_pow(_E, mpf_neg(_GAMMA, _PREC, _RND), _PREC, _RND)  # e^-gamma
-_DUSART_PI_CONST = from_str("1.2762", _PREC, _RND)
-_FIFTH = from_str("0.2", _PREC, _RND)
-
-
-class BoundReport(NamedTuple):
+class BoundReport:
     """One inequality instance: exact lhs vs guarded rhs at one point.
 
     passed is None when the point is below the inequality's validity
     threshold. margin = rhs - lhs on the unguarded right side.
+
+    An immutable value with the fields name, point, lhs, rhs, margin,
+    passed and note, compared, hashed and shown field by field. It keeps
+    the right side as the integer `num` when `exp` is None and as
+    num * 2^exp otherwise, and builds rhs and margin when they are read.
     """
 
-    name: str
-    point: int
-    lhs: int | Fraction
-    rhs: int | Fraction
-    margin: int | Fraction
-    passed: bool | None
-    note: str = ""
+    __slots__ = ("_name", "_point", "_lhs", "_num", "_exp", "_passed", "_note")
+
+    def __init__(
+        self,
+        name: str,
+        point: int,
+        lhs: int | Fraction,
+        num: int,
+        exp: int | None,
+        passed: bool | None,
+        note: str = "",
+    ) -> None:
+        self._name, self._point, self._lhs = name, point, lhs
+        self._num, self._exp, self._passed, self._note = num, exp, passed, note
+
+    name = property(operator.attrgetter("_name"))
+    point = property(operator.attrgetter("_point"))
+    lhs = property(operator.attrgetter("_lhs"))
+    passed = property(operator.attrgetter("_passed"))
+    note = property(operator.attrgetter("_note"))
+
+    @property
+    def rhs(self) -> int | Fraction:
+        from fractions import Fraction
+
+        num, exp = self._num, self._exp
+        if exp is None:
+            return num
+        return Fraction(num << exp) if exp >= 0 else Fraction(num, 1 << -exp)
+
+    @property
+    def margin(self) -> int | Fraction:
+        from fractions import Fraction
+
+        num, exp, lhs = self._num, self._exp, self._lhs
+        if exp is None:
+            return num - lhs
+        top, den = lhs.numerator, lhs.denominator
+        if exp >= 0:
+            return Fraction((num << exp) * den - top, den)
+        return Fraction(num * den - (top << -exp), den << -exp)
+
+    def _values(self) -> tuple:
+        return (self._name, self._point, self._lhs, self.rhs, self.margin, self._passed, self._note)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        name, point, lhs, rhs, margin, passed, note = self._values()
+        return (
+            f"BoundReport(name={name!r}, point={point!r}, lhs={lhs!r}, rhs={rhs!r}, "
+            f"margin={margin!r}, passed={passed!r}, note={note!r})"
+        )
+
+    def rendered(self) -> tuple[str, str, str, str, str]:
+        """name, point, lhs, rhs and margin as render_value prints them,
+        from the integers the row keeps."""
+        num, exp, lhs = self._num, self._exp, self._lhs
+        if exp is None:
+            rhs, margin = str(num), str(num - lhs)
+        else:
+            rhs = _render_dyadic(num, exp)
+            den = lhs.denominator
+            if den & (den - 1):
+                margin = render_value(self.margin)
+            else:  # lhs = top * 2^-k: margin = num * 2^exp - top * 2^-k
+                k = den.bit_length() - 1
+                low = min(exp, -k)
+                margin = _render_dyadic((num << (exp - low)) - (lhs.numerator << (-k - low)), low)
+        return self._name, str(self._point), render_value(lhs), rhs, margin
 
 
-# op -> (comparison, the right side's factor GUARD.denominator * (1 -+ GUARD),
-# tilting it against a pass)
+# op -> (comparison, the right side's factor 10^9 * (1 -+ GUARD), tilting it
+# against a pass)
 _GUARDED = {
-    "<=": (operator.le, GUARD.denominator - GUARD.numerator),
-    "<": (operator.lt, GUARD.denominator - GUARD.numerator),
-    ">": (operator.gt, GUARD.denominator + GUARD.numerator),
-    ">=": (operator.ge, GUARD.denominator + GUARD.numerator),
+    "<=": (operator.le, _GUARD_DEN - 1),
+    "<": (operator.lt, _GUARD_DEN - 1),
+    ">": (operator.gt, _GUARD_DEN + 1),
+    ">=": (operator.ge, _GUARD_DEN + 1),
 }
+
+
+def __getattr__(name: str) -> object:
+    if name == "GUARD":
+        from fractions import Fraction
+
+        return Fraction(1, _GUARD_DEN)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _guarded_verdict(num: int, den: int, man: int, exp: int, op: str) -> bool:
     """num/den op man * 2^exp * (1 -+ GUARD), in one integer comparison.
 
-    Both sides are multiplied by den * GUARD.denominator * 2^-exp (all
-    positive), so the verdict is the rational one, exactly.
+    Both sides are multiplied by den * 10^9 * 2^-exp (all positive), so
+    the verdict is the rational one, exactly.
     """
     compare, tilt = _GUARDED[op]
-    left = num * GUARD.denominator
+    left = num * _GUARD_DEN
     right = den * man * tilt
     if exp < 0:
         return compare(left << -exp, right)
     return compare(left, right << exp)
 
 
-def _dyadic(man: int, exp: int, lhs: int | Fraction) -> tuple[Fraction, Fraction]:
-    """rhs = man * 2^exp and rhs - lhs as exact Fractions, built from
-    their integer numerators and denominators."""
-    num, den = lhs.numerator, lhs.denominator
-    if exp >= 0:
-        man <<= exp
-        return Fraction(man), Fraction(man * den - num, den)
-    return Fraction(man, 1 << -exp), Fraction(man * den - (num << -exp), den << -exp)
-
-
-def _real_row(
+def _guarded_row(
     name: str, point: int, lhs: int | Fraction, rhs: tuple, op: str, note: str = ""
 ) -> BoundReport:
     """A row against the raw mpf right side rhs, decided by its guard."""
@@ -197,82 +246,40 @@ def _real_row(
     if sign or not man:
         raise AssertionError("right sides here are positive and finite by construction")
     passed = _guarded_verdict(lhs.numerator, lhs.denominator, man, exp, op)
-    return BoundReport(name, point, lhs, *_dyadic(man, exp, lhs), passed, note)
+    return BoundReport(name, point, lhs, man, exp, passed, note)
 
 
-def _exact_row(
-    name: str, point: int, lhs: int | Fraction, rhs: int | Fraction, op: str, note: str = ""
-) -> BoundReport:
-    compare, _ = _GUARDED[op]
-    return BoundReport(name, point, lhs, rhs, rhs - lhs, compare(lhs, rhs), note)
+def _half_row(name: str, point: int, lhs: int, twice_rhs: int) -> BoundReport:
+    """lhs < twice_rhs / 2, decided as 2 * lhs < twice_rhs."""
+    return BoundReport(name, point, lhs, twice_rhs, -1, 2 * lhs < twice_rhs)
 
 
 def _unmet_row(name: str, point: int, threshold_desc: str) -> BoundReport:
-    return BoundReport(
-        name, point, 0, 0, 0, None, f"precondition unmet: requires {threshold_desc}"
-    )
+    return BoundReport(name, point, 0, 0, None, None, f"precondition unmet: requires {threshold_desc}")
 
 
 # ---------------------------------------------------------------------------
 # computed thresholds
 
 
-def _log(x: int) -> tuple:
-    return mpf_log(from_int(x), _PREC, _RND)
-
-
-def _n_log_n(n: int) -> tuple:
-    """mpf(n) * log(n)"""
-    return mpf_mul(from_int(n), _log(n), _PREC, _RND)
-
-
-def _n_log_n_exceeds(n: int, target: int) -> bool:
-    """n log n > target, for n >= 1; ArithmeticError when the two are too
-    close to tell apart at _PREC bits (never equal unless n log n = 0)."""
-    _, man, exp, _ = _n_log_n(n)
-    man, scaled = (man, target << -exp) if exp < 0 else (man << exp, target)
-    gap = man - scaled
-    if abs(gap) << _PREC <= man << _SLACK:
-        raise ArithmeticError(f"{n} log {n} is too close to {target} to decide at {_PREC} bits")
-    return gap > 0
-
-
-def _floor_sqrt_g_log_g(g: int) -> int:
-    """floor(sqrt(g log g)) for g >= 2: x with x^2 < g log g < (x + 1)^2."""
-    x = math.isqrt(to_int(_n_log_n(g)))
-    if not _n_log_n_exceeds(g, x * x) or _n_log_n_exceeds(g, (x + 1) ** 2):
-        raise ArithmeticError(f"floor(sqrt({g} log {g})) is not {x}")
-    return x
-
-
-@lru_cache(maxsize=None)
-def _least_n_log_n(target: int) -> int:
-    """Least integer n with n log n >= target > 0, by doubling plus
-    bisection (n log n increases, and 1 log 1 = 0 misses any target)."""
-    lo, hi = 1, 2
-    while not _n_log_n_exceeds(hi, target):
-        lo, hi = hi, 2 * hi
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if _n_log_n_exceeds(mid, target):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def compute_K() -> int:
     """Least integer K with sqrt(K log K) >= 23."""
+    from .reals import _least_n_log_n
+
     return _least_n_log_n(23**2)
 
 
 def compute_L() -> int:
     """Least integer L with sqrt(L log L) >= 55."""
+    from .reals import _least_n_log_n
+
     return _least_n_log_n(55**2)
 
 
 def improved_lower_threshold() -> int:
     """Least integer g with g log g >= 599^2."""
+    from .reals import _least_n_log_n
+
     return _least_n_log_n(599**2)
 
 
@@ -332,20 +339,17 @@ def _dp_rows(
     for g, values in zip(range(first, g_to + 1), zip(*columns)):
         bound = rhs(g)
         for name, value in zip(dps, values):
-            yield _real_row(name, g, value, bound, op)
+            yield _guarded_row(name, g, value, bound, op)
 
 
 # ---------------------------------------------------------------------------
 # growth bounds (upper)
 
 
-def _thm31_rhs(g: int) -> tuple:
-    """3 * e^(3g)"""
-    return mpf_mul_int(mpf_pow_int(_E, 3 * g, _PREC, _RND), 3, _PREC, _RND)
-
-
 def check_thm31(g_from: int, g_to: int) -> Iterator[BoundReport]:
     """h(g) <= 3 e^{3g}, exact h from the DP."""
+    from .reals import _thm31_rhs
+
     dps = {"thm31": max_order_value_range}
     return _dp_rows(g_from, g_to, dps, "<=", _thm31_rhs)
 
@@ -355,13 +359,7 @@ def check_cor32(g_from: int, g_to: int) -> Iterator[BoundReport]:
     fs = count_orders_range(g_from, g_to)
     hs = max_order_value_range(g_from, g_to)
     for g, f, h in zip(range(g_from, g_to + 1), fs, hs):
-        yield _exact_row("cor32", g, f, h, "<=")
-
-
-def _remark_upper_rhs(g: int) -> tuple:
-    """2 * e^gamma * log(2g + 1) * e^(mpf(2g + 1) / e)"""
-    power = mpf_pow(_E, mpf_div(from_int(2 * g + 1), _E, _PREC, _RND), _PREC, _RND)
-    return mpf_mul(mpf_mul(_TWO_E_GAMMA, _log(2 * g + 1), _PREC, _RND), power, _PREC, _RND)
+        yield BoundReport("cor32", g, f, h, None, f <= h)
 
 
 REMARK_UPPER_START = 1486  # stated validity threshold of the refined bound
@@ -369,6 +367,8 @@ REMARK_UPPER_START = 1486  # stated validity threshold of the refined bound
 
 def check_remark_upper(g_from: int, g_to: int) -> Iterator[BoundReport]:
     """h(g) <= 2 e^gamma log(2g+1) e^{(2g+1)/e} for g >= 1486."""
+    from .reals import _remark_upper_rhs
+
     dps = {"remark-upper": max_order_value_range}
     level = REMARK_UPPER_START
     return _dp_rows(g_from, g_to, dps, "<=", _remark_upper_rhs, level, f"g >= {level}")
@@ -378,20 +378,10 @@ def check_remark_upper(g_from: int, g_to: int) -> Iterator[BoundReport]:
 # growth bounds (lower)
 
 
-def _quarter_sqrt_bound(g: int) -> tuple:
-    """e^(sqrt(mpf(g) / log(g)) / 4)"""
-    root = mpf_sqrt(mpf_div(from_int(g), _log(g), _PREC, _RND), _PREC, _RND)
-    return mpf_pow(_E, mpf_div(root, from_int(4), _PREC, _RND), _PREC, _RND)
-
-
-def _improved_bound(g: int) -> tuple:
-    """e^sqrt(mpf(g) / (4 * log(g)))"""
-    quotient = mpf_div(from_int(g), mpf_mul_int(_log(g), 4, _PREC, _RND), _PREC, _RND)
-    return mpf_pow(_E, mpf_sqrt(quotient, _PREC, _RND), _PREC, _RND)
-
-
 def check_thm36(g_from: int, g_to: int) -> Iterator[BoundReport]:
     """f(g) > e^{(1/4) sqrt(g/log g)} for g >= L."""
+    from .reals import _quarter_sqrt_bound
+
     level = compute_L()
     dps = {"thm36": count_orders_range}
     return _dp_rows(g_from, g_to, dps, ">", _quarter_sqrt_bound, level, f"g >= L = {level}")
@@ -399,6 +389,8 @@ def check_thm36(g_from: int, g_to: int) -> Iterator[BoundReport]:
 
 def check_cor37(g_from: int, g_to: int) -> Iterator[BoundReport]:
     """h(g) > e^{(1/4) sqrt(g/log g)} for g >= L."""
+    from .reals import _quarter_sqrt_bound
+
     level = compute_L()
     dps = {"cor37": max_order_value_range}
     return _dp_rows(g_from, g_to, dps, ">", _quarter_sqrt_bound, level, f"g >= L = {level}")
@@ -406,6 +398,8 @@ def check_cor37(g_from: int, g_to: int) -> Iterator[BoundReport]:
 
 def check_remark_lower(g_from: int, g_to: int) -> Iterator[BoundReport]:
     """f(g) and h(g) > e^{sqrt(g/(4 log g))} once g log g >= 599^2."""
+    from .reals import _improved_bound
+
     cutoff = improved_lower_threshold()
     dps = {"remark-lower-f": count_orders_range, "remark-lower-h": max_order_value_range}
     requires = f"g log g >= 599^2 (g >= {cutoff})"
@@ -423,24 +417,7 @@ def check_lemma33(x_from: int, x_to: int) -> Iterator[BoundReport]:
         if x < 23:
             yield _unmet_row("lemma33", x, "x >= 23")
             continue
-        yield _exact_row(
-            "lemma33", x, view.sum_upto(x), Fraction(x * view.pi(x), 2), "<"
-        )
-
-
-def _lemma34_rhs(g: int) -> tuple[tuple, tuple, tuple]:
-    """With glg = mpf(g) * log(g) and y = sqrt(glg): 3 * y / log(glg),
-    (y / log(y)) * (1 + mpf(3) / (2 * log(y))) and
-    (y / log(y)) * (1 + mpf("1.2762") / log(y))"""
-    glg = _n_log_n(g)
-    y = mpf_sqrt(glg, _PREC, _RND)
-    main = mpf_div(mpf_mul_int(y, 3, _PREC, _RND), mpf_log(glg, _PREC, _RND), _PREC, _RND)
-    log_y = mpf_log(y, _PREC, _RND)
-    ratio = mpf_div(y, log_y, _PREC, _RND)
-    half = mpf_div(from_int(3), mpf_mul_int(log_y, 2, _PREC, _RND), _PREC, _RND)
-    step_15 = mpf_mul(ratio, mpf_add(half, fone, _PREC, _RND), _PREC, _RND)
-    step_dusart = mpf_add(mpf_div(_DUSART_PI_CONST, log_y, _PREC, _RND), fone, _PREC, _RND)
-    return main, step_15, mpf_mul(ratio, step_dusart, _PREC, _RND)
+        yield _half_row("lemma33", x, view.sum_upto(x), x * view.pi(x))
 
 
 def check_lemma34(g_from: int, g_to: int) -> Iterator[BoundReport]:
@@ -450,6 +427,8 @@ def check_lemma34(g_from: int, g_to: int) -> Iterator[BoundReport]:
     c = 3/2 step quoted in the argument and the sharper c = 1.2762
     estimate it leans on are recorded as separate rows.
     """
+    from .reals import _floor_sqrt_g_log_g, _lemma34_rhs
+
     level = compute_K()
     view = _PrimeView(_floor_sqrt_g_log_g(max(g_to, 2)))
     for g in range(g_from, g_to + 1):
@@ -458,9 +437,9 @@ def check_lemma34(g_from: int, g_to: int) -> Iterator[BoundReport]:
             continue
         lhs = view.pi(_floor_sqrt_g_log_g(g))
         main_rhs, rhs_15, rhs_dusart = _lemma34_rhs(g)
-        yield _real_row("lemma34", g, lhs, main_rhs, "<")
-        yield _real_row("lemma34-step-1.5", g, lhs, rhs_15, "<")
-        yield _real_row("lemma34-step-1.2762", g, lhs, rhs_dusart, "<=")
+        yield _guarded_row("lemma34", g, lhs, main_rhs, "<")
+        yield _guarded_row("lemma34-step-1.5", g, lhs, rhs_15, "<")
+        yield _guarded_row("lemma34-step-1.2762", g, lhs, rhs_dusart, "<=")
 
 
 def check_lemma35(g_from: int, g_to: int) -> Iterator[BoundReport]:
@@ -469,6 +448,8 @@ def check_lemma35(g_from: int, g_to: int) -> Iterator[BoundReport]:
     Two rows per genus: the membership budget test itself (cost vs 2g)
     and the intermediate bound beta < (3/2) g on the odd-prime cost.
     """
+    from .reals import _floor_sqrt_g_log_g
+
     level = compute_K()
     for g in range(g_from, g_to + 1):
         if g < level:
@@ -477,15 +458,8 @@ def check_lemma35(g_from: int, g_to: int) -> Iterator[BoundReport]:
         decision = membership(primorial(_floor_sqrt_g_log_g(g)), g)
         report = decision.report
         beta = sum(t.cost for t in report.terms if t.prime != 2)
-        yield BoundReport(
-            "lemma35",
-            g,
-            report.total,
-            decision.budget,
-            decision.budget - report.total,
-            decision.member,
-        )
-        yield _exact_row("lemma35-beta", g, beta, Fraction(3 * g, 2), "<")
+        yield BoundReport("lemma35", g, report.total, decision.budget, None, decision.member)
+        yield _half_row("lemma35-beta", g, beta, 3 * g)
 
 
 # ---------------------------------------------------------------------------
@@ -503,36 +477,14 @@ def check_dusart_sum(n_from: int, n_to: int) -> Iterator[BoundReport]:
         if n < 9:
             yield _unmet_row("dusart-sum", n, "n >= 9")
             continue
-        yield _exact_row(
-            "dusart-sum", n, view.sum_first(n), Fraction(n * view.nth(n), 2), "<"
-        )
-
-
-def _rosser_rhs(x: int) -> tuple:
-    """mpf(x) / (log(x) + 2)"""
-    return mpf_div(from_int(x), mpf_add(_log(x), from_int(2), _PREC, _RND), _PREC, _RND)
-
-
-def _dusart_pi_rhs(x: int) -> tuple[tuple, tuple]:
-    """(x/log x)(1 + 1.2762/log x) and (x/log x)(1 + 1/log x)"""
-    log_x = _log(x)
-    main = mpf_rdiv_int(x, log_x, _PREC, _RND)
-    upper = mpf_add(mpf_div(_DUSART_PI_CONST, log_x, _PREC, _RND), fone, _PREC, _RND)
-    lower = mpf_add(mpf_rdiv_int(1, log_x, _PREC, _RND), fone, _PREC, _RND)
-    return mpf_mul(main, upper, _PREC, _RND), mpf_mul(main, lower, _PREC, _RND)
-
-
-def _dusart_product_rhs(x: int) -> tuple:
-    """(e^-gamma / log x)(1 - 0.2/log^2 x)"""
-    log_x = _log(x)
-    log_sq = mpf_pow_int(log_x, 2, _PREC, _RND)
-    tilt = mpf_sub(fone, mpf_div(_FIFTH, log_sq, _PREC, _RND), _PREC, _RND)
-    return mpf_mul(mpf_div(_EXP_NEG_GAMMA, log_x, _PREC, _RND), tilt, _PREC, _RND)
+        yield _half_row("dusart-sum", n, view.sum_first(n), n * view.nth(n))
 
 
 def check_dusart_pi(x_from: int, x_to: int) -> Iterator[BoundReport]:
     """pi(x) <= (x/log x)(1 + 1.2762/log x) for x >= 2,
     and pi(x) >= (x/log x)(1 + 1/log x) for x >= 599."""
+    from .reals import _dusart_pi_rhs
+
     view = _PrimeView(x_to)
     for x in range(x_from, x_to + 1):
         lhs = view.pi(x)
@@ -541,11 +493,11 @@ def check_dusart_pi(x_from: int, x_to: int) -> Iterator[BoundReport]:
             yield _unmet_row("dusart-pi-lower", x, "x >= 599")
             continue
         upper, lower = _dusart_pi_rhs(x)
-        yield _real_row("dusart-pi-upper", x, lhs, upper, "<=")
+        yield _guarded_row("dusart-pi-upper", x, lhs, upper, "<=")
         if x < 599:
             yield _unmet_row("dusart-pi-lower", x, "x >= 599")
         else:
-            yield _real_row("dusart-pi-lower", x, lhs, lower, ">=")
+            yield _guarded_row("dusart-pi-lower", x, lhs, lower, ">=")
 
 
 # bits of the bracket q / 2^B <= prod < (q + 1) / 2^B on the running product
@@ -569,6 +521,10 @@ def check_dusart_product(x_from: int, x_to: int) -> Iterator[BoundReport]:
     displayed lhs and margin are float approximations of the exact
     rational (noted on each row).
     """
+    from fractions import Fraction
+
+    from .reals import _dusart_product_rhs
+
     view = _PrimeView(x_to)
     num, den = 1, 1
     prod_float = 1.0
@@ -598,19 +554,19 @@ def check_dusart_product(x_from: int, x_to: int) -> Iterator[BoundReport]:
             passed = False
         else:
             passed = _product_exceeds(num, den, man, exp)
-        yield BoundReport(
-            "dusart-product", x, lhs_display, *_dyadic(man, exp, lhs_display), passed, note
-        )
+        yield BoundReport("dusart-product", x, lhs_display, man, exp, passed, note)
 
 
 def check_rosser(x_from: int, x_to: int) -> Iterator[BoundReport]:
     """pi(x) > x / (log x + 2) for x >= 55."""
+    from .reals import _rosser_rhs
+
     view = _PrimeView(x_to)
     for x in range(x_from, x_to + 1):
         if x < 55:
             yield _unmet_row("rosser", x, "x >= 55")
             continue
-        yield _real_row("rosser", x, view.pi(x), _rosser_rhs(x), ">")
+        yield _guarded_row("rosser", x, view.pi(x), _rosser_rhs(x), ">")
 
 
 # ---------------------------------------------------------------------------
@@ -678,11 +634,87 @@ def run_check(name: str, lo: int, hi: int) -> Iterator[BoundReport]:
 
 REPORT_FIELDS = ("name", "point", "lhs", "rhs", "margin", "pass", "note")
 
+# A long value is x rounded to 86 bits (25 digits, mpmath's dps_to_prec(25))
+# for a power-of-two denominator, and otherwise the quotient of its numerator
+# and denominator each rounded to 86 bits, as mpf(num) / mpf(den) at 25 dps
+# computes it; that is printed as mpmath's to_str(x, 20) prints it, which
+# reads 23 digits off x as a fixed-point number of 86 bits.
+_ROUND_BITS = 86
+_FIX_BITS = int(23 * math.log(10, 2)) + 10
+_LOG2_10 = math.log(10, 2)
+# to_str's fixed-point window: |binary exponent of the leading bit| <= 3500
+_FIXED_WINDOW = 3500
+# the exact branch: a denominator dividing 10^12, a magnitude below 10^40
+_EXACT_DIGITS = 12
+_EXACT_LIMIT = 10**40
 
-# a long value is printed at 20 significant digits from the quotient of
-# its numerator and denominator, each rounded to 25 digits (86 bits)
-# first, as mpf(num) / mpf(den) at 25 dps computes it
-_RENDER_PREC = dps_to_prec(25)
+
+def _round(n: int) -> tuple[int, int]:
+    """n > 0 rounded to _ROUND_BITS bits, to nearest with ties to even:
+    (man, shift) with value man * 2^shift."""
+    shift = n.bit_length() - _ROUND_BITS
+    if shift <= 0:
+        return n, 0
+    man, rest, half = n >> shift, n & ((1 << shift) - 1), 1 << (shift - 1)
+    if rest > half or (rest == half and man & 1):
+        man += 1
+    return man, shift
+
+
+def _significant(negative: bool, man: int, exp: int) -> str:
+    """to_str(mpf(-+man * 2^exp), 20) for 0 < man <= 2^_ROUND_BITS."""
+    top = exp + man.bit_length()
+    if abs(top) > _FIXED_WINDOW:
+        from .reals import _to_str_20
+
+        return _to_str_20(-man if negative else man, exp)
+    fixprec = max(_FIX_BITS - top, 0)
+    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    shift = exp + fixprec  # man * 2^shift is an integer: the shift is exact
+    fixed = man << shift if shift >= 0 else man >> -shift
+    digits = str(fixed * 10**fixdps >> fixprec)
+    point = len(digits) - fixdps - 1  # decimal exponent of the leading digit
+    if len(digits) > 20 and digits[20] in "56789":
+        digits = str(int(digits[:20]) + 1)
+        if len(digits) > 20:  # twenty 9s carried into a 21st digit
+            digits, point = digits[:20], point + 1
+    else:
+        digits = digits[:20]
+    split = 1
+    if -6 < point < 20:
+        if point < 0:
+            digits = "0" * -point + digits
+        else:
+            split = point + 1
+        point = 0
+    text = (digits[:split] + "." + digits[split:]).rstrip("0")
+    if text[-1] == ".":
+        text += "0"
+    sign = "-" if negative else ""
+    return f"{sign}{text}e{point:+d}" if point else sign + text
+
+
+def _exact_decimal(num: int, scale: int) -> str:
+    """num / 10^12 * scale, all of its digits: the denominator divides 10^12."""
+    digits = f"{abs(num) * scale:0{_EXACT_DIGITS + 1}d}"
+    whole, frac = digits[:-_EXACT_DIGITS], digits[-_EXACT_DIGITS:].rstrip("0")
+    sign = "-" if num < 0 else ""
+    return f"{sign}{whole}.{frac}"
+
+
+def _render_dyadic(num: int, exp: int) -> str:
+    """render_value(num * 2^exp), from the two integers."""
+    if not num:
+        return "0"
+    if exp < 0 and not num & 1:  # to lowest terms
+        zeros = min((num & -num).bit_length() - 1, -exp)
+        num, exp = num >> zeros, exp + zeros
+    if exp >= 0:
+        return str(num << exp)
+    if -exp <= _EXACT_DIGITS and abs(num) < _EXACT_LIMIT << -exp:
+        return _exact_decimal(num, 10**_EXACT_DIGITS >> -exp)
+    man, shift = _round(abs(num))
+    return _significant(num < 0, man, exp + shift)
 
 
 def render_value(value: int | Fraction) -> str:
@@ -691,32 +723,30 @@ def render_value(value: int | Fraction) -> str:
     if isinstance(value, int):
         return str(value)
     num, den = value.numerator, value.denominator
-    if den == 1:
-        return str(num)
-    if 10**12 % den == 0 and abs(num) < 10**40 * den:
-        digits = f"{abs(num) * (10**12 // den):013d}"
-        whole, frac = digits[:-12], digits[-12:].rstrip("0")
-        sign = "-" if num < 0 else ""
-        return f"{sign}{whole}.{frac}"
-    if den & (den - 1) == 0:
-        # den = 2^k: the division below gives these bits, but normalising
-        # 2^k and rounding twice costs about 3 us more per value
-        approx = from_man_exp(num, 1 - den.bit_length(), _RENDER_PREC, _RND)
-    else:
-        approx = mpf_div(
-            from_int(num, _RENDER_PREC, _RND), from_int(den, _RENDER_PREC, _RND), _RENDER_PREC, _RND
-        )
-    return to_str(approx, 20)
+    if not den & (den - 1):
+        return _render_dyadic(num, 1 - den.bit_length())
+    if 10**_EXACT_DIGITS % den == 0 and abs(num) < _EXACT_LIMIT * den:
+        return _exact_decimal(num, 10**_EXACT_DIGITS // den)
+    # the quotient of the rounded numerator and denominator, rounded to
+    # nearest: a sticky low bit marks an inexact one, so it is no tie
+    (top, top_shift), (bottom, bottom_shift) = _round(abs(num)), _round(den)
+    extra = _ROUND_BITS + 5 + bottom.bit_length() - top.bit_length()
+    quotient, rest = divmod(top << extra, bottom)
+    if rest:
+        quotient, extra = 2 * quotient + 1, extra + 1
+    man, shift = _round(quotient)
+    return _significant(num < 0, man, top_shift - bottom_shift - extra + shift)
 
 
 def report_to_dict(report: BoundReport) -> dict[str, object]:
     """JSON-ready mapping; numeric values as decimal strings."""
+    name, point, lhs, rhs, margin = report.rendered()
     return {
-        "name": report.name,
-        "point": str(report.point),
-        "lhs": render_value(report.lhs),
-        "rhs": render_value(report.rhs),
-        "margin": render_value(report.margin),
+        "name": name,
+        "point": point,
+        "lhs": lhs,
+        "rhs": rhs,
+        "margin": margin,
         "pass": report.passed,
         "note": report.note,
     }

@@ -23,15 +23,16 @@ Conventions shared by every subcommand:
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from . import __version__
 
 # Each handler imports the library modules it runs, and each writer json
-# or csv, so that a command loads only those: mpmath, for one, only under
-# `bounds`, and --version none of them.
+# or csv, so that a command loads only those: mpmath, for one, only under a
+# `bounds` check that evaluates a real, and --version none of them.
 if TYPE_CHECKING:
     from .criterion import MembershipDecision, NotRealizableError
     from .extremal import ExtremalRecord
@@ -97,49 +98,97 @@ def _emit_json(command: str, parameters: dict, result: object) -> None:
     sys.stdout.write(_envelope(command, parameters, result) + "\n")
 
 
+class _Batched:
+    """A write target that hands sys.stdout what it is given in batches:
+    with PYTHONUNBUFFERED set, or under -u, every sys.stdout.write is a
+    write(2) of its own. Whatever is left is written on leaving a `with`
+    block, an exception included."""
+
+    def __init__(self) -> None:
+        self.parts: list[str] = []
+
+    def write(self, text: str) -> None:
+        self.parts.append(text)
+        if len(self.parts) >= 128:  # 128 rows of a bound sweep: some 20 kB
+            self.flush()
+
+    def flush(self) -> None:
+        if self.parts:
+            sys.stdout.write("".join(self.parts))
+            self.parts.clear()
+
+    def __enter__(self) -> "_Batched":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.flush()
+
+
+# In a document written a piece at a time, the one list [_ITEMS] stands for
+# a list whose items are written one by one.
+_ITEMS = "\0"
+
+
+def _around_items(text: str) -> tuple[str, str, str]:
+    """Cut indent=2 JSON text around its list [_ITEMS]: the text before
+    the list's first item, the separator between items, and the text
+    after its last item."""
+    import json
+
+    before, _, after = text.partition(json.dumps(_ITEMS))
+    return before, ",\n" + before.rpartition("\n")[2], after
+
+
+def _write_json_items(text: str, items: Iterator[str], out) -> None:
+    """Write `text`, indent=2 JSON holding the list [_ITEMS], with that
+    list's items the JSON texts `items` (at least one, none empty), then a
+    newline: json.dumps(document, indent=2) + "\n" for the whole
+    document, byte for byte, in writes of 4096 items."""
+    before, separator, after = _around_items(text)
+    chunk = separator.join(itertools.islice(items, 4096))
+    out.write(before + chunk)
+    while chunk := separator.join(itertools.islice(items, 4096)):
+        out.write(separator + chunk)
+    out.write(after + "\n")
+
+
 class _JsonRows:
     """Writes what _emit_json(command, parameters, {key: rows, **totals})
-    writes, byte for byte, a row at a time, so that no row is kept.
-    Nothing is written before the first row; totals come at the end."""
+    writes, byte for byte, a row at a time to `out`, so that no row is
+    kept. Nothing is written before the first row; totals come at the end."""
 
-    def __init__(self, command: str, parameters: dict, key: str):
+    def __init__(self, command: str, parameters: dict, key: str, out: _Batched):
         import json
 
-        self.command, self.parameters, self.key = command, parameters, key
-        self.head, _ = self._around_rows({})
-        self.indent = "\n" + self.head.rpartition("\n")[2]  # before a row
+        self.command, self.parameters, self.key, self.out = command, parameters, key, out
+        self.head, self.separator, _ = _around_items(self._text({}))
+        self.indent = self.separator[1:]  # before a row's braces
         # a row's members one a line, as indent=2 writes them; without
         # indent json uses its C encoder, about 3 times faster per row
         self.encoder = json.JSONEncoder(separators=("," + self.indent + "  ", ": "))
         self.started = False
 
-    def _around_rows(self, totals: dict) -> tuple[str, str]:
-        """The envelope's text before and after the rows of its list."""
-        import json
-
-        mark = "\0"
-        text = _envelope(self.command, self.parameters, {self.key: [mark], **totals})
-        before, _, after = text.partition(json.dumps(mark))
-        return before, after
+    def _text(self, totals: dict) -> str:
+        return _envelope(self.command, self.parameters, {self.key: [_ITEMS], **totals})
 
     def add(self, row: dict) -> None:
         """Write one row: a non-empty dict of strings, booleans or None."""
-        sys.stdout.write("," + self.indent if self.started else self.head)
+        self.out.write(self.separator if self.started else self.head)
         self.started = True
         members = self.encoder.encode(row)[1:-1]
-        sys.stdout.write("{" + self.indent + "  " + members + self.indent + "}")
+        self.out.write("{" + self.indent + "  " + members + self.indent + "}")
 
     def close(self, totals: dict) -> None:
         if not self.started:
-            _emit_json(self.command, self.parameters, {self.key: [], **totals})
+            self.out.write(_envelope(self.command, self.parameters, {self.key: [], **totals}) + "\n")
             return
-        sys.stdout.write(self._around_rows(totals)[1] + "\n")
+        self.out.write(_around_items(self._text(totals))[2] + "\n")
 
 
-def _csv_writer():
+def _csv_writer(out=None):
     import csv
 
-    return csv.writer(sys.stdout, lineterminator="\n")
+    return csv.writer(out or sys.stdout, lineterminator="\n")
 
 
 def _factorization_pairs(fact: Factorization) -> list[list[str]]:
@@ -353,7 +402,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
     if args.format == "csv":
         raise UsageError("witness output is not tabular; use text or json")
     _refuse_over_cap("witness", "witness", args.genus, args.allow_large)
-    from .witness import NotRealizableError, build_witness, witness_to_dict, witness_to_json
+    from .witness import NotRealizableError, build_witness, witness_to_dict
 
     try:
         witness = build_witness(args.m, args.genus)
@@ -370,18 +419,25 @@ def cmd_witness(args: argparse.Namespace) -> int:
         else:
             _print_decision_text(decision)
         return EXIT_NEGATIVE
+    # the document's entries are written a few thousand at a time, so no
+    # text of the whole document is ever held
+    document = witness_to_dict(witness, entries=[_ITEMS])
+
+    def entries() -> Iterator[str]:
+        return (f'"{x}"' for x in witness.matrix.entries)
+
     if args.output:
+        import json
+
         try:
-            Path(args.output).write_text(witness_to_json(witness))
+            with open(args.output, "w") as file:
+                _write_json_items(json.dumps(document, indent=2), entries(), file)
         except OSError as exc:
             raise UsageError(f"cannot write {args.output}: {exc}") from None
     if args.format == "json":
-        result = {
-            "built": True,
-            "witness": witness_to_dict(witness),
-            "path": args.output or None,
-        }
-        _emit_json("witness", {"m": str(args.m), "genus": str(args.genus)}, result)
+        result = {"built": True, "witness": document, "path": args.output or None}
+        text = _envelope("witness", {"m": str(args.m), "genus": str(args.genus)}, result)
+        _write_json_items(text, entries(), sys.stdout)
     else:
         n = witness.matrix.rows
         print(f"order-{args.m} witness in Sp({n},Z):")
@@ -455,43 +511,49 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     _refuse_over_cap(name, CHECK_NAMES[name].points, hi, args.allow_large)
     reports = run_check(name, lo, hi)
     parameters = {"check": name, "range": f"{lo}..{hi}", "allow_large": bool(args.allow_large)}
-    json_rows = _JsonRows("bounds", parameters, "reports") if args.format == "json" else None
     failures = 0
     unmet = 0
     total = 0
-    writer = _csv_writer() if args.format == "csv" else None
-    for report in reports:
-        row = report_to_dict(report)
-        total += 1
-        failures += report.passed is False
-        unmet += report.passed is None
+    with _Batched() as out:
+        json_rows = _JsonRows("bounds", parameters, "reports", out) if args.format == "json" else None
+        writer = _csv_writer(out) if args.format == "csv" else None
+        for report in reports:
+            total += 1
+            passed = report.passed
+            failures += passed is False
+            unmet += passed is None
+            if args.format == "json":
+                json_rows.add(report_to_dict(report))
+            elif args.format == "csv":
+                # the header comes with the first row: a sweep that raises
+                # before it writes nothing
+                if total == 1:
+                    writer.writerow(REPORT_FIELDS)
+                writer.writerow((*report.rendered(), _CSV_STATUS[passed], report.note))
+            else:
+                check, point, lhs, rhs, margin = report.rendered()
+                note = f"  ({report.note})" if report.note else ""
+                out.write(
+                    f"{check}  point={point}  lhs={lhs}  rhs={rhs}  margin={margin}  "
+                    f"{_TEXT_STATUS[passed]}{note}\n"
+                )
         if args.format == "json":
-            json_rows.add(row)
-        elif args.format == "csv":
-            # the header comes with the first row: a sweep that raises
-            # before it writes nothing
-            if total == 1:
-                writer.writerow(REPORT_FIELDS)
-            status = "" if report.passed is None else str(report.passed).lower()
-            writer.writerow(
-                [row["name"], row["point"], row["lhs"], row["rhs"], row["margin"], status, row["note"]]
+            json_rows.close(
+                {"total": str(total), "failures": str(failures), "precondition_unmet": str(unmet)}
             )
-        else:
-            status = "unmet" if report.passed is None else ("pass" if report.passed else "FAIL")
-            note = f"  ({row['note']})" if row["note"] else ""
-            print(
-                f"{row['name']}  point={row['point']}  lhs={row['lhs']}  "
-                f"rhs={row['rhs']}  margin={row['margin']}  {status}{note}"
+        elif args.format == "csv" and not total:
+            writer.writerow(REPORT_FIELDS)
+        elif args.format == "text":
+            out.write(
+                f"{total} rows: {total - failures - unmet} pass, {failures} fail, "
+                f"{unmet} precondition-unmet\n"
             )
-    if args.format == "json":
-        json_rows.close(
-            {"total": str(total), "failures": str(failures), "precondition_unmet": str(unmet)}
-        )
-    elif args.format == "csv" and not total:
-        writer.writerow(REPORT_FIELDS)
-    elif args.format == "text":
-        print(f"{total} rows: {total - failures - unmet} pass, {failures} fail, {unmet} precondition-unmet")
     return EXIT_NEGATIVE if failures else EXIT_OK
+
+
+# a row's pass cell, by its verdict
+_CSV_STATUS = {True: "true", False: "false", None: ""}
+_TEXT_STATUS = {True: "pass", False: "FAIL", None: "unmet"}
 
 
 # ---------------------------------------------------------------------------

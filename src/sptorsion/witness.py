@@ -411,9 +411,10 @@ def certificate_to_dict(cert: WitnessCertificate) -> dict:
     }
 
 
-def witness_to_dict(witness: SymplecticWitness) -> dict:
+def witness_to_dict(witness: SymplecticWitness, entries: list | None = None) -> dict:
     """The witness document as a JSON-ready mapping; integers as decimal
-    strings."""
+    strings. `entries`, when given, stands in for the list of the
+    matrix's entries, for a writer that writes them one by one."""
     matrix = witness.matrix
     return {
         "format": "symplectic-witness",
@@ -421,7 +422,7 @@ def witness_to_dict(witness: SymplecticWitness) -> dict:
         "size": str(matrix.rows),
         "genus": str(matrix.rows // 2),
         "claimed_order": str(witness.claimed_order),
-        "entries": [str(x) for x in matrix.entries],
+        "entries": [str(x) for x in matrix.entries] if entries is None else entries,
         "certificate": certificate_to_dict(witness.certificate),
     }
 

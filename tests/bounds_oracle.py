@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from typing import NamedTuple
 
 from mpmath import mp, mpf
 
@@ -44,6 +45,47 @@ def guarded_pass(lhs: int | Fraction, rhs: Fraction, op: str) -> bool:
         raise AssertionError("right sides here are positive by construction")
     compare, guard = COMPARISONS[op]
     return compare(lhs, rhs * guard)
+
+
+class EagerReport(NamedTuple):
+    """A row with every field built: the record the sweeps yielded before
+    rows kept their integers."""
+
+    name: str
+    point: int
+    lhs: int | Fraction
+    rhs: int | Fraction
+    margin: int | Fraction
+    passed: bool | None
+    note: str = ""
+
+
+def dyadic(man: int, exp: int, lhs: int | Fraction) -> tuple[Fraction, Fraction]:
+    """rhs = man * 2^exp and rhs - lhs as exact Fractions, built from
+    their integer numerators and denominators."""
+    num, den = lhs.numerator, lhs.denominator
+    if exp >= 0:
+        man <<= exp
+        return Fraction(man), Fraction(man * den - num, den)
+    return Fraction(man, 1 << -exp), Fraction(man * den - (num << -exp), den << -exp)
+
+
+def real_row(
+    name: str, point: int, lhs: int | Fraction, rhs: tuple, op: str, note: str = ""
+) -> EagerReport:
+    """A row against the raw mpf right side rhs, decided on Fractions."""
+    sign, man, exp, _ = rhs
+    if sign or not man:
+        raise AssertionError("right sides here are positive and finite by construction")
+    rhs_value, margin = dyadic(man, exp, lhs)
+    return EagerReport(name, point, lhs, rhs_value, margin, guarded_pass(lhs, rhs_value, op), note)
+
+
+def exact_row(
+    name: str, point: int, lhs: int | Fraction, rhs: int | Fraction, op: str, note: str = ""
+) -> EagerReport:
+    compare, _ = COMPARISONS[op]
+    return EagerReport(name, point, lhs, rhs, rhs - lhs, compare(lhs, rhs), note)
 
 
 def render_value(value: int | Fraction) -> str:

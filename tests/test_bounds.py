@@ -2,9 +2,12 @@
 from __future__ import annotations
 
 import ast
+import copy
 import hashlib
 import json
 import math
+import operator
+import pickle
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -16,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from sptorsion import bounds, cli, extremal
+from sptorsion import bounds, cli, extremal, reals
 from sptorsion.bounds import (
     EULER_GAMMA_20,
     CHECK_NAMES,
@@ -64,7 +67,7 @@ def assert_floor_sqrt_g_log_g_matches_sympy(g):
     x = math.isqrt(int(value))
     # the 60-digit value is far enough from both squares to fix the floor
     assert min(value - x * x, (x + 1) ** 2 - value) > value / 10**40
-    assert bounds._floor_sqrt_g_log_g(g) == x
+    assert reals._floor_sqrt_g_log_g(g) == x
 
 
 def test_floor_sqrt_g_log_g_matches_sympy_to_5000():
@@ -86,10 +89,10 @@ def undecided(monkeypatch):
     """Every guarded n log n comparison undecided: the slack exceeds the
     working precision. K, L and the cutoff are searched afresh, and the
     cache is left empty for later tests."""
-    bounds._least_n_log_n.cache_clear()
-    monkeypatch.setattr(bounds, "_SLACK", 2 * bounds._PREC)
+    reals._least_n_log_n.cache_clear()
+    monkeypatch.setattr(reals, "_SLACK", 2 * reals._PREC)
     yield
-    bounds._least_n_log_n.cache_clear()
+    reals._least_n_log_n.cache_clear()
 
 
 @pytest.mark.parametrize(
@@ -386,6 +389,72 @@ def test_report_is_plain_data():
     assert row.margin == row.rhs - row.lhs
 
 
+def test_report_is_an_immutable_value():
+    row = collect("rosser", 55, 55)[0]
+    rhs = oracle.mpf_to_fraction(oracle.rosser_rhs(55))
+    fields = ("rosser", 55, 16, rhs, rhs - 16, True, "")
+    for name in ("name", "point", "lhs", "rhs", "margin", "passed", "note"):
+        with pytest.raises(AttributeError):
+            setattr(row, name, getattr(row, name))
+        with pytest.raises(AttributeError):
+            delattr(row, name)
+    # as the NamedTuple it replaces: field-wise ==, the hash and repr of its fields
+    assert repr(row) == repr(oracle.EagerReport(*fields)).replace("EagerReport", "BoundReport")
+    assert hash(row) == hash(fields) == hash(oracle.EagerReport(*fields))
+    same = collect("rosser", 55, 55)[0]
+    assert row == same and not row != same and hash(row) == hash(same)
+    assert copy.copy(row) == row == pickle.loads(pickle.dumps(row))
+    assert dict.fromkeys([row, same, collect("rosser", 56, 56)[0]]) == {
+        row: None, collect("rosser", 56, 56)[0]: None
+    }
+    # equal fields from different integers: 103.5 as a half and as 207 * 2^-1
+    half = collect("lemma33", 23, 23)[0]
+    assert half == BoundReport("lemma33", 23, 100, 207 << 5, -6, True)
+    for other in (collect("rosser", 56, 56)[0], fields, half):
+        assert row != other and not row == other
+    # an int right side is not a Fraction one, though the two are equal
+    assert BoundReport("t", 1, 0, 2, None, True) == BoundReport("t", 1, 0, 2, 0, True)
+    assert type(BoundReport("t", 1, 0, 2, None, True).rhs) is int
+
+
+# how each row with a real right side is decided, by row name
+REAL_ROW_OPS = {
+    "thm31": "<=", "remark-upper": "<=", "thm36": ">", "cor37": ">",
+    "remark-lower-f": ">", "remark-lower-h": ">",
+    "lemma34": "<", "lemma34-step-1.5": "<", "lemma34-step-1.2762": "<=",
+    "dusart-pi-upper": "<=", "dusart-pi-lower": ">=", "rosser": ">",
+}
+
+
+def eager_row(row):
+    """What the eager builders made of the integers `row` keeps."""
+    name, point, lhs, num, exp = row.name, row.point, row.lhs, row._num, row._exp
+    if row.passed is None:
+        return oracle.EagerReport(name, point, 0, 0, 0, None, row.note)
+    if name in REAL_ROW_OPS:
+        return oracle.real_row(name, point, lhs, (0, num, exp, num.bit_length()), REAL_ROW_OPS[name])
+    if name == "dusart-product":  # decided on its bracket, tested below
+        return oracle.EagerReport(name, point, lhs, *oracle.dyadic(num, exp, lhs), row.passed, row.note)
+    if exp is None:  # cor32, lemma35
+        return oracle.exact_row(name, point, lhs, num, "<=")
+    return oracle.exact_row(name, point, lhs, Fraction(num, 2), "<")  # the halves
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_NAMES))
+def test_lazy_fields_equal_the_eager_builders(name, monkeypatch):
+    # every row of the check's default range (remark-lower has none, and
+    # runs its DPs above a lowered cutoff); the printing of rows is pinned
+    # by the frozen CLI digests and the hypothesis tests above
+    if name == "remark-lower":
+        monkeypatch.setattr(bounds, "improved_lower_threshold", lambda: 20)
+    lo, hi = default_range(name) or (17, 23)
+    verdicts = set()
+    for row in run_check(name, lo, hi):
+        assert_same_row(row, eager_row(row), rendered=False)
+        verdicts.add(row.passed)
+    assert True in verdicts
+
+
 def test_lemma_genus_cap_admits_its_top(capsys):
     # the CLI admits both lemmas at its genus cap, and every row passes
     cap = cli.CAPS["genus"]
@@ -436,28 +505,42 @@ def test_guarded_verdict_on_the_guarded_boundary(man, exp, op, nudge):
         assert verdict == (op in ("<=", ">="))
 
 
+def assert_same_row(row, eager, rendered=True):
+    """`row` has the eager row's fields, each of its type, and prints
+    them as render_value prints that row's values."""
+    fields = (row.name, row.point, row.lhs, row.rhs, row.margin, row.passed, row.note)
+    assert fields == tuple(eager)
+    assert [type(value) for value in fields] == [type(value) for value in eager]
+    assert not rendered or row.rendered() == (
+        eager.name, str(eager.point), *map(render_value, (eager.lhs, eager.rhs, eager.margin))
+    )
+
+
 @settings(max_examples=300, deadline=None)
 @given(dyadic_lhs, mantissas, exponents, st.sampled_from(OPS))
 def test_real_row_matches_fractions(lhs, man, exp, op):
-    row = bounds._real_row("t", 7, lhs, (0, man, exp, man.bit_length()), op)
-    rhs = rhs_fraction(man, exp)
-    assert (row.rhs, row.margin, row.passed) == (rhs, rhs - lhs, oracle.guarded_pass(lhs, rhs, op))
-    assert isinstance(row.rhs, Fraction) and isinstance(row.margin, Fraction)
+    rhs = (0, man, exp, man.bit_length())
+    assert_same_row(bounds._guarded_row("t", 7, lhs, rhs, op), oracle.real_row("t", 7, lhs, rhs, op))
 
 
 @pytest.mark.parametrize("rhs", [(0, 0, 0, 0), (1, 3, -2, 2), (0, 0, 456, -2)])
 def test_real_row_refuses_nonpositive_or_nonfinite_rhs(rhs):
-    with pytest.raises(AssertionError):
-        bounds._real_row("t", 1, 1, rhs, "<")
+    for builder in (bounds._guarded_row, oracle.real_row):
+        with pytest.raises(AssertionError):
+            builder("t", 1, 1, rhs, "<")
 
 
 @settings(max_examples=200, deadline=None)
-@given(dyadic_lhs, dyadic_lhs, st.sampled_from(OPS))
-def test_exact_row_matches_fractions(lhs, rhs, op):
-    row = bounds._exact_row("t", 1, lhs, rhs, op)
-    compare, _ = oracle.COMPARISONS[op]
-    assert row.passed == compare(lhs, rhs)
-    assert row.margin == rhs - lhs and type(row.margin) is type(rhs - lhs)
+@given(st.integers(-(2**200), 2**200), st.integers(-(2**200), 2**200))
+@example(100, 207)
+@example(3, 6)
+@example(0, 0)
+def test_exact_row_matches_fractions(lhs, twice_rhs):
+    # the halves are decided on integers, the int rows (cor32, lemma35) too
+    eager = oracle.exact_row("t", 1, lhs, Fraction(twice_rhs, 2), "<")
+    assert_same_row(bounds._half_row("t", 1, lhs, twice_rhs), eager)
+    eager = oracle.exact_row("t", 1, lhs, twice_rhs, "<=")
+    assert_same_row(BoundReport("t", 1, lhs, twice_rhs, None, lhs <= twice_rhs), eager)
 
 
 magnitudes = st.integers(0, 10**60)
@@ -489,8 +572,68 @@ render_values = st.one_of(
 )
 
 
+def near_binary_exponent(top, k, low):
+    """A dyadic value of 2^k-th parts whose leading bit is 2^(top - 1)."""
+    return Fraction((1 << (top + k - 1)) | low, 2**k)
+
+
+far_values = st.one_of(
+    # leading bit on either side of 2^3500 and of 2^-3500, where to_str
+    # leaves its fixed-point window
+    st.builds(
+        near_binary_exponent, st.integers(3490, 3510), st.integers(13, 100), st.integers(0, 2**200)
+    ),
+    st.builds(
+        lambda top, low: near_binary_exponent(top, 200 - top, low),
+        st.integers(-3510, -3490), st.integers(0, 2**199),
+    ),
+    # the same with an odd denominator
+    st.builds(
+        lambda bits, n, den: Fraction((1 << bits) + n, den),
+        st.integers(3490, 3515), st.integers(0, 2**100), st.sampled_from((3, 7, 2**64 + 1)),
+    ),
+    st.builds(
+        lambda bits, n: Fraction(n, (1 << bits) + 1),
+        st.integers(3490, 3515), st.integers(1, 2**100),
+    ),
+)
+
+
+def below_power_of_ten(p, d, k):
+    """10^p * (1 - d / 10^22) at 2^-k: twenty 9s, then a digit >= 5."""
+    scaled = (10**22 - d) << k
+    return Fraction(scaled * 10**p // 10**22 if p >= 0 else scaled // 10 ** (22 - p), 2**k)
+
+
+def about_power_of_ten(p, m, d):
+    """m / 10^20 * 10^p / d, for 10^20 <= m < 10^21."""
+    return Fraction(m * 10 ** max(p, 0), d * 10 ** (20 + max(-p, 0)))
+
+
+switch_exponents = st.sampled_from((-8, -7, -6, -5, -4, 18, 19, 20, 21))
+edge_values = st.one_of(
+    # a carry through twenty 9s, to 1 followed by zeros one decade up
+    st.builds(below_power_of_ten, st.integers(-10, 25), st.integers(1, 49), st.integers(150, 220)),
+    st.builds(
+        lambda p, d: Fraction(10 ** (22 + max(p, 0)) - d, 3 * 10 ** (22 + max(-p, 0))) * 3,
+        st.integers(-10, 25), st.integers(1, 49),
+    ),
+    # the fixed/scientific switch: leading digit at 10^-6/10^-5 and 10^19/10^20
+    st.builds(about_power_of_ten, switch_exponents, st.integers(10**20, 10**21 - 1), st.sampled_from((1, 3, 7))),
+    st.builds(
+        lambda p, m, k: Fraction(m * 2**k * 10 ** max(p, 0) // 10 ** (20 + max(-p, 0)), 2**k),
+        switch_exponents, st.integers(10**20, 10**21 - 1), st.integers(150, 220),
+    ),
+)
+# negative margins: rhs - lhs for a dyadic right side below an integer left side
+negative_margins = st.builds(
+    lambda man, k, lhs: Fraction(man, 2**k) - lhs,
+    st.integers(1, 2**169), st.integers(13, 200), st.integers(1, 10**60),
+)
+
+
 @settings(max_examples=1000, deadline=None)
-@given(render_values)
+@given(st.one_of(render_values, far_values, edge_values, negative_margins, st.builds(operator.neg, edge_values)))
 @example(Fraction(0))
 @example(0)
 @example(Fraction(-1, 2**13))
@@ -498,16 +641,46 @@ render_values = st.one_of(
 @example(Fraction(10**40 * 2**12, 2**12))
 # one rounding of the exact quotient would print ...331 here
 @example(Fraction(8182504567245826523094999999999999999999789611, 13))
+# leading bit 2^3499, 2^3500 and 2^-3501, 2^-3500: inside the window and beyond it
+@example(near_binary_exponent(3500, 13, 1))
+@example(near_binary_exponent(3501, 13, 1))
+@example(near_binary_exponent(-3500, 3700, 1))
+@example(near_binary_exponent(-3499, 3700, 1))
+@example(Fraction(1, 3 * 2**3498))
+@example(Fraction(2**3510, 3))
+# 99999999999999999999.97 and 0.0000099999999999999999999997 carry to 1.0e+20 and 0.00001
+@example(Fraction(3 * 10**21 - 1, 30))
+@example(Fraction(3 * 10**26 - 1, 3 * 10**31))
+@example(-Fraction(3 * 10**21 - 1, 30))
+# leading digit at 10^-6 (scientific) and 10^-5 (fixed); at 10^19 (fixed) and 10^20
+@example(Fraction(1, 3 * 10**5))
+@example(Fraction(1, 3 * 10**4))
+@example(Fraction(10**20, 3))
+@example(Fraction(10**21, 3))
+@example(Fraction(2**170 - 1, 2**160) - 10**6)
 def test_render_value_matches_rational_rendering(value):
     assert render_value(value) == oracle.render_value(value)
 
 
+@pytest.mark.parametrize("top", [3499, 3500, 3501, 3600, -3498, -3499, -3500, -3600])
+def test_render_value_leaves_the_fixed_window_only_beyond_3500(top, monkeypatch):
+    # to_str, which divides by a power of ten it rounds, prints only values
+    # whose 86-bit rounding has its leading bit beyond 2^3500 or 2^-3500
+    calls = []
+    to_str_20 = reals._to_str_20
+    monkeypatch.setattr(reals, "_to_str_20", lambda *args: calls.append(args) or to_str_20(*args))
+    k = 13 if top > 0 else 200 - top
+    for value in (near_binary_exponent(top, k, 1), -near_binary_exponent(top, k, 12345)):
+        assert render_value(value) == oracle.render_value(value)
+    assert len(calls) == (2 if abs(top) > 3500 else 0)
+
+
 def assert_right_sides_keep_their_bits(x):
-    assert bounds._rosser_rhs(x) == oracle.rosser_rhs(x)._mpf_
+    assert reals._rosser_rhs(x) == oracle.rosser_rhs(x)._mpf_
     upper, lower = oracle.dusart_pi_rhs(x)
-    assert bounds._dusart_pi_rhs(x) == (upper._mpf_, lower._mpf_)
+    assert reals._dusart_pi_rhs(x) == (upper._mpf_, lower._mpf_)
     if x >= 2973:
-        assert bounds._dusart_product_rhs(x) == oracle.dusart_product_rhs(x)._mpf_
+        assert reals._dusart_product_rhs(x) == oracle.dusart_product_rhs(x)._mpf_
 
 
 @settings(max_examples=150, deadline=None)
@@ -528,12 +701,12 @@ def test_x_sweep_right_sides_keep_their_bits_at_thresholds():
 @example(1486)
 @example(34354)
 def test_genus_right_sides_keep_their_bits(g):
-    assert bounds._thm31_rhs(g) == oracle.thm31_rhs(g)._mpf_
-    assert bounds._remark_upper_rhs(g) == oracle.remark_upper_rhs(g)._mpf_
-    assert bounds._quarter_sqrt_bound(g) == oracle.quarter_sqrt_bound(g)._mpf_
-    assert bounds._improved_bound(g) == oracle.improved_bound(g)._mpf_
-    assert bounds._lemma34_rhs(g) == tuple(rhs._mpf_ for rhs in oracle.lemma34_rhs(g))
-    assert bounds._EXP_NEG_GAMMA == oracle.exp_neg_gamma()._mpf_
+    assert reals._thm31_rhs(g) == oracle.thm31_rhs(g)._mpf_
+    assert reals._remark_upper_rhs(g) == oracle.remark_upper_rhs(g)._mpf_
+    assert reals._quarter_sqrt_bound(g) == oracle.quarter_sqrt_bound(g)._mpf_
+    assert reals._improved_bound(g) == oracle.improved_bound(g)._mpf_
+    assert reals._lemma34_rhs(g) == tuple(rhs._mpf_ for rhs in oracle.lemma34_rhs(g))
+    assert reals._EXP_NEG_GAMMA == oracle.exp_neg_gamma()._mpf_
 
 
 def real_path_breaches(source: str) -> list[str]:
@@ -561,9 +734,25 @@ def real_path_breaches(source: str) -> list[str]:
     return breaches
 
 
+def imported_modules(source: str) -> set[str]:
+    """The absolute imports of a module, wherever they sit in it."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules.add(node.module)
+    return modules
+
+
 def test_src_evaluates_reals_on_the_raw_mpf_path_only():
-    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "sptorsion").glob("*.py")):
+    paths = sorted((Path(__file__).resolve().parents[1] / "src" / "sptorsion").glob("*.py"))
+    assert "reals.py" in [path.name for path in paths]
+    for path in paths:
         assert real_path_breaches(path.read_text()) == [], path.name
+        # mpmath is loaded by the raw-mpf layer alone, even inside a function
+        uses_mpmath = any(m.split(".")[0] == "mpmath" for m in imported_modules(path.read_text()))
+        assert uses_mpmath == (path.name == "reals.py"), path.name
     # the scan itself sees each kind of breach
     assert len(real_path_breaches("from mpmath import mp, mpf\nimport mpmath\n")) == 3
     assert len(real_path_breaches("with ctx.workdps(50):\n    y = mp.floor(x)\n")) == 2
@@ -610,6 +799,36 @@ def test_x_sweep_rows_do_no_fraction_arithmetic(monkeypatch):
     for name, lo, hi in (("rosser", 50, 700), ("dusart-pi", 1, 700), ("dusart-product", 2970, 3600)):
         for report in run_check(name, lo, hi):
             report_to_dict(report)
+
+
+@pytest.mark.parametrize(
+    "name, lo, hi",
+    [
+        ("rosser", 50, 700), ("dusart-pi", 1, 700), ("lemma33", 1, 700), ("dusart-sum", 1, 700),
+        ("thm31", 1, 40), ("cor32", 1, 40), ("lemma34", 110, 130), ("lemma35", 110, 130),
+        ("dusart-product", 2970, 3600),
+    ],
+)
+def test_sweeps_build_no_fraction_unless_read(name, lo, hi, monkeypatch):
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    rows = list(run_check(name, lo, hi))
+    for report in rows:
+        report_to_dict(report)
+        report.rendered()
+    # the product check's displayed left side: at its first row, and again
+    # each time a prime enters
+    entering = len(bounds._PrimeView(hi).primes) - len(bounds._PrimeView(2973).primes)
+    assert len(built) == (1 + entering if name == "dusart-product" else 0)
+    built.clear()
+    fields = [(r.rhs, r.margin) for r in rows]
+    assert len(built) == 2 * sum(type(rhs) is Fraction for rhs, _ in fields)
 
 
 def product_rows(lo, hi):
@@ -659,7 +878,7 @@ def test_product_straddle_falls_back_to_the_exact_verdict(monkeypatch, fallbacks
     scaled = Fraction(num, den) / (1 + bounds.GUARD) * 2**600
     for extra, expected in ((0, True), (1, False)):
         man = math.floor(scaled) + extra
-        monkeypatch.setattr(bounds, "_dusart_product_rhs", lambda x: (0, man, -600, 0))
+        monkeypatch.setattr(reals, "_dusart_product_rhs", lambda x: (0, man, -600, 0))
         fallbacks.clear()
         (row,) = run_check("dusart-product", 2973, 2973)
         assert len(fallbacks) == 1

@@ -456,6 +456,45 @@ def test_bounds_json_keeps_no_rows(monkeypatch):
     assert peak("json") < 2 * peak("csv")
 
 
+def test_witness_json_streams_the_buffered_document(tmp_path, capsys):
+    from sptorsion import cli
+    from sptorsion.witness import build_witness, witness_to_dict, witness_to_json
+
+    path = tmp_path / "w.json"
+    # 42 x 42 entries (more than one batch of 4096), and a 4 x 4 matrix
+    for m, g in ((43, 21), (4, 2)):
+        assert cli.main(["witness", str(m), "-g", str(g), "-o", str(path), "--format", "json"]) == 0
+        out, _ = capsys.readouterr()
+        witness = build_witness(m, g)
+        assert path.read_text() == witness_to_json(witness)
+        envelope = {
+            "command": "witness",
+            "parameters": {"m": str(m), "genus": str(g)},
+            "result": {"built": True, "witness": witness_to_dict(witness), "path": str(path)},
+            "format": "json",
+        }
+        assert out == json.dumps(envelope, indent=2) + "\n"
+
+
+def test_witness_json_keeps_no_document_text(monkeypatch, tmp_path):
+    from sptorsion import cli
+
+    def peak(*options):
+        argv = ["witness", "2", "-g", "150", *options]
+        with open(os.devnull, "w") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                assert cli.main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    text = peak()
+    assert peak("--format", "json") < 1.2 * text
+    assert peak("-o", str(tmp_path / "w.json")) < 1.2 * text
+
+
 def test_bounds_allow_large_lifts_x_cap():
     # just past the cap: refused by default, run with --allow-large
     args = ("bounds", "--check", "rosser", "--range", "1000000..1000001")
@@ -549,16 +588,64 @@ def test_member_outputs_frozen_g1_8(capsys):
         assert digest.hexdigest() == expected, g
 
 
+# SHA-256 of `bounds --check C --range R --format F` stdout, one window
+# per check, frozen while rows held eager Fractions and every long value
+# was printed by mpmath's to_str
+BOUNDS_DIGESTS = {
+    ("rosser", "22090..23089", "csv"): "9248df116c1e47a1e3ed08eed07b358ef01f91e86c74a9350c2aff7cd00262a5",
+    ("rosser", "22090..23089", "text"): "aa27781feb196f240fabe8b1d644b7c739b362a83540a89a490e1b827915df32",
+    ("rosser", "22090..23089", "json"): "b92ae6d8a4cb8bab55fcc11caf578b687fcf705b277cf1a5375e0502ddd460ca",
+    ("dusart-pi", "2..1200", "csv"): "7720e21bf4917196b3f6c9ceb60e6e0c7aa61f4c54aa5db6bf477cdbeeb2dff2",
+    ("dusart-pi", "2..1200", "text"): "3fb6d6fdce7dfe9acafe55af488faa2653aa4771836fdde569f661efd5f8cb07",
+    ("dusart-pi", "2..1200", "json"): "ab654a11014c90b8211574a99ec7f11c8b4ac8e5cf5f016537d447082445f59b",
+    ("dusart-product", "2900..4000", "csv"): "86f7baaa452ecc1f833eeaf48be239aebafa53f6e858263d671941eaed75abd0",
+    ("dusart-product", "2900..4000", "text"): "04929035e2f00eee72ecbdcca240b5645dd82816dc17f426944907fc201bd398",
+    ("dusart-product", "2900..4000", "json"): "199d5f4d7a3b297df048a7115f05057941187290e7b9ab1b1973cbe29413285f",
+    ("lemma33", "1..3000", "csv"): "f569a6bf94d4c234993bebb7d0186e96bafe9f8db9c8dd47729b9d94d66a5909",
+    ("lemma33", "1..3000", "text"): "ab94971a42713a4eece6f54ce6644415c8660a866c7ea19f8fc719c4cc3274de",
+    ("lemma33", "1..3000", "json"): "cbf4da0bcf8d51139f5293747dcf5da9dbf01e3dcc11355b7817ab2112f67768",
+    ("dusart-sum", "1..2000", "csv"): "87f516d2be823506de25c6e82eeeb89b9b529a319d54e18640c620cb7b9be4ec",
+    ("dusart-sum", "1..2000", "text"): "e903a4da0163df7854ee48c1bca3700b626686beed68e6e00eee19748062036b",
+    ("dusart-sum", "1..2000", "json"): "3c443d90afe3b56c1b5f86e6636a1621fd50a649ccce3099cf9703938cbce103",
+    ("lemma34", "110..130", "csv"): "0876e469070fa5f5c7a63305928ab66d32298ba87c43c67b4259a5923d7ed7c9",
+    ("lemma34", "110..130", "text"): "c91d4ecb4c78ce8d30e52a1d013e018efb1bcbfcedd3812bfad261cece337ef9",
+    ("lemma34", "110..130", "json"): "c40a09c8229e1575cd09ac17f0469f08c53fb48c8960bb3c321c066cf676eef5",
+    ("lemma35", "110..130", "csv"): "b8cf5ce43144a924fe81787c5a0fd04be0137d51591c2aedcd8de990ad95a507",
+    ("lemma35", "110..130", "text"): "a3def10bff7214da78deecc4192e8755e3615d630f184fdf04f44c0bf3728858",
+    ("lemma35", "110..130", "json"): "f0b8b8f2677bbce4a39f7384a22d2545d812cdb3fcbba76b24b9e652f69562ca",
+    ("cor32", "1..100", "csv"): "69768d2dcdc75d1a1a80965b2161144ff48c10623abfbfe072ee5dff627ff237",
+    ("cor32", "1..100", "text"): "6bab694c372988a0200bb8207e43b7d477b31d666a63b973577778b1292a016e",
+    ("cor32", "1..100", "json"): "0a98102b07fdbfe22fa7b5072a5d79a0214273ab6697e47361400951b322ba95",
+    ("thm31", "1..100", "csv"): "893f59414c168bfe05e3bf3fb23465201c9d657147668d3e96e93900b439d513",
+    ("thm31", "1..100", "text"): "cb9e7c16d75380427afd4d83f89bc56c0bef0e5660ec9f146a1d9c5eaefd1de5",
+    ("thm31", "1..100", "json"): "f9f4f98e1bc5ad8d70fed6b1ae67e7eb266e4af0403947c74675bdb405058d29",
+}
+
+
+@pytest.mark.parametrize("check, window, fmt", sorted(BOUNDS_DIGESTS))
+def test_bounds_outputs_frozen(check, window, fmt, capsys):
+    from sptorsion import cli
+
+    assert cli.main(["bounds", "--check", check, "--range", window, "--format", fmt]) == 0
+    out, _ = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == BOUNDS_DIGESTS[check, window, fmt]
+
+
 def test_version_flag():
     result = run_cli("--version")
     assert result.returncode == 0
 
 
-# the modules a command may not load, by command: mpmath, fractions and
-# bounds belong to `bounds` alone, matrices and witness to witness/verify,
-# and no command needs dataclasses or inspect (with ast, dis and tokenize
-# behind them, over 1 MB of every process that loads them)
-HEAVY = ["mpmath", "fractions", "sptorsion.bounds"]
+# the modules a command may not load, by command: bounds belongs to
+# `bounds` alone, mpmath to the bound checks that evaluate a real
+# (`bounds --check rosser` may load it; lemma33, dusart-sum and cor32, whose
+# rows are integers alone, may not), and fractions to the one sweep that
+# builds a Fraction on the CLI path, dusart-product's displayed left side;
+# matrices and witness belong to witness/verify, and no command needs
+# dataclasses or inspect (with ast, dis and tokenize behind them, over 1 MB
+# of every process that loads them)
+HEAVY = ["mpmath", "fractions", "sptorsion.bounds", "sptorsion.reals"]
+INTEGER_ROWS = ["mpmath", "sptorsion.reals", "fractions"]
 NEVER = ["dataclasses", "inspect"]
 WITNESS = ["sptorsion.witness", "sptorsion.matrices"]
 # json and csv are loaded by the writers that use them alone, so neither
@@ -571,7 +658,10 @@ FOOTPRINT_FORBIDDEN = {
     "member": HEAVY + NEVER + WITNESS + WRITERS,
     "orders": HEAVY + NEVER + WITNESS + WRITERS,
     "extremal": HEAVY + NEVER + WITNESS + WRITERS,
-    "bounds": NEVER + WITNESS + WRITERS,
+    "bounds": ["fractions"] + NEVER + WITNESS + WRITERS,
+    "bounds lemma33": INTEGER_ROWS + NEVER + WITNESS + WRITERS,
+    "bounds dusart-sum": INTEGER_ROWS + NEVER + WITNESS + WRITERS,
+    "bounds cor32": INTEGER_ROWS + NEVER + WITNESS + WRITERS,
 }
 
 
@@ -622,7 +712,10 @@ def test_command_import_footprint(command, tmp_path, bare_modules):
         "member": ["member", "12", "-g", "2"],
         "orders": ["orders", "-g", "3"],
         "extremal": ["extremal", "-g", "1..5"],
-        "bounds": ["bounds", "--check", "lemma33", "--range", "23..30"],
+        "bounds": ["bounds", "--check", "rosser", "--range", "55..60"],
+        "bounds lemma33": ["bounds", "--check", "lemma33", "--range", "20..30"],
+        "bounds dusart-sum": ["bounds", "--check", "dusart-sum", "--range", "5..30"],
+        "bounds cor32": ["bounds", "--check", "cor32", "--range", "1..5"],
     }[command]
     if command == "verify":
         assert run_cli("witness", "12", "-g", "3", "-o", str(document)).returncode == 0
@@ -630,3 +723,5 @@ def test_command_import_footprint(command, tmp_path, bare_modules):
     assert ("sptorsion.cli" if command == "--version" else "sptorsion.criterion") in loaded  # it ran
     forbidden = set(FOOTPRINT_FORBIDDEN[command]) - bare_modules
     assert [m for m in loaded if m in forbidden] == []
+    if command == "bounds":
+        assert "sptorsion.reals" in loaded  # the scan would see a real check's mpmath
