@@ -631,6 +631,73 @@ def test_bounds_outputs_frozen(check, window, fmt, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == BOUNDS_DIGESTS[check, window, fmt]
 
 
+# SHA-256 of stdout, stderr and exit code, in-process, for the commands no
+# other digest pins; `orders` runs g = 1..8 in turn. Each runs in a directory
+# holding w.json, the document of `witness 12 -g 3 -o w.json`, and forged.json,
+# that document with its first entry raised by one. Frozen while the CLI had
+# three ways to write JSON. 9 is over its budget at g = 2; 77 has the prime
+# 11 above 2g + 1 = 7.
+OUTPUT_DIGESTS = {
+    "member 77 -g 3 --format text": "146a35700a05d419214a3f73fe068bb482b194b7e30bb11333c9b70825fbe0e4",
+    "member 77 -g 3 --format csv": "b60332db233ae287017a96b4a2b6dd0fd5da3a7ed9f331afc69957a8f0b7c6b5",
+    "member 77 -g 3 --format json": "22c8f0db89bad8a3dbe5a9b2c17ac30c46801b550f88dfe0cf9b8c6ca758ed78",
+    "member 9 -g 2 --format csv": "d4de1e6b21e6535bcf5f80499987c40396923506f7679f54e4d8d81888a1d3b5",
+    "orders -g 1..8 --format text": "f72a7cfcdeb234015b8df4243ed8a16fff25a04a612319ccc1dc67fafa748871",
+    "orders -g 1..8 --format csv": "7bdd86a3a61653788f6b2cfeb0fc6e1c91782f761224e6701c3c1504c010bdc0",
+    "orders -g 1..8 --format json": "f43fe515f37e430326a4cd031ed57dbf83f363b42aa6f9d13811e3c037e2a699",
+    "extremal -g 1..60 --format text": "6f3f078de473e00205ed0039174b6f60e3ce2d797b6345ab87b898a96916a4de",
+    "extremal -g 1..60 --format csv": "64a1184ae5b06fd2f1b4f3decd612e4e4dccdb810ab9b29db872c4b22b519e26",
+    "extremal -g 1..60 --format json": "afe0c16bded273755425ce762fc1ed8e5e3bd5541f6072fd798a51434afd58cf",
+    "extremal -g 1..12 --count --format text": "ebfa32c6c56f0c31a112af279f7a9e962a2225cb29ed6b2b0a99be2bddefb969",
+    "extremal -g 1..12 --count --format csv": "a52c4023bd43676d9c49a2077414ec8d7c0ec92f78e37310c1181d774d2defe3",
+    "extremal -g 1..12 --count --format json": "5d5df9db0130fbc40f57c0e876abe877b255ebdc4259dc5aa5627aceae483bd3",
+    "extremal -g 1..12 --max --format text": "df10ded679d586e7b08c86a857fef4f17c78e6583f6e4924d7ef22c21dee9240",
+    "extremal -g 1..12 --max --format csv": "757d5bde247d5cbbb9e0f831d056d60bae0498f3461dabc1a3b48950801bb5ca",
+    "extremal -g 1..12 --max --format json": "d041e5bda591595a564e6e9ffd13d0b9ccefc8cce7e26b2c8f39520c02b7d328",
+    "extremal -g 1..12 --oracle --format text": "b7557441af33cc0e8c2122df5018a5b6ab2cdab384e50af479ac1f07aa875fbe",
+    "extremal -g 1..12 --oracle --format csv": "4ce7b49ba359014299802fcbc64c91006c2914d80cc60486e2ef1d8ed1261305",
+    "extremal -g 1..12 --oracle --format json": "281dc7b4dc370ac9892b4d3ee855e620e4324b98bdae53af2e6a8f4514fcc605",
+    "witness 12 -g 3 --format text": "09f3c7adfa1da2b130b127c1a8be21fd618504a527e04a99b37256aed249e115",
+    "witness 12 -g 3 --format json": "f3e61509d795b5acf6f174ee5f2214cf8a9ae710c8f0450cf5876eb7505af955",
+    "witness 9 -g 2 --format text": "17af70a1f02b29085d17005a45b984c1d5e41b5572ea8e057fe7f18a7f2e75c3",
+    "witness 9 -g 2 --format json": "561f1e8a3756900ab311ba1e4f8765f8c39a82641ca969995d18bf6396c8aef5",
+    "witness 77 -g 3 --format text": "146a35700a05d419214a3f73fe068bb482b194b7e30bb11333c9b70825fbe0e4",
+    "witness 77 -g 3 --format json": "02901a29a4bb0a2806a359072b2f7e169c5fb55d738119958efa365f2fa8bc06",
+    "witness 12 -g 3 -o out.json --format text": "31bc80aee919b6892471e6195e022c3b9ca46c2d530634c857d89b512a1a0a34",
+    "witness 12 -g 3 -o out.json --format json": "1cc4938a9e57a9cce99fac2c216a34c7f64dffeb2eea9bdc7b1edb3acdb8e802",
+    "verify w.json --format text": "cff5f5fa21ee8a9c520491d5da29aadf28ca81489155452ab6c334fe97bc7fde",
+    "verify w.json --format json": "ea4f6f8c21e2aa422b4e9ac529267be1231a7d8bc8b4be7671511cc0fa038a85",
+    "verify forged.json --format text": "bfdd0fbec2603219ca958773f5c9185ad10b6ce4528bc0a676821731ec6b34ec",
+    "verify forged.json --format json": "f07d71c8945755a5a6ce92ec1ee60e1024eb5288787cb958d78d133b652d0160",
+}
+
+
+def _frozen_argvs(command):
+    """The argv lists of one OUTPUT_DIGESTS key, run in turn."""
+    argv = command.split()
+    if argv[0] == "orders":
+        return [["orders", "-g", str(g), *argv[3:]] for g in range(1, 9)]
+    return [argv]
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_DIGESTS))
+def test_outputs_frozen(command, tmp_path, monkeypatch, capsys):
+    from sptorsion import cli
+
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["witness", "12", "-g", "3", "-o", "w.json"]) == 0
+    payload = json.loads(Path("w.json").read_text())
+    payload["entries"][0] = str(int(payload["entries"][0]) + 1)
+    Path("forged.json").write_text(json.dumps(payload))
+    capsys.readouterr()
+    digest = hashlib.sha256()
+    for argv in _frozen_argvs(command):
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        digest.update(f"{out}{err}exit {code}\n".encode())
+    assert digest.hexdigest() == OUTPUT_DIGESTS[command]
+
+
 def test_version_flag():
     result = run_cli("--version")
     assert result.returncode == 0
