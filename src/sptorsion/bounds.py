@@ -288,7 +288,7 @@ def improved_lower_threshold() -> int:
 
 
 class _PrimeView:
-    """Sieve-backed pi(x), sum of primes <= x, and n-th prime queries."""
+    """Sieve-backed pi(x), the n-th prime and the sum of the first n primes."""
 
     def __init__(self, limit: int):
         self.primes = sieve(max(limit, 2))
@@ -296,10 +296,6 @@ class _PrimeView:
 
     def pi(self, x: int | float) -> int:
         return bisect_right(self.primes, x)
-
-    def sum_upto(self, x: int | float) -> int:
-        n = self.pi(x)
-        return self._cum[n - 1] if n else 0
 
     def nth(self, n: int) -> int:
         return self.primes[n - 1]
@@ -417,7 +413,8 @@ def check_lemma33(x_from: int, x_to: int) -> Iterator[BoundReport]:
         if x < 23:
             yield _unmet_row("lemma33", x, "x >= 23")
             continue
-        yield _half_row("lemma33", x, view.sum_upto(x), x * view.pi(x))
+        n = view.pi(x)
+        yield _half_row("lemma33", x, view.sum_first(n), x * n)
 
 
 def check_lemma34(g_from: int, g_to: int) -> Iterator[BoundReport]:

@@ -14,8 +14,14 @@ Conventions shared by every subcommand:
   * --format text|json|csv. JSON payloads wrap results in an envelope
     {command, parameters, result, format}; every numeric value is a
     decimal string, so consumers never truncate big integers. CSV is
-    only offered where the payload is a table. Output is deterministic:
-    identical invocations produce byte-identical bytes.
+    only offered where the payload is a table (not by witness or verify).
+    Output is deterministic: identical invocations produce byte-identical
+    bytes.
+  * every command writes through one batched stdout, the _Batched that
+    main opens, and every JSON document through one writer, _write_json.
+    orders, extremal, bounds and witness stream their lists (orders,
+    table rows, bound rows, matrix entries), so none holds the text of a
+    whole JSON document.
   * ranges are written a..b (inclusive); a bare integer means a..a.
     A genus range is computed in one pass of each DP at its top genus.
 """
@@ -23,10 +29,11 @@ Conventions shared by every subcommand:
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TextIO
 
 from . import __version__
 
@@ -82,29 +89,18 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _envelope(command: str, parameters: dict, result: object) -> str:
-    import json
-
-    envelope = {
-        "command": command,
-        "parameters": parameters,
-        "result": result,
-        "format": "json",
-    }
-    return json.dumps(envelope, indent=2)
-
-
-def _emit_json(command: str, parameters: dict, result: object) -> None:
-    sys.stdout.write(_envelope(command, parameters, result) + "\n")
+def _envelope(command: str, parameters: dict, result: object) -> dict:
+    return {"command": command, "parameters": parameters, "result": result, "format": "json"}
 
 
 class _Batched:
-    """A write target that hands sys.stdout what it is given in batches:
+    """A write target that hands `target` what it is given in batches:
     with PYTHONUNBUFFERED set, or under -u, every sys.stdout.write is a
     write(2) of its own. Whatever is left is written on leaving a `with`
     block, an exception included."""
 
-    def __init__(self) -> None:
+    def __init__(self, target: TextIO) -> None:
+        self.target = target
         self.parts: list[str] = []
 
     def write(self, text: str) -> None:
@@ -112,9 +108,25 @@ class _Batched:
         if len(self.parts) >= 128:  # 128 rows of a bound sweep: some 20 kB
             self.flush()
 
+    def write_each(self, separator: str, texts: Iterator[str]) -> None:
+        """Write each text of `texts` (none empty) after `separator`, some
+        20 kB to a write: the texts of a list may be matrix entries of a few
+        bytes or rows of a few hundred, so the number of texts in a write
+        follows the size of the last write."""
+        self.flush()
+        count = 128
+        while batch := separator.join(itertools.islice(texts, count)):
+            self.target.write(separator + batch)
+            count = max(1, count * 20000 // len(batch))
+
+    def error(self, line: str) -> None:
+        """Write `line` to stderr, after all that stdout was given."""
+        self.flush()
+        print(line, file=sys.stderr)
+
     def flush(self) -> None:
         if self.parts:
-            sys.stdout.write("".join(self.parts))
+            self.target.write("".join(self.parts))
             self.parts.clear()
 
     def __enter__(self) -> "_Batched":
@@ -124,75 +136,58 @@ class _Batched:
         self.flush()
 
 
-# In a document written a piece at a time, the one list [_ITEMS] stands for
-# a list whose items are written one by one.
-_ITEMS = "\0"
+# In a document, the list whose items _write_json streams; json.dumps
+# writes its one item as _MARK.
+_STREAMED = ["\0"]
+_MARK = '"\\u0000"'
 
 
-def _around_items(text: str) -> tuple[str, str, str]:
-    """Cut indent=2 JSON text around its list [_ITEMS]: the text before
-    the list's first item, the separator between items, and the text
-    after its last item."""
+def _write_json(out: _Batched, document: dict, items: Iterable = ()) -> None:
+    """Write json.dumps(document, indent=2) + "\n" to `out`, byte for byte,
+    with the items of `items` in place of the list _STREAMED if `document`
+    holds it. The items are encoded and written one by one, and nothing is
+    written before the first; the text after the list is rendered after the
+    last, so it shows what reading `items` put into `document`."""
     import json
 
-    before, _, after = text.partition(json.dumps(_ITEMS))
-    return before, ",\n" + before.rpartition("\n")[2], after
+    text = json.dumps(document, indent=2)
+    head, streamed, _ = text.partition(_MARK)
+    if streamed:
+        indent = head.rpartition("\n")[2]  # before each item
+        items = iter(items)
+        first = next(items, None)
+        if first is not None:
+            encode = _item_encoder(first, indent)
+            out.write(head + encode(first))
+            out.write_each(",\n" + indent, map(encode, items))
+        text = json.dumps(document, indent=2)
+        if first is None:
+            text = text.replace(f"[\n{indent}{_MARK}\n{indent[2:]}]", "[]")
+        else:
+            text = text.partition(_MARK)[2]
+    out.write(text + "\n")
 
 
-def _write_json_items(text: str, items: Iterator[str], out) -> None:
-    """Write `text`, indent=2 JSON holding the list [_ITEMS], with that
-    list's items the JSON texts `items` (at least one, none empty), then a
-    newline: json.dumps(document, indent=2) + "\n" for the whole
-    document, byte for byte, in writes of 4096 items."""
-    before, separator, after = _around_items(text)
-    chunk = separator.join(itertools.islice(items, 4096))
-    out.write(before + chunk)
-    while chunk := separator.join(itertools.islice(items, 4096)):
-        out.write(separator + chunk)
-    out.write(after + "\n")
+def _item_encoder(item: object, indent: str) -> Callable[[object], str]:
+    """What json.dumps(..., indent=2) writes for each item shaped as `item`
+    in a list whose items start at `indent`. Strings and dicts of scalars go
+    through json's C encoder; a dict that holds a list or a dict needs the
+    indenting encoder, which is pure Python."""
+    import json
+
+    if isinstance(item, str):
+        return json.encoder.encode_basestring_ascii
+    if any(isinstance(value, (list, dict)) for value in item.values()):
+        nested = json.JSONEncoder(indent=2).encode
+        return lambda row: nested(row).replace("\n", "\n" + indent)
+    flat = json.JSONEncoder(separators=(",\n" + indent + "  ", ": ")).encode
+    return lambda row: "{\n" + indent + "  " + flat(row)[1:-1] + "\n" + indent + "}"
 
 
-class _JsonRows:
-    """Writes what _emit_json(command, parameters, {key: rows, **totals})
-    writes, byte for byte, a row at a time to `out`, so that no row is
-    kept. Nothing is written before the first row; totals come at the end."""
-
-    def __init__(self, command: str, parameters: dict, key: str, out: _Batched):
-        import json
-
-        self.command, self.parameters, self.key, self.out = command, parameters, key, out
-        self.head, self.separator, _ = _around_items(self._text({}))
-        self.indent = self.separator[1:]  # before a row's braces
-        # a row's members one a line, as indent=2 writes them; without
-        # indent json uses its C encoder, about 3 times faster per row
-        self.encoder = json.JSONEncoder(separators=("," + self.indent + "  ", ": "))
-        self.started = False
-
-    def _text(self, totals: dict) -> str:
-        return _envelope(self.command, self.parameters, {self.key: [_ITEMS], **totals})
-
-    def add(self, row: dict) -> None:
-        """Write one row: a non-empty dict of strings, booleans or None."""
-        self.out.write(self.separator if self.started else self.head)
-        self.started = True
-        members = self.encoder.encode(row)[1:-1]
-        self.out.write("{" + self.indent + "  " + members + self.indent + "}")
-
-    def close(self, totals: dict) -> None:
-        if not self.started:
-            self.out.write(_envelope(self.command, self.parameters, {self.key: [], **totals}) + "\n")
-            return
-        self.out.write(_around_items(self._text(totals))[2] + "\n")
-
-
-def _csv_writer(out=None):
+def _csv_writer(out: _Batched):
     import csv
 
-    return csv.writer(out or sys.stdout, lineterminator="\n")
-
-
-def _factorization_pairs(fact: Factorization) -> list[list[str]]:
-    return [[str(p), str(a)] for p, a in fact]
+    return csv.writer(out, lineterminator="\n")
 
 
 def _factorization_pretty(fact: Factorization) -> str:
@@ -220,59 +215,54 @@ def _decision_result(decision: MembershipDecision) -> dict:
     }
 
 
-def _print_decision_text(decision: MembershipDecision) -> None:
+def _write_decision_text(out: _Batched, decision: MembershipDecision) -> None:
     report = decision.report
-    print(f"m = {decision.m}, genus = {decision.g}, budget = {decision.budget}")
-    print("prime  exponent  cost")
+    out.write(f"m = {decision.m}, genus = {decision.g}, budget = {decision.budget}\n")
+    out.write("prime  exponent  cost\n")
     for t in report.terms:
-        print(f"{t.prime:>5}  {t.exponent:>8}  {t.cost:>4}")
+        out.write(f"{t.prime:>5}  {t.exponent:>8}  {t.cost:>4}\n")
     if report.exemption_applied:
-        print("(m == 2 mod 4: the prime-2 term is free)")
-    print(f"total cost {report.total} <= budget {decision.budget}: {decision.member}")
+        out.write("(m == 2 mod 4: the prime-2 term is free)\n")
+    out.write(f"total cost {report.total} <= budget {decision.budget}: {decision.member}\n")
     verdict = "member" if decision.member else f"not a member (over by {decision.deficit})"
-    print(f"=> {decision.m} is {verdict} of S({decision.g})")
+    out.write(f"=> {decision.m} is {verdict} of S({decision.g})\n")
 
 
 def _not_realizable(
-    args: argparse.Namespace, parameters: dict, fields: dict, text: str, exc: NotRealizableError
+    args: argparse.Namespace, out: _Batched, parameters: dict, fields: dict, text: str, exc: NotRealizableError
 ) -> int:
     """An order outside S(g): `fields` and the reason as the JSON result,
     else `text`; the reason also goes to stderr. Exit 1."""
     if args.format == "json":
-        _emit_json(args.command, parameters, {**fields, "reason": str(exc)})
+        _write_json(out, _envelope(args.command, parameters, {**fields, "reason": str(exc)}))
     elif args.format == "text":
-        print(text)
-    print(f"not realizable: {exc}", file=sys.stderr)
+        out.write(text + "\n")
+    out.error(f"not realizable: {exc}")
     return EXIT_NEGATIVE
 
 
-def _beyond_prime_bound(args: argparse.Namespace, exc: NotRealizableError) -> int:
+def _beyond_prime_bound(args: argparse.Namespace, out: _Batched, exc: NotRealizableError) -> int:
     """m has a prime above 2g + 1, where factoring stopped: no cost table."""
     d = exc.decision
     fields = {"m": str(d.m), "genus": str(d.g), "member": False, "budget": str(d.budget)}
     text = f"m = {d.m}, genus = {d.g}, budget = {d.budget}\n=> {d.m} is not a member of S({d.g})"
-    return _not_realizable(args, {"m": str(d.m), "genus": str(d.g)}, fields, text, exc)
+    return _not_realizable(args, out, {"m": str(d.m), "genus": str(d.g)}, fields, text, exc)
 
 
-def cmd_member(args: argparse.Namespace) -> int:
+def cmd_member(args: argparse.Namespace, out: _Batched) -> int:
     from .criterion import NotRealizableError, membership
 
     decision = membership(args.m, args.genus)
     if decision.report.cofactor > 1:
-        return _beyond_prime_bound(args, NotRealizableError(decision))
+        return _beyond_prime_bound(args, out, NotRealizableError(decision))
     if args.format == "json":
-        _emit_json(
-            "member",
-            {"m": str(args.m), "genus": str(args.genus)},
-            _decision_result(decision),
-        )
+        parameters = {"m": str(args.m), "genus": str(args.genus)}
+        _write_json(out, _envelope("member", parameters, _decision_result(decision)))
     elif args.format == "csv":
-        writer = _csv_writer()
-        writer.writerow(["prime", "exponent", "cost"])
-        for t in decision.report.terms:
-            writer.writerow([t.prime, t.exponent, t.cost])
+        rows = [(t.prime, t.exponent, t.cost) for t in decision.report.terms]
+        _csv_writer(out).writerows([("prime", "exponent", "cost"), *rows])
     else:
-        _print_decision_text(decision)
+        _write_decision_text(out, decision)
     return EXIT_OK if decision.member else EXIT_NEGATIVE
 
 
@@ -280,25 +270,20 @@ def cmd_member(args: argparse.Namespace) -> int:
 # orders
 
 
-def cmd_orders(args: argparse.Namespace) -> int:
+def cmd_orders(args: argparse.Namespace, out: _Batched) -> int:
     from .criterion import enumerate_orders
 
     _refuse_over_cap("orders", "enumeration", args.genus, args.allow_large)
     orders = enumerate_orders(args.genus)
     if args.format == "json":
-        _emit_json(
-            "orders",
-            {"genus": str(args.genus), "allow_large": bool(args.allow_large)},
-            {"count": str(len(orders)), "orders": [str(m) for m in orders]},
-        )
+        parameters = {"genus": str(args.genus), "allow_large": bool(args.allow_large)}
+        result = {"count": str(len(orders)), "orders": _STREAMED}
+        _write_json(out, _envelope("orders", parameters, result), map(str, orders))
     elif args.format == "csv":
-        writer = _csv_writer()
-        writer.writerow(["m"])
-        for m in orders:
-            writer.writerow([m])
+        _csv_writer(out).writerows([("m",), *((m,) for m in orders)])
     else:
-        print(f"S({args.genus}) has {len(orders)} elements:")
-        print(" ".join(str(m) for m in orders))
+        out.write(f"S({args.genus}) has {len(orders)} elements:\n")
+        out.write(" ".join(str(m) for m in orders) + "\n")
     return EXIT_OK
 
 
@@ -312,11 +297,11 @@ def _record_row(record: ExtremalRecord, show_f: bool, show_h: bool) -> dict:
         row["f"] = str(record.f)
     if show_h:
         row["h"] = str(record.h)
-        row["h_factorization"] = _factorization_pairs(record.h_factorization)
+        row["h_factorization"] = [[str(p), str(a)] for p, a in record.h_factorization]
     return row
 
 
-def cmd_extremal(args: argparse.Namespace) -> int:
+def cmd_extremal(args: argparse.Namespace, out: _Batched) -> int:
     from .extremal import brute_force_extremal, extremal_table
 
     g_from, g_to = _parse_range(args.genus)
@@ -327,32 +312,29 @@ def cmd_extremal(args: argparse.Namespace) -> int:
         _refuse_over_cap("extremal --oracle", "enumeration", g_to, args.allow_large)
     _refuse_over_cap("extremal", "genus", g_to, args.allow_large)
     records = extremal_table(g_from, g_to)
-    mismatches = []
-    if args.oracle:
+    mismatches: list[dict] = []
+
+    def checked() -> Iterator[ExtremalRecord]:
+        """The records, each compared with enumeration under --oracle."""
         for record in records:
-            reference = brute_force_extremal(record.g)
-            if (reference.f, reference.h) != (record.f, record.h):
-                mismatches.append((record, reference))
+            if args.oracle:
+                ref = brute_force_extremal(record.g)
+                if (ref.f, ref.h) != (record.f, record.h):
+                    mismatches.append(
+                        {"g": str(record.g), "dp": [str(record.f), str(record.h)], "oracle": [str(ref.f), str(ref.h)]}
+                    )
+            yield record
+
     if args.format == "json":
-        result = {
-            "records": [_record_row(r, show_f, show_h) for r in records],
-            "oracle_checked": bool(args.oracle),
-            "oracle_mismatches": [
-                {"g": str(rec.g), "dp": [str(rec.f), str(rec.h)], "oracle": [str(ref.f), str(ref.h)]}
-                for rec, ref in mismatches
-            ],
-        }
-        parameters = {
-            "genus": args.genus,
-            "oracle": bool(args.oracle),
-            "allow_large": bool(args.allow_large),
-        }
-        _emit_json("extremal", parameters, result)
+        parameters = {"genus": args.genus, "oracle": bool(args.oracle), "allow_large": bool(args.allow_large)}
+        result = {"records": _STREAMED, "oracle_checked": bool(args.oracle), "oracle_mismatches": mismatches}
+        rows = (_record_row(record, show_f, show_h) for record in checked())
+        _write_json(out, _envelope("extremal", parameters, result), rows)
     elif args.format == "csv":
-        writer = _csv_writer()
+        writer = _csv_writer(out)
         header = ["g"] + (["f"] if show_f else []) + (["h", "h_factorization"] if show_h else [])
         writer.writerow(header)
-        for record in records:
+        for record in checked():
             row: list = [record.g]
             if show_f:
                 row.append(record.f)
@@ -360,130 +342,102 @@ def cmd_extremal(args: argparse.Namespace) -> int:
                 row.extend([record.h, _factorization_pretty(record.h_factorization)])
             writer.writerow(row)
     else:
-        for record in records:
+        for record in checked():
             parts = [f"g={record.g}"]
             if show_f:
                 parts.append(f"f={record.f}")
             if show_h:
                 pretty = _factorization_pretty(record.h_factorization)
                 parts.append(f"h={record.h} = {pretty}")
-            print("  ".join(parts))
+            out.write("  ".join(parts) + "\n")
         if args.oracle and not mismatches:
-            print(f"oracle cross-check passed for g in {g_from}..{g_to}")
-    if mismatches:
-        for rec, ref in mismatches:
-            print(
-                f"oracle mismatch at g = {rec.g}: dp (f, h) = ({rec.f}, {rec.h}), "
-                f"enumeration (f, h) = ({ref.f}, {ref.h})",
-                file=sys.stderr,
-            )
-        return EXIT_NEGATIVE
-    return EXIT_OK
+            out.write(f"oracle cross-check passed for g in {g_from}..{g_to}\n")
+    for mismatch in mismatches:
+        out.error(
+            f"oracle mismatch at g = {mismatch['g']}: dp (f, h) = ({', '.join(mismatch['dp'])}), "
+            f"enumeration (f, h) = ({', '.join(mismatch['oracle'])})"
+        )
+    return EXIT_NEGATIVE if mismatches else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # witness / verify
 
 
-def _certificate_result(witness, certificate) -> dict:
-    from .witness import certificate_to_dict
-
-    return {
-        "size": str(witness.matrix.rows),
-        "genus": str(witness.genus),
-        "claimed_order": str(witness.claimed_order),
-        "all_passed": certificate.all_passed,
-        "failing_checks": certificate.failing_checks(),
-        "certificate": certificate_to_dict(certificate),
-    }
-
-
-def cmd_witness(args: argparse.Namespace) -> int:
-    if args.format == "csv":
-        raise UsageError("witness output is not tabular; use text or json")
+def cmd_witness(args: argparse.Namespace, out: _Batched) -> int:
     _refuse_over_cap("witness", "witness", args.genus, args.allow_large)
     from .witness import NotRealizableError, build_witness, witness_to_dict
 
+    parameters = {"m": str(args.m), "genus": str(args.genus)}
     try:
         witness = build_witness(args.m, args.genus)
     except NotRealizableError as exc:
         decision = exc.decision
         if decision.report.cofactor > 1:
-            return _beyond_prime_bound(args, exc)
+            return _beyond_prime_bound(args, out, exc)
         if args.format == "json":
-            _emit_json(
-                "witness",
-                {"m": str(args.m), "genus": str(args.genus)},
-                {"built": False, "reason": str(exc), "membership": _decision_result(decision)},
-            )
+            result = {"built": False, "reason": str(exc), "membership": _decision_result(decision)}
+            _write_json(out, _envelope("witness", parameters, result))
         else:
-            _print_decision_text(decision)
+            _write_decision_text(out, decision)
         return EXIT_NEGATIVE
-    # the document's entries are written a few thousand at a time, so no
-    # text of the whole document is ever held
-    document = witness_to_dict(witness, entries=[_ITEMS])
-
-    def entries() -> Iterator[str]:
-        return (f'"{x}"' for x in witness.matrix.entries)
-
+    # the matrix entries are streamed, so no text of the whole document is held
+    document = witness_to_dict(witness, entries=_STREAMED)
     if args.output:
-        import json
-
         try:
-            with open(args.output, "w") as file:
-                _write_json_items(json.dumps(document, indent=2), entries(), file)
+            with open(args.output, "w") as file, _Batched(file) as file_out:
+                _write_json(file_out, document, map(str, witness.matrix.entries))
         except OSError as exc:
             raise UsageError(f"cannot write {args.output}: {exc}") from None
     if args.format == "json":
         result = {"built": True, "witness": document, "path": args.output or None}
-        text = _envelope("witness", {"m": str(args.m), "genus": str(args.genus)}, result)
-        _write_json_items(text, entries(), sys.stdout)
+        _write_json(out, _envelope("witness", parameters, result), map(str, witness.matrix.entries))
     else:
         n = witness.matrix.rows
-        print(f"order-{args.m} witness in Sp({n},Z):")
+        out.write(f"order-{args.m} witness in Sp({n},Z):\n")
         for i in range(n):
-            print("  [" + " ".join(f"{x:>4}" for x in witness.matrix.row(i)) + "]")
-        print(f"certificate: all checks passed = {witness.certificate.all_passed}")
+            out.write("  [" + " ".join(f"{x:>4}" for x in witness.matrix.row(i)) + "]\n")
+        out.write(f"certificate: all checks passed = {witness.certificate.all_passed}\n")
         if args.output:
-            print(f"written to {args.output}")
+            out.write(f"written to {args.output}\n")
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    if args.format == "csv":
-        raise UsageError("verification output is not tabular; use text or json")
-    from .witness import NotRealizableError, verify_witness, witness_from_json
+def cmd_verify(args: argparse.Namespace, out: _Batched) -> int:
+    from .witness import NotRealizableError, certificate_to_dict, verify_witness, witness_from_json
 
     try:
         text = Path(args.path).read_text()
     except OSError as exc:
         raise UsageError(f"cannot read {args.path}: {exc}") from None
     witness = witness_from_json(text)  # ValueError on malformed -> exit 2
+    fields = {
+        "size": str(witness.matrix.rows),
+        "genus": str(witness.genus),
+        "claimed_order": str(witness.claimed_order),
+    }
     try:
         certificate = verify_witness(witness, witness.genus)
     except NotRealizableError as exc:
-        fields = {
-            "size": str(witness.matrix.rows),
-            "genus": str(witness.genus),
-            "claimed_order": str(witness.claimed_order),
-            "all_passed": False,
-        }
         text = f"claimed order {witness.claimed_order}, size {witness.matrix.rows}\nverdict: INVALID"
-        return _not_realizable(args, {"path": args.path}, fields, text, exc)
-    result = _certificate_result(witness, certificate)
+        return _not_realizable(args, out, {"path": args.path}, {**fields, "all_passed": False}, text, exc)
     if args.format == "json":
-        _emit_json("verify", {"path": args.path}, result)
+        result = {
+            **fields,
+            "all_passed": certificate.all_passed,
+            "failing_checks": certificate.failing_checks(),
+            "certificate": certificate_to_dict(certificate),
+        }
+        _write_json(out, _envelope("verify", {"path": args.path}, result))
     else:
-        print(f"claimed order {witness.claimed_order}, size {witness.matrix.rows}")
-        print(f"  symplectic (A^T J A = J): {'pass' if certificate.symplectic else 'FAIL'}")
-        print(f"  A^m = I: {'pass' if certificate.power_identity else 'FAIL'}")
+        out.write(f"claimed order {witness.claimed_order}, size {witness.matrix.rows}\n")
+        out.write(f"  symplectic (A^T J A = J): {'pass' if certificate.symplectic else 'FAIL'}\n")
+        out.write(f"  A^m = I: {'pass' if certificate.power_identity else 'FAIL'}\n")
         for check in certificate.proper_powers:
-            status = "pass" if check.passed else "FAIL"
-            print(f"  A^(m/{check.prime}) != I: {status}")
-        print(f"verdict: {'valid' if certificate.all_passed else 'INVALID'}")
+            out.write(f"  A^(m/{check.prime}) != I: {'pass' if check.passed else 'FAIL'}\n")
+        out.write(f"verdict: {'valid' if certificate.all_passed else 'INVALID'}\n")
     if not certificate.all_passed:
-        failing = ", ".join(certificate.failing_checks())
-        print(f"failed checks: {failing}", file=sys.stderr)
+        out.error(f"failed checks: {', '.join(certificate.failing_checks())}")
         return EXIT_NEGATIVE
     return EXIT_OK
 
@@ -492,7 +446,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # bounds
 
 
-def cmd_bounds(args: argparse.Namespace) -> int:
+def cmd_bounds(args: argparse.Namespace, out: _Batched) -> int:
     from .bounds import CHECK_NAMES, REPORT_FIELDS, default_range, report_to_dict, run_check
 
     name = args.check
@@ -511,44 +465,43 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     _refuse_over_cap(name, CHECK_NAMES[name].points, hi, args.allow_large)
     reports = run_check(name, lo, hi)
     parameters = {"check": name, "range": f"{lo}..{hi}", "allow_large": bool(args.allow_large)}
-    failures = 0
-    unmet = 0
-    total = 0
-    with _Batched() as out:
-        json_rows = _JsonRows("bounds", parameters, "reports", out) if args.format == "json" else None
-        writer = _csv_writer(out) if args.format == "csv" else None
+    verdicts = {True: 0, False: 0, None: 0}  # rows by verdict
+    result: dict = {"reports": _STREAMED}
+
+    def counted() -> Iterator:
+        """The rows, counted by verdict; after the last, the totals in `result`."""
         for report in reports:
-            total += 1
-            passed = report.passed
-            failures += passed is False
-            unmet += passed is None
-            if args.format == "json":
-                json_rows.add(report_to_dict(report))
-            elif args.format == "csv":
-                # the header comes with the first row: a sweep that raises
-                # before it writes nothing
-                if total == 1:
-                    writer.writerow(REPORT_FIELDS)
-                writer.writerow((*report.rendered(), _CSV_STATUS[passed], report.note))
-            else:
-                check, point, lhs, rhs, margin = report.rendered()
-                note = f"  ({report.note})" if report.note else ""
-                out.write(
-                    f"{check}  point={point}  lhs={lhs}  rhs={rhs}  margin={margin}  "
-                    f"{_TEXT_STATUS[passed]}{note}\n"
-                )
-        if args.format == "json":
-            json_rows.close(
-                {"total": str(total), "failures": str(failures), "precondition_unmet": str(unmet)}
-            )
-        elif args.format == "csv" and not total:
+            verdicts[report.passed] += 1
+            yield report
+        result["total"] = str(sum(verdicts.values()))
+        result["failures"] = str(verdicts[False])
+        result["precondition_unmet"] = str(verdicts[None])
+
+    if args.format == "json":
+        _write_json(out, _envelope("bounds", parameters, result), map(report_to_dict, counted()))
+    elif args.format == "csv":
+        writer = _csv_writer(out)
+        # the header comes with the first row: a sweep that raises before
+        # it writes nothing
+        for row, report in enumerate(counted()):
+            if not row:
+                writer.writerow(REPORT_FIELDS)
+            writer.writerow((*report.rendered(), _CSV_STATUS[report.passed], report.note))
+        if not any(verdicts.values()):
             writer.writerow(REPORT_FIELDS)
-        elif args.format == "text":
+    else:
+        for report in counted():
+            check, point, lhs, rhs, margin = report.rendered()
+            note = f"  ({report.note})" if report.note else ""
             out.write(
-                f"{total} rows: {total - failures - unmet} pass, {failures} fail, "
-                f"{unmet} precondition-unmet\n"
+                f"{check}  point={point}  lhs={lhs}  rhs={rhs}  margin={margin}  "
+                f"{_TEXT_STATUS[report.passed]}{note}\n"
             )
-    return EXIT_NEGATIVE if failures else EXIT_OK
+        out.write(
+            f"{sum(verdicts.values())} rows: {verdicts[True]} pass, {verdicts[False]} fail, "
+            f"{verdicts[None]} precondition-unmet\n"
+        )
+    return EXIT_NEGATIVE if verdicts[False] else EXIT_OK
 
 
 # a row's pass cell, by its verdict
@@ -560,15 +513,11 @@ _TEXT_STATUS = {True: "pass", False: "FAIL", None: "unmet"}
 # parser
 
 
-def _add_format(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format",
-        choices=("text", "json", "csv"),
-        default="text",
-        help="output format (default: text)",
-    )
+def _add_format(parser: argparse.ArgumentParser, choices=("text", "json", "csv")) -> None:
+    parser.add_argument("--format", choices=choices, default="text", help="output format (default: text)")
 
 
+@functools.cache  # some 2 ms to build; a caller may run main many times
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sptorsion",
@@ -603,12 +552,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-g", "--genus", type=int, required=True)
     p.add_argument("-o", "--output", help="write the witness document to this path")
     p.add_argument("--allow-large", action="store_true", help="lift the witness genus cap")
-    _add_format(p)
+    _add_format(p, ("text", "json"))
     p.set_defaults(handler=cmd_witness)
 
     p = sub.add_parser("verify", help="re-check a stored witness document")
     p.add_argument("path")
-    _add_format(p)
+    _add_format(p, ("text", "json"))
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("bounds", help="certify one family of inequalities")
@@ -625,7 +574,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        with _Batched(sys.stdout) as out:
+            return args.handler(args, out)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

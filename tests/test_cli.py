@@ -456,12 +456,29 @@ def test_bounds_json_keeps_no_rows(monkeypatch):
     assert peak("json") < 2 * peak("csv")
 
 
+def test_extremal_json_keeps_no_text(monkeypatch):
+    from sptorsion import cli
+
+    def peak(fmt):
+        argv = ["extremal", "-g", "1..1500", "--format", fmt]
+        with open(os.devnull, "w") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                assert cli.main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    assert peak("json") < 2 * peak("csv")
+
+
 def test_witness_json_streams_the_buffered_document(tmp_path, capsys):
     from sptorsion import cli
     from sptorsion.witness import build_witness, witness_to_dict, witness_to_json
 
     path = tmp_path / "w.json"
-    # 42 x 42 entries (more than one batch of 4096), and a 4 x 4 matrix
+    # 42 x 42 entries, written in more than one batch, and a 4 x 4 matrix
     for m, g in ((43, 21), (4, 2)):
         assert cli.main(["witness", str(m), "-g", str(g), "-o", str(path), "--format", "json"]) == 0
         out, _ = capsys.readouterr()
@@ -571,7 +588,6 @@ def test_member_outputs_frozen_g1_8(capsys):
     sympy = pytest.importorskip("sympy")
     from sptorsion import cli
 
-    parser = cli._build_parser()
     for g, (expected_count, expected) in MEMBER_DIGESTS.items():
         digest = hashlib.sha256()
         count = 0
@@ -580,8 +596,7 @@ def test_member_outputs_frozen_g1_8(capsys):
                 continue
             count += 1
             for fmt in ("text", "json"):
-                args = parser.parse_args(["member", str(m), "-g", str(g), "--format", fmt])
-                code = args.handler(args)
+                code = cli.main(["member", str(m), "-g", str(g), "--format", fmt])
                 out, err = capsys.readouterr()
                 digest.update(f"{out}{err}exit {code}\n".encode())
         assert count == expected_count, g
@@ -696,6 +711,34 @@ def test_outputs_frozen(command, tmp_path, monkeypatch, capsys):
         out, err = capsys.readouterr()
         digest.update(f"{out}{err}exit {code}\n".encode())
     assert digest.hexdigest() == OUTPUT_DIGESTS[command]
+
+
+# SHA-256 of stdout, stderr and exit code of `extremal -g 1..3 --oracle`
+# with an oracle that is wrong about h(2); recorded on the writers the
+# digests above were
+ORACLE_MISMATCH_DIGESTS = {
+    "text": "82a2e42ea85c36e3caa9ed41d063b1d996b42d2807fbb00202e1338b48a92df2",
+    "csv": "6f7cadefdd2b5b03ce54ba0164cac034659a241bf5e2a8d616c02be005237ffd",
+    "json": "9ba96d9381bd5a3443e30a44178eb5f5c1d7bf3fbcc5d4fa7cb36b4e9db9e022",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(ORACLE_MISMATCH_DIGESTS))
+def test_extremal_oracle_mismatch_frozen(fmt, monkeypatch, capsys):
+    from sptorsion import cli, extremal
+
+    oracle = extremal.brute_force_extremal
+
+    def wrong(g):
+        record = oracle(g)
+        return record._replace(h=record.h + 1) if g == 2 else record
+
+    monkeypatch.setattr(extremal, "brute_force_extremal", wrong)
+    code = cli.main(["extremal", "-g", "1..3", "--oracle", "--format", fmt])
+    out, err = capsys.readouterr()
+    assert err == "oracle mismatch at g = 2: dp (f, h) = (8, 12), enumeration (f, h) = (8, 13)\n"
+    digest = hashlib.sha256(f"{out}{err}exit {code}\n".encode()).hexdigest()
+    assert digest == ORACLE_MISMATCH_DIGESTS[fmt]
 
 
 def test_version_flag():
