@@ -175,6 +175,26 @@ def test_prime_power_block(p, alpha):
         assert charpoly == sympy.Poly(sympy.cyclotomic_poly(n, x), x)
 
 
+# every prime power n = p^alpha >= 3 with phi(n) <= 300: 80 blocks
+FROZEN_BLOCK_POWERS = [
+    (p, alpha)
+    for p in sympy.primerange(2, 302)
+    for alpha in range(1, 10)
+    if p**alpha >= 3 and sympy.totient(p**alpha) <= 300
+]
+# SHA-256 of their entries, one line of space-separated integers per block
+FROZEN_BLOCKS_DIGEST = "6143e4d2de5105b6b63b6d482be8213946c13552cf9842da8d3457fcaee4b849"
+
+
+def test_prime_power_blocks_frozen():
+    digest = hashlib.sha256()
+    for p, alpha in FROZEN_BLOCK_POWERS:
+        entries = _prime_power_block(p, alpha).entries
+        digest.update((" ".join(map(str, entries)) + "\n").encode())
+    assert len(FROZEN_BLOCK_POWERS) == 80
+    assert digest.hexdigest() == FROZEN_BLOCKS_DIGEST
+
+
 @pytest.mark.parametrize("p, alpha", [(17, 1), (19, 1), (3, 3), (2, 5), (5, 2)])
 def test_blocks_up_to_totient_twenty(p, alpha):
     # every block the g <= 10 sweeps need gives a certified witness
