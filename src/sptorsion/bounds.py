@@ -53,12 +53,12 @@ right side as an int or as num * 2^exp. margin is rhs - lhs on the raw
 for lower bounds margin <= 0; rhs and margin are built, as an int where
 the right side is one and as an exact Fraction elsewhere, only when
 read (fractions is imported only then, for GUARD, or for
-dusart-product's displayed left side). Rendering never builds them: a
-value whose denominator divides 10^12 and whose magnitude is below 10^40
-is printed exactly, and any other at 20 significant digits, byte for
-byte as mpmath's to_str(x, 20) prints x rounded to 86 bits (25 digits;
-for a denominator that is not a power of two, the quotient of the
-numerator and denominator each rounded to 86 bits), all in integer
+dusart-product's displayed left side). Every value a row prints is an
+integer or a dyadic rational: render_value refuses any other.
+Rendering never builds rhs and margin: a value whose denominator
+divides 2^12 and whose magnitude is below 10^40 is printed exactly, and
+any other at 20 significant digits, byte for byte as mpmath's
+to_str(x, 20) prints x rounded to 86 bits (25 digits), all in integer
 arithmetic.
 """
 
@@ -194,15 +194,11 @@ class BoundReport:
         num, exp, lhs = self._num, self._exp, self._lhs
         if exp is None:
             rhs, margin = str(num), str(num - lhs)
-        else:
+        else:  # lhs = top * 2^-k: margin = num * 2^exp - top * 2^-k
             rhs = _render_dyadic(num, exp)
-            den = lhs.denominator
-            if den & (den - 1):
-                margin = render_value(self.margin)
-            else:  # lhs = top * 2^-k: margin = num * 2^exp - top * 2^-k
-                k = den.bit_length() - 1
-                low = min(exp, -k)
-                margin = _render_dyadic((num << (exp - low)) - (lhs.numerator << (-k - low)), low)
+            k = lhs.denominator.bit_length() - 1
+            low = min(exp, -k)
+            margin = _render_dyadic((num << (exp - low)) - (lhs.numerator << (-k - low)), low)
         return self._name, str(self._point), render_value(lhs), rhs, margin
 
 
@@ -631,17 +627,15 @@ def run_check(name: str, lo: int, hi: int) -> Iterator[BoundReport]:
 
 REPORT_FIELDS = ("name", "point", "lhs", "rhs", "margin", "pass", "note")
 
-# A long value is x rounded to 86 bits (25 digits, mpmath's dps_to_prec(25))
-# for a power-of-two denominator, and otherwise the quotient of its numerator
-# and denominator each rounded to 86 bits, as mpf(num) / mpf(den) at 25 dps
-# computes it; that is printed as mpmath's to_str(x, 20) prints it, which
-# reads 23 digits off x as a fixed-point number of 86 bits.
+# A long value is x rounded to 86 bits (25 digits, mpmath's dps_to_prec(25)),
+# printed as mpmath's to_str(x, 20) prints it, which reads 23 digits off x as
+# a fixed-point number of 86 bits.
 _ROUND_BITS = 86
 _FIX_BITS = int(23 * math.log(10, 2)) + 10
 _LOG2_10 = math.log(10, 2)
 # to_str's fixed-point window: |binary exponent of the leading bit| <= 3500
 _FIXED_WINDOW = 3500
-# the exact branch: a denominator dividing 10^12, a magnitude below 10^40
+# the exact branch: a denominator dividing 2^12, a magnitude below 10^40
 _EXACT_DIGITS = 12
 _EXACT_LIMIT = 10**40
 
@@ -715,24 +709,15 @@ def _render_dyadic(num: int, exp: int) -> str:
 
 
 def render_value(value: int | Fraction) -> str:
-    """Deterministic decimal rendering; exact when short, else 20
-    significant digits."""
+    """Deterministic decimal rendering of an integer or a dyadic rational;
+    exact when short, else 20 significant digits. Any other denominator
+    raises ValueError."""
     if isinstance(value, int):
         return str(value)
     num, den = value.numerator, value.denominator
-    if not den & (den - 1):
-        return _render_dyadic(num, 1 - den.bit_length())
-    if 10**_EXACT_DIGITS % den == 0 and abs(num) < _EXACT_LIMIT * den:
-        return _exact_decimal(num, 10**_EXACT_DIGITS // den)
-    # the quotient of the rounded numerator and denominator, rounded to
-    # nearest: a sticky low bit marks an inexact one, so it is no tie
-    (top, top_shift), (bottom, bottom_shift) = _round(abs(num)), _round(den)
-    extra = _ROUND_BITS + 5 + bottom.bit_length() - top.bit_length()
-    quotient, rest = divmod(top << extra, bottom)
-    if rest:
-        quotient, extra = 2 * quotient + 1, extra + 1
-    man, shift = _round(quotient)
-    return _significant(num < 0, man, top_shift - bottom_shift - extra + shift)
+    if den & (den - 1):
+        raise ValueError(f"render_value renders dyadic values only, got {value}")
+    return _render_dyadic(num, 1 - den.bit_length())
 
 
 def report_to_dict(report: BoundReport) -> dict[str, object]:

@@ -57,9 +57,10 @@ class UsageError(Exception):
 
 # The largest range end, by the kind of its points, that runs without
 # --allow-large; the library takes any range, so this is every size limit
-# of the package. The genus DPs hold exact big integers, so their memory
-# grows roughly quadratically in g. S(g) grows at least exponentially, so
-# `orders` and `extremal --oracle`, which list it, stop far lower. A witness
+# of the package. The genus DPs' time grows roughly quadratically in g, and
+# time, not their memory, sets the genus cap. S(g) grows at least
+# exponentially, so `orders` and `extremal --oracle`, which list it, stop far
+# lower. A witness
 # matrix has 4g^2 entries. An x or n range is sieved, and its cap is 10
 # times the largest default range.
 CAPS = {"genus": 5000, "enumeration": 40, "witness": 500, "x": 10**6, "n": 10**6}

@@ -24,10 +24,12 @@ genus off the same two arrays, and the one-genus functions are the range
 of length one.
 
 Exact integers in every cell keep the results platform-independent; there
-is no floating comparison anywhere. They also make memory grow roughly
-quadratically in G. brute_force_extremal re-derives both values from the
-full enumeration of S(g), which grows at least exponentially, and exists
-purely as an oracle. Every function here takes any genus range and checks
+is no floating comparison anywhere. One pass updates up to 2G + 1 cells
+for every prime power of cost at most 2G, so its time grows roughly
+quadratically in G, while each array holds only 2G + 1 integers: time,
+not memory, limits G. brute_force_extremal re-derives both values from
+the full enumeration of S(g), which grows at least exponentially, and
+exists purely as an oracle. Every function here takes any genus range and checks
 only its shape; the CLI caps the genus it passes them.
 """
 

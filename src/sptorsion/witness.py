@@ -5,10 +5,11 @@ Membership of m in S(g) is decided by the totient-cost budget in
 2g x 2g integer matrix of exact order m, symplectic for the standard
 form J, plus an independent verifier.
 
-One block per prime power n = p^alpha with positive cost. Let d =
-phi(n) and h = d/2. The companion matrix C of the cyclotomic polynomial
-Phi_n is multiplication by x on Z[x]/Phi_n = Z[zeta], so it has exact
-order n, and it preserves the trace form
+One block per prime power n = p^alpha with positive cost. Let q =
+p^(alpha-1), d = phi(n) = (p-1)q and h = d/2. The cyclotomic polynomial
+is Phi_n(x) = Phi_p(x^q) = sum_{i<p} x^(iq). Its companion matrix C is
+multiplication by x on Z[x]/Phi_n = Z[zeta], so it has exact order n,
+and it preserves the trace form
 
   B(u, v) = Tr(zeta^(h-1) * conj(u) * v / Phi_n'(zeta)).
 
@@ -19,22 +20,30 @@ order n, and it preserves the trace form
   * C-invariant: C multiplies u and v by zeta, and conj(zeta) zeta = 1.
 
 By Euler's lemma, Tr(zeta^e / Phi_n'(zeta)) = s_e, the coefficient of
-x^(d-1) in x^e mod Phi_n. In the power basis B is therefore
-[[0, T], [-T^T, 0]], with T the unit upper-triangular Toeplitz matrix
-whose first row is s_(d-1), ..., s_(d+h-2). That is B = P^T J P for
-P = diag(I, T), so the block
+x^(d-1) in x^e mod Phi_n. Write e = kq + r with 0 <= r < q. Modulo
+Phi_n, x^(pq) = 1 and x^((p-1)q) = -sum_{i<p-1} x^(iq), so x^(kq)
+reduces to x^(jq) for j = k mod p < p - 1, and to that negated sum for
+j = p - 1. Every exponent of x^e mod Phi_n is then r plus a multiple of
+q, at most (p-2)q + r, and it reaches d - 1 = (p-2)q + q - 1 only when
+r = q - 1: s_e = 1 when j = p - 2, s_e = -1 when j = p - 1, and s_e = 0
+otherwise. Along the row e = d-1+t, t < h, this is s = 1 at t = 0,
+s = -1 at t = q when q < h (that is, p > 3), and 0 everywhere else
+(t = iq with i >= 2 gives j = i - 2 < p - 2, as iq < h).
 
-  A = P C P^-1,  P^-1 = diag(I, T^-1),
+In the power basis B is therefore [[0, T], [-T^T, 0]] with T = I - N^q,
+N the h x h upper shift. That is B = P^T J P for P = diag(I, T), so the
+block
 
-satisfies A^T J A = J. T^-1 is the Toeplitz matrix of the inverse power
-series.
+  A = P C P^-1,  P^-1 = diag(I, T^-1),  T^-1 = sum_k N^(kq),
 
-Assembly interleaves the blocks: each block's first half occupies a
-slice of the global first half (e-coordinates), its second half the
-matching slice after index g (f-coordinates); leftover coordinates are
-padded with the identity. When m == 2 (mod 4) the 2-part is not a
-block at all: the assembled odd-order matrix is negated, and -1 being
-central and symplectic doubles the order at no cost. Blocks are built
+satisfies A^T J A = J.
+
+Assembly starts from the 2g x 2g identity and overwrites each block's
+coordinates: its first half takes a slice of the global first half
+(e-coordinates), its second half the matching slice after index g
+(f-coordinates). When m == 2 (mod 4) the 2-part is not a block at all:
+the assembled odd-order matrix is negated, and -1 being central and
+symplectic doubles the order at no cost. Blocks are built
 independently (cached per prime power) and merged by ascending prime,
 so construction is deterministic: equal inputs give identical matrices.
 
@@ -61,14 +70,13 @@ from functools import lru_cache, reduce
 from typing import NamedTuple
 
 from .criterion import MembershipDecision, NotRealizableError, membership
-from .matrices import IntMatrix, standard_form
+from .matrices import IntMatrix, identity, standard_form
 
 __all__ = [
     "ProperPowerCheck",
     "WitnessCertificate",
     "SymplecticWitness",
     "NotRealizableError",  # from criterion, where `member` finds it without this module
-    "cyclotomic",
     "companion",
     "build_witness",
     "verify_witness",
@@ -131,52 +139,14 @@ class SymplecticWitness(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# cyclotomic polynomials, ascending coefficient tuples
+# the prime-power blocks, all three factors in closed form
 
 
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return tuple(out)
-
-
-def _poly_divexact(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[int, ...]:
-    """Quotient of num by monic den; remainder must vanish."""
-    if den[-1] != 1:
-        raise ValueError("divisor must be monic")
-    rem = list(num)
-    q = [0] * (len(num) - len(den) + 1)
-    for shift in range(len(q) - 1, -1, -1):
-        c = rem[shift + len(den) - 1]
-        q[shift] = c
-        if c:
-            for j, y in enumerate(den):
-                rem[shift + j] -= c * y
-    if any(rem):
-        raise ValueError("division is not exact")
-    return tuple(q)
-
-
-@lru_cache(maxsize=None)
-def cyclotomic(n: int) -> tuple[int, ...]:
-    """Exact coefficients of the n-th cyclotomic polynomial, ascending.
-
-    x^n - 1 divided by the product of all lower cyclotomic factors; the
-    division is exact at every step, so the coefficients are exact.
-    """
-    if n < 1:
-        raise ValueError(f"cyclotomic index must be >= 1, got {n}")
-    if n == 1:
-        return (-1, 1)
-    num = (-1,) + (0,) * (n - 1) + (1,)  # x^n - 1
-    den = (1,)
-    for d in range(1, n):
-        if n % d == 0:
-            den = _poly_mul(den, cyclotomic(d))
-    return _poly_divexact(num, den)
+def _block_polynomial(p: int, alpha: int) -> tuple[int, ...]:
+    """Phi_(p^alpha)(x) = Phi_p(x^q), q = p^(alpha-1), ascending: ones at
+    the multiples of q up to the degree (p - 1) q."""
+    q = p ** (alpha - 1)
+    return tuple(int(e % q == 0) for e in range((p - 1) * q + 1))
 
 
 def companion(poly: tuple[int, ...]) -> IntMatrix:
@@ -195,29 +165,11 @@ def companion(poly: tuple[int, ...]) -> IntMatrix:
     return IntMatrix(d, d, tuple(entries))
 
 
-# ---------------------------------------------------------------------------
-# the trace form of Z[zeta_n]
-
-
-def _trace_form_row(poly: tuple[int, ...]) -> list[int]:
-    """First row s_(d-1), ..., s_(d+h-2) of the Toeplitz block T.
-
-    s_e is the coefficient of x^(d-1) in x^e mod poly: zero below d - 1,
-    one at d - 1, and from d on the recurrence x^d = -sum c_i x^i.
-    """
-    d = len(poly) - 1
-    s = [0] * (d - 1) + [1]
-    for e in range(d, d + d // 2 - 1):
-        s.append(-sum(c * s[e - d + i] for i, c in enumerate(poly[:-1])))
-    return s[d - 1 :]
-
-
-def _series_inverse(row: list[int]) -> list[int]:
-    """u with row * u = 1 mod x^len(row), for row[0] == 1."""
-    u = [1]
-    for k in range(1, len(row)):
-        u.append(-sum(row[j] * u[k - j] for j in range(1, k + 1)))
-    return u
+def _trace_form_row(p: int, alpha: int) -> list[int]:
+    """First row s_(d-1), ..., s_(d+h-2) of T = I - N^q: one, then -1 at
+    offset q when q < h (see the module docstring)."""
+    q = p ** (alpha - 1)
+    return [int(t == 0) - int(t == q) for t in range((p - 1) * q // 2)]
 
 
 def _lift(row: list[int]) -> IntMatrix:
@@ -241,11 +193,12 @@ def _prime_power_block(p: int, alpha: int) -> IntMatrix:
     """Symplectic block of exact order p^alpha, size phi(p^alpha).
 
     The trace form is P^T J P with P = diag(I, T), so P C P^-1 is
-    symplectic for J; P^-1 is diag(I, T^-1), the inverse series.
+    symplectic for J; P^-1 = diag(I, T^-1), T^-1 = sum_k N^(kq).
     """
-    poly = cyclotomic(p**alpha)
-    row = _trace_form_row(poly)
-    return _lift(row) @ companion(poly) @ _lift(_series_inverse(row))
+    q = p ** (alpha - 1)
+    inverse = [int(t % q == 0) for t in range((p - 1) * q // 2)]
+    p_matrix = _lift(_trace_form_row(p, alpha))
+    return p_matrix @ companion(_block_polynomial(p, alpha)) @ _lift(inverse)
 
 
 def _realizable(m: int, g: int) -> MembershipDecision:
@@ -270,23 +223,15 @@ def build_witness(m: int, g: int) -> SymplecticWitness:
         if t.cost > 0  # the free 2-part of m == 2 (mod 4) is the negation
     ]
     n = 2 * g
-    entries = [0] * (n * n)
+    entries = list(identity(n).entries)
     offset = 0
-    covered = set()
     for block in blocks:
         half = block.rows // 2
-
-        def embed(r: int, off: int = offset, d: int = half) -> int:
-            return off + r if r < d else g + off + (r - d)
-
-        for r in range(block.rows):
-            covered.add(embed(r))
-            for s in range(block.cols):
-                entries[embed(r) * n + embed(s)] = block[r, s]
+        coords = [*range(offset, offset + half), *range(g + offset, g + offset + half)]
+        for r, row in zip(coords, block.to_rows()):
+            for s, x in zip(coords, row):
+                entries[r * n + s] = x
         offset += half
-    for t in range(n):
-        if t not in covered:
-            entries[t * n + t] = 1
     matrix = IntMatrix(n, n, tuple(entries))
     if negate:
         matrix = -matrix

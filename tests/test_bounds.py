@@ -543,7 +543,6 @@ def test_exact_row_matches_fractions(lhs, twice_rhs):
     assert_same_row(BoundReport("t", 1, lhs, twice_rhs, None, lhs <= twice_rhs), eager)
 
 
-magnitudes = st.integers(0, 10**60)
 render_values = st.one_of(
     # dyadic, either side of k = 12
     st.builds(lambda n, k: Fraction(n, 2**k), st.integers(-(10**60), 10**60), st.integers(0, 200)),
@@ -552,22 +551,12 @@ render_values = st.one_of(
         lambda k, delta, sign: sign * Fraction(10**40 * 2**k + delta, 2**k),
         st.integers(1, 12), st.integers(-3, 3), st.sampled_from((1, -1)),
     ),
-    # non-dyadic, with and without a short decimal expansion
-    st.builds(Fraction, st.integers(-(10**60), 10**60), st.integers(1, 10**15)),
-    st.builds(lambda n, a, b: Fraction(n, 2**a * 5**b), magnitudes, st.integers(0, 14), st.integers(0, 14)),
     st.integers(-(10**50), 10**50),
     # within about 2^-80 of a tie at the 20th digit, where the rounding
     # to 86 bits before printing decides the last digit
     st.builds(
         lambda n, k, delta: Fraction(((10 * n + 5) << k) // 10**21 + delta, 2**k),
         st.integers(10**19, 10**20 - 1), st.integers(100, 200), st.integers(-(2**20), 2**20),
-    ),
-    # the same with an odd denominator and a numerator of more than 86
-    # bits, where rounding the numerator before dividing decides it
-    st.builds(
-        lambda n, e, den, delta: Fraction(den * (10 * n + 5) * 10**e // 10 + delta, den),
-        st.integers(10**19, 10**20 - 1), st.integers(8, 30),
-        st.sampled_from((3, 7, 11, 13, 96)), st.integers(-(2**20), 2**20),
     ),
 )
 
@@ -587,15 +576,6 @@ far_values = st.one_of(
         lambda top, low: near_binary_exponent(top, 200 - top, low),
         st.integers(-3510, -3490), st.integers(0, 2**199),
     ),
-    # the same with an odd denominator
-    st.builds(
-        lambda bits, n, den: Fraction((1 << bits) + n, den),
-        st.integers(3490, 3515), st.integers(0, 2**100), st.sampled_from((3, 7, 2**64 + 1)),
-    ),
-    st.builds(
-        lambda bits, n: Fraction(n, (1 << bits) + 1),
-        st.integers(3490, 3515), st.integers(1, 2**100),
-    ),
 )
 
 
@@ -605,21 +585,16 @@ def below_power_of_ten(p, d, k):
     return Fraction(scaled * 10**p // 10**22 if p >= 0 else scaled // 10 ** (22 - p), 2**k)
 
 
-def about_power_of_ten(p, m, d):
-    """m / 10^20 * 10^p / d, for 10^20 <= m < 10^21."""
-    return Fraction(m * 10 ** max(p, 0), d * 10 ** (20 + max(-p, 0)))
+def dyadic_below(value, k=220):
+    """The largest multiple of 2^-k that is at most value."""
+    return Fraction(value.numerator * 2**k // value.denominator, 2**k)
 
 
 switch_exponents = st.sampled_from((-8, -7, -6, -5, -4, 18, 19, 20, 21))
 edge_values = st.one_of(
     # a carry through twenty 9s, to 1 followed by zeros one decade up
     st.builds(below_power_of_ten, st.integers(-10, 25), st.integers(1, 49), st.integers(150, 220)),
-    st.builds(
-        lambda p, d: Fraction(10 ** (22 + max(p, 0)) - d, 3 * 10 ** (22 + max(-p, 0))) * 3,
-        st.integers(-10, 25), st.integers(1, 49),
-    ),
     # the fixed/scientific switch: leading digit at 10^-6/10^-5 and 10^19/10^20
-    st.builds(about_power_of_ten, switch_exponents, st.integers(10**20, 10**21 - 1), st.sampled_from((1, 3, 7))),
     st.builds(
         lambda p, m, k: Fraction(m * 2**k * 10 ** max(p, 0) // 10 ** (20 + max(-p, 0)), 2**k),
         switch_exponents, st.integers(10**20, 10**21 - 1), st.integers(150, 220),
@@ -639,27 +614,29 @@ negative_margins = st.builds(
 @example(Fraction(-1, 2**13))
 @example(Fraction(10**40 * 2**12 - 1, 2**12))
 @example(Fraction(10**40 * 2**12, 2**12))
-# one rounding of the exact quotient would print ...331 here
-@example(Fraction(8182504567245826523094999999999999999999789611, 13))
 # leading bit 2^3499, 2^3500 and 2^-3501, 2^-3500: inside the window and beyond it
 @example(near_binary_exponent(3500, 13, 1))
 @example(near_binary_exponent(3501, 13, 1))
 @example(near_binary_exponent(-3500, 3700, 1))
 @example(near_binary_exponent(-3499, 3700, 1))
-@example(Fraction(1, 3 * 2**3498))
-@example(Fraction(2**3510, 3))
-# 99999999999999999999.97 and 0.0000099999999999999999999997 carry to 1.0e+20 and 0.00001
-@example(Fraction(3 * 10**21 - 1, 30))
-@example(Fraction(3 * 10**26 - 1, 3 * 10**31))
-@example(-Fraction(3 * 10**21 - 1, 30))
+# 10^20 - 1/30 and 10^-5 - 1/(3 * 10^31), just below, carry to 1.0e+20 and 0.00001
+@example(dyadic_below(Fraction(3 * 10**21 - 1, 30)))
+@example(dyadic_below(Fraction(3 * 10**26 - 1, 3 * 10**31)))
+@example(-dyadic_below(Fraction(3 * 10**21 - 1, 30)))
 # leading digit at 10^-6 (scientific) and 10^-5 (fixed); at 10^19 (fixed) and 10^20
-@example(Fraction(1, 3 * 10**5))
-@example(Fraction(1, 3 * 10**4))
-@example(Fraction(10**20, 3))
-@example(Fraction(10**21, 3))
+@example(dyadic_below(Fraction(1, 3 * 10**5)))
+@example(dyadic_below(Fraction(1, 3 * 10**4)))
+@example(dyadic_below(Fraction(10**20, 3)))
+@example(dyadic_below(Fraction(10**21, 3)))
 @example(Fraction(2**170 - 1, 2**160) - 10**6)
 def test_render_value_matches_rational_rendering(value):
     assert render_value(value) == oracle.render_value(value)
+
+
+def test_render_value_refuses_non_dyadic_values():
+    for value in (Fraction(1, 3), Fraction(-7, 10), Fraction(2**100, 2**64 + 1)):
+        with pytest.raises(ValueError, match="dyadic values only"):
+            render_value(value)
 
 
 @pytest.mark.parametrize("top", [3499, 3500, 3501, 3600, -3498, -3499, -3500, -3600])

@@ -440,7 +440,11 @@ def test_bounds_csv_without_rows(monkeypatch, capsys):
 
 
 def test_bounds_json_keeps_no_rows(monkeypatch):
-    from sptorsion import cli
+    # the modules the check loads on first use, imported before any tracing,
+    # so that neither traced run counts their import
+    import mpmath  # noqa: F401
+
+    from sptorsion import bounds, cli, reals  # noqa: F401
 
     def peak(fmt):
         argv = ["bounds", "--check", "rosser", "--range", "55..20000", "--format", fmt]
@@ -835,3 +839,20 @@ def test_command_import_footprint(command, tmp_path, bare_modules):
     assert [m for m in loaded if m in forbidden] == []
     if command == "bounds":
         assert "sptorsion.reals" in loaded  # the scan would see a real check's mpmath
+
+
+def test_readme_library_example():
+    # every line of the README's library block runs, and each comment
+    # starts with the repr of the value on its left
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    checked = 0
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        if code.startswith(("from ", "import ")):
+            exec(code, namespace)
+        elif code.strip():
+            assert comment.strip().startswith(repr(eval(code, namespace))), line
+            checked += 1
+    assert checked == 7

@@ -1,10 +1,11 @@
-"""Cyclotomic polynomials, the trace-form blocks, and witness certificates."""
+"""The closed-form prime-power blocks, witnesses and their certificates."""
 from __future__ import annotations
 
 import hashlib
 import json
 import random
 import time
+from functools import lru_cache
 from math import gcd
 
 import pytest
@@ -17,25 +18,29 @@ from sptorsion.matrices import IntMatrix, identity, standard_form
 from sptorsion.witness import (
     NotRealizableError,
     SymplecticWitness,
+    _block_polynomial,
     _certify,
     _lift,
     _prime_power_block,
     _trace_form_row,
     build_witness,
     companion,
-    cyclotomic,
     verify_witness,
     witness_from_json,
     witness_to_json,
 )
 
-# every prime power n = p^alpha >= 3 with phi(n) <= 130: 45 blocks
-PRIME_POWERS = [
-    (p, alpha)
-    for p in sympy.primerange(2, 132)
-    for alpha in range(1, 9)
-    if p**alpha >= 3 and sympy.totient(p**alpha) <= 130
-]
+def prime_powers(max_phi: int) -> list[tuple[int, int]]:
+    """Every (p, alpha) with p^alpha >= 3 and phi(p^alpha) <= max_phi."""
+    return [
+        (p, alpha)
+        for p in sympy.primerange(2, max_phi + 2)
+        for alpha in range(1, max_phi.bit_length() + 1)
+        if p**alpha >= 3 and sympy.totient(p**alpha) <= max_phi
+    ]
+
+
+PRIME_POWERS = prime_powers(130)  # 45 blocks
 
 
 def poly_eval(poly: tuple[int, ...], x: int) -> int:
@@ -45,56 +50,38 @@ def poly_eval(poly: tuple[int, ...], x: int) -> int:
     return acc
 
 
-def poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return tuple(out)
+# 193 blocks: every block a witness within the genus cap can use
+CAPPED_PRIME_POWERS = prime_powers(1000)
 
 
-def divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def test_cyclotomic_small():
-    assert cyclotomic(1) == (-1, 1)
-    assert cyclotomic(2) == (1, 1)
-    assert cyclotomic(3) == (1, 1, 1)
-    assert cyclotomic(4) == (1, 0, 1)
-    assert cyclotomic(6) == (1, -1, 1)
-    assert cyclotomic(8) == (1, 0, 0, 0, 1)
-    assert cyclotomic(9) == (1, 0, 0, 1, 0, 0, 1)
-    assert cyclotomic(12) == (1, 0, -1, 0, 1)
-
-
-@pytest.mark.parametrize("n", list(range(1, 121)))
-def test_cyclotomic_product_identity(n):
-    # the product of Phi_d over divisors d of n is x^n - 1
-    product = (1,)
-    for d in divisors(n):
-        product = poly_mul(product, cyclotomic(d))
-    expected = tuple([-1] + [0] * (n - 1) + [1])
-    assert product == expected
-
-
-def test_cyclotomic_against_sympy():
+@lru_cache(maxsize=None)
+def sympy_cyclotomic(n: int) -> list[int]:
+    """sympy's Phi_n, ascending coefficients."""
     x = sympy.Symbol("x")
-    for n in range(1, 301):
-        expected = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
-        assert list(cyclotomic(n)) == expected, n
+    return sympy.cyclotomic_poly(n, x, polys=True).all_coeffs()[::-1]
 
 
-def test_cyclotomic_105_has_coefficient_two():
-    # first index where a coefficient outside {-1, 0, 1} appears
-    poly = cyclotomic(105)
-    assert poly[7] == -2
+def test_cyclotomic_against_sympy_prime_powers():
+    for p, alpha in CAPPED_PRIME_POWERS:
+        assert list(_block_polynomial(p, alpha)) == sympy_cyclotomic(p**alpha), p**alpha
+    assert len(CAPPED_PRIME_POWERS) == 193
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 9, 12, 16, 25, 49])
-def test_cyclotomic_palindrome(n):
-    poly = cyclotomic(n)
-    assert poly == poly[::-1]
+def test_trace_form_row_by_definition():
+    # s_e is the coefficient of x^(d-1) in x^e mod Phi_n, e = d-1 .. d+h-2:
+    # multiply x^(d-1) by x and reduce by sympy's Phi_n, h - 1 times
+    for p, alpha in CAPPED_PRIME_POWERS:
+        phi = sympy_cyclotomic(p**alpha)
+        d = len(phi) - 1
+        residue = [0] * (d - 1) + [1]
+        row = []
+        for _ in range(d // 2):
+            row.append(residue[d - 1])
+            top = residue[d - 1]
+            residue = [0] + residue[:-1]
+            if top:
+                residue = [c - top * f for c, f in zip(residue, phi)]
+        assert _trace_form_row(p, alpha) == row, p**alpha
 
 
 def test_companion_shape_and_charpoly():
@@ -123,7 +110,7 @@ def test_companion_rejects_bad_input():
 
 
 def test_companion_satisfies_own_polynomial():
-    poly = cyclotomic(12)
+    poly = (1, 0, -1, 0, 1)  # Phi_12, a composite index
     c = companion(poly)
     d = c.rows
     acc = [0] * (d * d)
@@ -134,13 +121,19 @@ def test_companion_satisfies_own_polynomial():
     assert acc == [0] * (d * d)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 7, 8, 9, 11, 13, 16])
-def test_invariant_lattice_and_form(n):
+LATTICE_PRIME_POWERS = [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)]
+
+
+@pytest.mark.parametrize(
+    "p, alpha", LATTICE_PRIME_POWERS, ids=[str(p**a) for p, a in LATTICE_PRIME_POWERS]
+)
+def test_invariant_lattice_and_form(p, alpha):
     # the trace form on the lattice Z[zeta_n], in the power basis:
     # P^T J P = [[0, T], [-T^T, 0]] with P = diag(I, T)
-    poly = cyclotomic(n)
+    n = p**alpha
+    poly = _block_polynomial(p, alpha)
     d = len(poly) - 1
-    row = _trace_form_row(poly)
+    row = _trace_form_row(p, alpha)
     p_matrix = _lift(row)
     form = p_matrix.transpose() @ standard_form(d // 2) @ p_matrix
     c = companion(poly)
@@ -175,13 +168,7 @@ def test_prime_power_block(p, alpha):
         assert charpoly == sympy.Poly(sympy.cyclotomic_poly(n, x), x)
 
 
-# every prime power n = p^alpha >= 3 with phi(n) <= 300: 80 blocks
-FROZEN_BLOCK_POWERS = [
-    (p, alpha)
-    for p in sympy.primerange(2, 302)
-    for alpha in range(1, 10)
-    if p**alpha >= 3 and sympy.totient(p**alpha) <= 300
-]
+FROZEN_BLOCK_POWERS = prime_powers(300)  # 80 blocks
 # SHA-256 of their entries, one line of space-separated integers per block
 FROZEN_BLOCKS_DIGEST = "6143e4d2de5105b6b63b6d482be8213946c13552cf9842da8d3457fcaee4b849"
 
