@@ -61,10 +61,68 @@ def sympy_cyclotomic(n: int) -> list[int]:
     return sympy.cyclotomic_poly(n, x, polys=True).all_coeffs()[::-1]
 
 
-def test_cyclotomic_against_sympy_prime_powers():
+def poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return tuple(out)
+
+
+def poly_divmod_monic(
+    num: tuple[int, ...], den: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Quotient and remainder of num by the monic den, ascending."""
+    rem = list(num)
+    k = len(den) - 1
+    quot = [0] * max(len(num) - k, 1)
+    for i in range(len(num) - 1, k - 1, -1):
+        c = rem[i]
+        if c:
+            quot[i - k] = c
+            for j, f in enumerate(den):
+                rem[i - k + j] -= c * f
+    return tuple(quot), tuple(rem[:k])
+
+
+def test_cyclotomic_small():
+    assert _block_polynomial(2, 1) == (1, 1)
+    assert _block_polynomial(3, 1) == (1, 1, 1)
+    assert _block_polynomial(2, 2) == (1, 0, 1)
+    assert _block_polynomial(2, 3) == (1, 0, 0, 0, 1)
+    assert _block_polynomial(3, 2) == (1, 0, 0, 1, 0, 0, 1)
+
+
+@pytest.mark.parametrize("n", list(range(1, 121)))
+def test_cyclotomic_product_identity(n):
+    # x^n - 1 is the product of Phi_d over the divisors d of n. The closed
+    # forms give the factors at d = 1 and at the prime powers d = p^j: their
+    # product divides x^n - 1 exactly, and is all of it when n is 1 or a
+    # prime power.
+    product = (-1, 1)
+    for p, a in sympy.factorint(n).items():
+        for j in range(1, a + 1):
+            product = poly_mul(product, _block_polynomial(p, j))
+    quotient, remainder = poly_divmod_monic(tuple([-1] + [0] * (n - 1) + [1]), product)
+    assert remainder == (0,) * (len(product) - 1)
+    assert (quotient == (1,)) == (len(sympy.factorint(n)) <= 1)
+
+
+def test_cyclotomic_against_sympy():
     for p, alpha in CAPPED_PRIME_POWERS:
         assert list(_block_polynomial(p, alpha)) == sympy_cyclotomic(p**alpha), p**alpha
     assert len(CAPPED_PRIME_POWERS) == 193
+
+
+PALINDROME_PRIME_POWERS = [(3, 1), (2, 2), (5, 1), (3, 2), (2, 4), (5, 2), (7, 2)]
+
+
+@pytest.mark.parametrize(
+    "p, alpha", PALINDROME_PRIME_POWERS, ids=[str(p**a) for p, a in PALINDROME_PRIME_POWERS]
+)
+def test_cyclotomic_palindrome(p, alpha):
+    poly = _block_polynomial(p, alpha)
+    assert poly == poly[::-1]
 
 
 def test_trace_form_row_by_definition():
