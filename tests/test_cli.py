@@ -607,9 +607,11 @@ def test_member_outputs_frozen_g1_8(capsys):
         assert digest.hexdigest() == expected, g
 
 
-# SHA-256 of `bounds --check C --range R --format F` stdout, one window
-# per check, frozen while rows held eager Fractions and every long value
-# was printed by mpmath's to_str
+# SHA-256 of `bounds --check C --range R --format F` stdout. The first window
+# of each check was frozen while rows held eager Fractions and every long
+# value was printed by mpmath's to_str; the windows from rosser 1..100 on,
+# which straddle every other validity threshold, while each sweep wrote its
+# own precondition-unmet rows
 BOUNDS_DIGESTS = {
     ("rosser", "22090..23089", "csv"): "9248df116c1e47a1e3ed08eed07b358ef01f91e86c74a9350c2aff7cd00262a5",
     ("rosser", "22090..23089", "text"): "aa27781feb196f240fabe8b1d644b7c739b362a83540a89a490e1b827915df32",
@@ -638,6 +640,27 @@ BOUNDS_DIGESTS = {
     ("thm31", "1..100", "csv"): "893f59414c168bfe05e3bf3fb23465201c9d657147668d3e96e93900b439d513",
     ("thm31", "1..100", "text"): "cb9e7c16d75380427afd4d83f89bc56c0bef0e5660ec9f146a1d9c5eaefd1de5",
     ("thm31", "1..100", "json"): "f9f4f98e1bc5ad8d70fed6b1ae67e7eb266e4af0403947c74675bdb405058d29",
+    ("rosser", "1..100", "csv"): "2e74f05035912e2c1597ad9029821028a54c0ebe2f3604076fc6a36aefc6a5a7",
+    ("rosser", "1..100", "text"): "cbaae44b9ac59ffad37a62e1ecb75b5277757cca28093dfbf3f519a2c57ca9ff",
+    ("rosser", "1..100", "json"): "bdb4ab347f92ac0bc3be935a9c38604cc2bb67b8b9b3bc7d88c852bc23684076",
+    ("thm36", "480..495", "csv"): "dc79e0efa72aef6e96cb9148e0f3078e0530d6cf6f840b91d5a4c7dfdad6c4f1",
+    ("thm36", "480..495", "text"): "e281ba5b24e49ba2c4e5945591ab792981b77d2a1b1ed002a23ad939f061d20a",
+    ("thm36", "480..495", "json"): "225eb5fd234c2c5d0332b8ae1a5d338b44d5e6e8e1a91dc7707b0d7c8b73f12a",
+    ("cor37", "480..495", "csv"): "b9abc566ece688a5b0b7e9e4c1c30a99db0b747ebd001e5996d6e4c1b6289819",
+    ("cor37", "480..495", "text"): "4863ed412161fce9fd77478ab475b55931e33df2ee7f451b0b260c03b3aabfe7",
+    ("cor37", "480..495", "json"): "5466c9e6fd1617a104d9f651372dc515480d8b1074ba8aa7fc4be1f0b4715051",
+    ("remark-upper", "1480..1490", "csv"): "3365762a49ccdd5484f299ac544f1b2676b968ad62ef648c3f2872c0e36043ae",
+    ("remark-upper", "1480..1490", "text"): "3c69e2fd4e6d86e3328d2504dea7cf2d0d35652db4f35a00d639cf6703346f6e",
+    ("remark-upper", "1480..1490", "json"): "d683d0c8654dbdbd71fa5e29ced8a89c5eb6471390e76dc3eac71825474e34e7",
+    ("dusart-pi", "1..5", "csv"): "1eb5828a74a3cae258fb667661ad267b3dee32da971e61bd0c8951a4ad97bd76",
+    ("dusart-pi", "1..5", "text"): "78448e78c1536415515710b7326036fbab45904e1186a7256fa636286ed67b46",
+    ("dusart-pi", "1..5", "json"): "d705ccdb82198e7d97e65c77fc5d4b1cad7d3c6ad47d2eddb22e918fb402493f",
+    ("remark-lower", "1..3", "csv"): "528e51a49c8380407a4882a15c1d1da81146dbfd321cfd1e8c5fbf05cc3c43ba",
+    ("remark-lower", "1..3", "text"): "3fc9060b61a149683399420f93b8a730ffc845c70898614089924863fa00f14f",
+    ("remark-lower", "1..3", "json"): "eb1831e0ec5fa3d6b58ae53118f71ddf8e6abc5442b1ca1270fdebd701efb466",
+    ("remark-lower", "4998..5000", "csv"): "5870c44a6e94fc6a7e7010630c4d495ed110ed10b8b9aa6f56b940b70b3b0608",
+    ("remark-lower", "4998..5000", "text"): "9efe99e510f9144b680978fbfa7ca11d23bc6566ceb6f59fc47c02906ce083d7",
+    ("remark-lower", "4998..5000", "json"): "37648512dd1c14ad66d4b99ed9022609e412e362ad125834cffbe14184d82d5d",
 }
 
 
