@@ -32,10 +32,13 @@ ArithmeticError (exit 3 in the CLI). n log n is never an integer for
 n >= 2 (n^n = e^k contradicts Lindemann-Weierstrass): more bits decide.
 
 Every check is declared once, in the CHECK_NAMES table: its sweep, the
-kind of its points (genus, x or n), and its default range. run_check
-refuses an empty range or one that starts below 1; a range of any size
-is otherwise swept, and the CLI caps it, by point kind, before calling
-run_check.
+kind of its points (genus, x or n), its validity threshold (its level),
+the rows a point below the level gets, and its default range, which
+starts at the level. run_check writes every such precondition-unmet row,
+and its sweep sees only the points from the level on (dusart-pi's lower
+direction, from x = 599, keeps its own threshold). run_check refuses an
+empty range or one that starts below 1; a range of any size is
+otherwise swept, and the CLI caps it, by point kind, before calling it.
 
 Every verdict is an exact integer comparison; no float ever decides one.
 The halves of lemma 3.3, dusart-sum and lemma35-beta are decided as
@@ -84,19 +87,6 @@ __all__ = [
     "compute_K",
     "compute_L",
     "improved_lower_threshold",
-    "check_thm31",
-    "check_cor32",
-    "check_remark_upper",
-    "check_thm36",
-    "check_cor37",
-    "check_remark_lower",
-    "check_lemma33",
-    "check_lemma34",
-    "check_lemma35",
-    "check_dusart_sum",
-    "check_dusart_pi",
-    "check_dusart_product",
-    "check_rosser",
     "Check",
     "CHECK_NAMES",
     "run_check",
@@ -284,17 +274,14 @@ def improved_lower_threshold() -> int:
 
 
 class _PrimeView:
-    """Sieve-backed pi(x), the n-th prime and the sum of the first n primes."""
+    """Sieve-backed primes, pi(x) and the sum of the first n primes."""
 
     def __init__(self, limit: int):
-        self.primes = sieve(max(limit, 2))
+        self.primes = sieve(limit)
         self._cum = tuple(itertools.accumulate(self.primes))
 
     def pi(self, x: int | float) -> int:
         return bisect_right(self.primes, x)
-
-    def nth(self, n: int) -> int:
-        return self.primes[n - 1]
 
     def sum_first(self, n: int) -> int:
         return self._cum[n - 1]
@@ -310,25 +297,13 @@ def _dp_rows(
     dps: dict[str, Callable[[int, int], list[int]]],
     op: str,
     rhs: Callable[[int], tuple],
-    level: int = 1,
-    requires: str = "g >= 1",
 ) -> Iterator[BoundReport]:
     """For every g in [g_from, g_to], a row per name in `dps`: that range
     DP's value at g against the raw mpf right side rhs(g), evaluated once
-    per genus.
-
-    Below `level` (the check's validity threshold) each name gets an
-    unmet row stating what it `requires`, and no DP runs; from
-    max(g_from, level) on, each DP runs once over that whole stretch.
+    per genus. Each DP runs once over the whole range.
     """
-    first = max(g_from, level)
-    for g in range(g_from, min(first, g_to + 1)):
-        for name in dps:
-            yield _unmet_row(name, g, requires)
-    if first > g_to:
-        return
-    columns = [dp(first, g_to) for dp in dps.values()]
-    for g, values in zip(range(first, g_to + 1), zip(*columns)):
+    columns = [dp(g_from, g_to) for dp in dps.values()]
+    for g, values in zip(range(g_from, g_to + 1), zip(*columns)):
         bound = rhs(g)
         for name, value in zip(dps, values):
             yield _guarded_row(name, g, value, bound, op)
@@ -342,8 +317,7 @@ def check_thm31(g_from: int, g_to: int) -> Iterator[BoundReport]:
     """h(g) <= 3 e^{3g}, exact h from the DP."""
     from .reals import _thm31_rhs
 
-    dps = {"thm31": max_order_value_range}
-    return _dp_rows(g_from, g_to, dps, "<=", _thm31_rhs)
+    return _dp_rows(g_from, g_to, {"thm31": max_order_value_range}, "<=", _thm31_rhs)
 
 
 def check_cor32(g_from: int, g_to: int) -> Iterator[BoundReport]:
@@ -354,16 +328,11 @@ def check_cor32(g_from: int, g_to: int) -> Iterator[BoundReport]:
         yield BoundReport("cor32", g, f, h, None, f <= h)
 
 
-REMARK_UPPER_START = 1486  # stated validity threshold of the refined bound
-
-
 def check_remark_upper(g_from: int, g_to: int) -> Iterator[BoundReport]:
     """h(g) <= 2 e^gamma log(2g+1) e^{(2g+1)/e} for g >= 1486."""
     from .reals import _remark_upper_rhs
 
-    dps = {"remark-upper": max_order_value_range}
-    level = REMARK_UPPER_START
-    return _dp_rows(g_from, g_to, dps, "<=", _remark_upper_rhs, level, f"g >= {level}")
+    return _dp_rows(g_from, g_to, {"remark-upper": max_order_value_range}, "<=", _remark_upper_rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -374,28 +343,22 @@ def check_thm36(g_from: int, g_to: int) -> Iterator[BoundReport]:
     """f(g) > e^{(1/4) sqrt(g/log g)} for g >= L."""
     from .reals import _quarter_sqrt_bound
 
-    level = compute_L()
-    dps = {"thm36": count_orders_range}
-    return _dp_rows(g_from, g_to, dps, ">", _quarter_sqrt_bound, level, f"g >= L = {level}")
+    return _dp_rows(g_from, g_to, {"thm36": count_orders_range}, ">", _quarter_sqrt_bound)
 
 
 def check_cor37(g_from: int, g_to: int) -> Iterator[BoundReport]:
     """h(g) > e^{(1/4) sqrt(g/log g)} for g >= L."""
     from .reals import _quarter_sqrt_bound
 
-    level = compute_L()
-    dps = {"cor37": max_order_value_range}
-    return _dp_rows(g_from, g_to, dps, ">", _quarter_sqrt_bound, level, f"g >= L = {level}")
+    return _dp_rows(g_from, g_to, {"cor37": max_order_value_range}, ">", _quarter_sqrt_bound)
 
 
 def check_remark_lower(g_from: int, g_to: int) -> Iterator[BoundReport]:
     """f(g) and h(g) > e^{sqrt(g/(4 log g))} once g log g >= 599^2."""
     from .reals import _improved_bound
 
-    cutoff = improved_lower_threshold()
     dps = {"remark-lower-f": count_orders_range, "remark-lower-h": max_order_value_range}
-    requires = f"g log g >= 599^2 (g >= {cutoff})"
-    return _dp_rows(g_from, g_to, dps, ">", _improved_bound, cutoff, requires)
+    return _dp_rows(g_from, g_to, dps, ">", _improved_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +369,6 @@ def check_lemma33(x_from: int, x_to: int) -> Iterator[BoundReport]:
     """Sum of primes <= x is < x pi(x) / 2 for x >= 23; exact halves."""
     view = _PrimeView(x_to)
     for x in range(x_from, x_to + 1):
-        if x < 23:
-            yield _unmet_row("lemma33", x, "x >= 23")
-            continue
         n = view.pi(x)
         yield _half_row("lemma33", x, view.sum_first(n), x * n)
 
@@ -422,12 +382,8 @@ def check_lemma34(g_from: int, g_to: int) -> Iterator[BoundReport]:
     """
     from .reals import _floor_sqrt_g_log_g, _lemma34_rhs
 
-    level = compute_K()
-    view = _PrimeView(_floor_sqrt_g_log_g(max(g_to, 2)))
+    view = _PrimeView(_floor_sqrt_g_log_g(g_to))
     for g in range(g_from, g_to + 1):
-        if g < level:
-            yield _unmet_row("lemma34", g, f"g >= K = {level}")
-            continue
         lhs = view.pi(_floor_sqrt_g_log_g(g))
         main_rhs, rhs_15, rhs_dusart = _lemma34_rhs(g)
         yield _guarded_row("lemma34", g, lhs, main_rhs, "<")
@@ -443,11 +399,7 @@ def check_lemma35(g_from: int, g_to: int) -> Iterator[BoundReport]:
     """
     from .reals import _floor_sqrt_g_log_g
 
-    level = compute_K()
     for g in range(g_from, g_to + 1):
-        if g < level:
-            yield _unmet_row("lemma35", g, f"g >= K = {level}")
-            continue
         decision = membership(primorial(_floor_sqrt_g_log_g(g)), g)
         report = decision.report
         beta = sum(t.cost for t in report.terms if t.prime != 2)
@@ -462,15 +414,15 @@ def check_lemma35(g_from: int, g_to: int) -> Iterator[BoundReport]:
 def check_dusart_sum(n_from: int, n_to: int) -> Iterator[BoundReport]:
     """Sum of the first n primes < n p_n / 2 for n >= 9; exact halves."""
     # p_n < n (log n + log log n) for n >= 6 sizes the sieve
-    limit = max(100, int(n_to * (math.log(n_to) + math.log(math.log(n_to)))) + 10) if n_to >= 6 else 100
+    limit = max(100, int(n_to * (math.log(n_to) + math.log(math.log(n_to)))) + 10)
     view = _PrimeView(limit)
     if len(view.primes) < n_to:
         raise AssertionError(f"sieve limit {limit} too small for n = {n_to}")
     for n in range(n_from, n_to + 1):
-        if n < 9:
-            yield _unmet_row("dusart-sum", n, "n >= 9")
-            continue
-        yield _half_row("dusart-sum", n, view.sum_first(n), n * view.nth(n))
+        yield _half_row("dusart-sum", n, view.sum_first(n), n * view.primes[n - 1])
+
+
+_PI_LOWER = "x >= 599"  # dusart-pi's lower direction, above its check's level
 
 
 def check_dusart_pi(x_from: int, x_to: int) -> Iterator[BoundReport]:
@@ -481,14 +433,10 @@ def check_dusart_pi(x_from: int, x_to: int) -> Iterator[BoundReport]:
     view = _PrimeView(x_to)
     for x in range(x_from, x_to + 1):
         lhs = view.pi(x)
-        if x < 2:
-            yield _unmet_row("dusart-pi-upper", x, "x >= 2")
-            yield _unmet_row("dusart-pi-lower", x, "x >= 599")
-            continue
         upper, lower = _dusart_pi_rhs(x)
         yield _guarded_row("dusart-pi-upper", x, lhs, upper, "<=")
         if x < 599:
-            yield _unmet_row("dusart-pi-lower", x, "x >= 599")
+            yield _unmet_row("dusart-pi-lower", x, _PI_LOWER)
         else:
             yield _guarded_row("dusart-pi-lower", x, lhs, lower, ">=")
 
@@ -518,11 +466,10 @@ def check_dusart_product(x_from: int, x_to: int) -> Iterator[BoundReport]:
 
     from .reals import _dusart_product_rhs
 
-    view = _PrimeView(x_to)
+    primes = _PrimeView(x_to).primes
     num, den = 1, 1
     prod_float = 1.0
     next_prime_idx = 0
-    primes = view.primes
     scale = 1 << _BRACKET_BITS
     bracket = None
     note = "lhs and margin displayed at float precision; verdict exact"
@@ -534,9 +481,6 @@ def check_dusart_product(x_from: int, x_to: int) -> Iterator[BoundReport]:
             prod_float *= 1 - 1 / p
             next_prime_idx += 1
             bracket = None
-        if x < 2973:
-            yield _unmet_row("dusart-product", x, "x >= 2973")
-            continue
         if bracket is None:
             bracket = (num * scale) // den
             lhs_display = Fraction(prod_float)
@@ -556,9 +500,6 @@ def check_rosser(x_from: int, x_to: int) -> Iterator[BoundReport]:
 
     view = _PrimeView(x_to)
     for x in range(x_from, x_to + 1):
-        if x < 55:
-            yield _unmet_row("rosser", x, "x >= 55")
-            continue
         yield _guarded_row("rosser", x, view.pi(x), _rosser_rhs(x), ">")
 
 
@@ -566,42 +507,56 @@ def check_rosser(x_from: int, x_to: int) -> Iterator[BoundReport]:
 # named dispatch (shared by the CLI and scripts)
 
 class Check(NamedTuple):
-    """A named check: its sweep over an inclusive range, the kind of its
-    points ("genus", "x" or "n"), which sets its cap in the CLI, and its
-    default range (None when a range is required; a callable computes it on
-    first use)."""
+    """A named check: its sweep, over a range that starts at or above its
+    level; the kind of its points ("genus", "x" or "n"), which sets its cap
+    in the CLI; its level, the validity threshold, as an int or a callable
+    that searches it when the check runs; the rows each point below the
+    level gets instead, by name, with what each requires ("{}" is the
+    level); and the end of its default range, which starts at the level:
+    an int, a function of the level, or None when a range is required."""
 
     sweep: Callable[[int, int], Iterator[BoundReport]]
     points: str
-    default: tuple[int, int] | Callable[[], tuple[int, int]] | None
+    level: int | Callable[[], int]
+    unmet: dict[str, str]
+    end: int | Callable[[int], int] | None
+
+    def threshold(self) -> int:
+        """The level, searched now if it is computed."""
+        return self.level() if callable(self.level) else self.level
 
 
-def _above(level: Callable[[], int], width: int) -> Callable[[], tuple[int, int]]:
-    return lambda: (level(), level() + width)
-
-
+# A computed level calls its search by name, so that it is searched (or
+# patched) only when the check runs.
 CHECK_NAMES: dict[str, Check] = {
-    "thm31": Check(check_thm31, "genus", (1, 300)),
-    "cor32": Check(check_cor32, "genus", (1, 300)),
-    "remark-upper": Check(check_remark_upper, "genus", (REMARK_UPPER_START, 1500)),
-    "thm36": Check(check_thm36, "genus", _above(compute_L, 100)),
-    "cor37": Check(check_cor37, "genus", _above(compute_L, 100)),
+    "thm31": Check(check_thm31, "genus", 1, {}, 300),
+    "cor32": Check(check_cor32, "genus", 1, {}, 300),
+    "remark-upper": Check(check_remark_upper, "genus", 1486, {"remark-upper": "g >= {}"}, 1500),
+    "thm36": Check(check_thm36, "genus", lambda: compute_L(), {"thm36": "g >= L = {}"}, lambda L: L + 100),
+    "cor37": Check(check_cor37, "genus", lambda: compute_L(), {"cor37": "g >= L = {}"}, lambda L: L + 100),
     # any in-precondition genus is a deliberate large run
-    "remark-lower": Check(check_remark_lower, "genus", None),
-    "lemma33": Check(check_lemma33, "x", (23, 10**5)),
-    "lemma34": Check(check_lemma34, "genus", _above(compute_K, 500)),
-    "lemma35": Check(check_lemma35, "genus", _above(compute_K, 500)),
-    "dusart-sum": Check(check_dusart_sum, "n", (9, 10**4)),
-    "dusart-pi": Check(check_dusart_pi, "x", (2, 10**5)),
-    "dusart-product": Check(check_dusart_product, "x", (2973, 10**5)),
-    "rosser": Check(check_rosser, "x", (55, 10**5)),
+    "remark-lower": Check(
+        check_remark_lower, "genus", lambda: improved_lower_threshold(),
+        dict.fromkeys(("remark-lower-f", "remark-lower-h"), "g log g >= 599^2 (g >= {})"), None,
+    ),
+    "lemma33": Check(check_lemma33, "x", 23, {"lemma33": "x >= {}"}, 10**5),
+    "lemma34": Check(check_lemma34, "genus", lambda: compute_K(), {"lemma34": "g >= K = {}"}, lambda K: K + 500),
+    "lemma35": Check(check_lemma35, "genus", lambda: compute_K(), {"lemma35": "g >= K = {}"}, lambda K: K + 500),
+    "dusart-sum": Check(check_dusart_sum, "n", 9, {"dusart-sum": "n >= {}"}, 10**4),
+    "dusart-pi": Check(check_dusart_pi, "x", 2, {"dusart-pi-upper": "x >= {}", "dusart-pi-lower": _PI_LOWER}, 10**5),
+    "dusart-product": Check(check_dusart_product, "x", 2973, {"dusart-product": "x >= {}"}, 10**5),
+    "rosser": Check(check_rosser, "x", 55, {"rosser": "x >= {}"}, 10**5),
 }
 
 
 def default_range(name: str) -> tuple[int, int] | None:
-    """Stated sweep range for a check; None means a range is required."""
-    default = CHECK_NAMES[name].default
-    return default() if callable(default) else default
+    """Stated sweep range for a check, from its level; None means a range
+    is required."""
+    check = CHECK_NAMES[name]
+    if check.end is None:
+        return None
+    level = check.threshold()
+    return level, check.end(level) if callable(check.end) else check.end
 
 
 def run_check(name: str, lo: int, hi: int) -> Iterator[BoundReport]:
@@ -609,7 +564,9 @@ def run_check(name: str, lo: int, hi: int) -> Iterator[BoundReport]:
 
     A range that is empty or starts below 1 raises ValueError at once,
     before any DP, sieve or primorial is built; any other range is swept
-    lazily, row by row, whatever its size.
+    lazily, row by row, whatever its size. This is the one place that
+    writes the rows of points below a check's level: its sweep sees only
+    the points from the level on, and is not called when there are none.
     """
     try:
         check = CHECK_NAMES[name]
@@ -619,7 +576,17 @@ def run_check(name: str, lo: int, hi: int) -> Iterator[BoundReport]:
         ) from None
     if lo < 1 or hi < lo:
         raise ValueError(f"invalid {check.points} range {lo}..{hi}")
-    return check.sweep(lo, hi)
+
+    def rows() -> Iterator[BoundReport]:
+        level = check.threshold()
+        unmet = [(row, requires.format(level)) for row, requires in check.unmet.items()]
+        for point in range(lo, min(level, hi + 1)):
+            for row, requires in unmet:
+                yield _unmet_row(row, point, requires)
+        if hi >= level:
+            yield from check.sweep(max(lo, level), hi)
+
+    return rows()
 
 
 # ---------------------------------------------------------------------------

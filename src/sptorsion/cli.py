@@ -8,9 +8,10 @@ Conventions shared by every subcommand:
     usage or parse error, including m = 1 (excluded by the A != 1
     convention) and a range past its cap in CAPS, refused before any
     DP, sieve, primorial, enumeration or matrix is built unless
-    --allow-large; exit 3 =
-    internal error (a bug, never an answer), with its traceback on
-    stderr.
+    --allow-large; exit 3 = internal error (a bug, never an answer),
+    with its traceback on stderr; exit 141 = stdout closed by its reader
+    before all was written (128 + SIGPIPE, as a shell reports a producer
+    killed by a closed pipe), with nothing on stderr.
   * --format text|json|csv. JSON payloads wrap results in an envelope
     {command, parameters, result, format}; every numeric value is a
     decimal string, so consumers never truncate big integers. CSV is
@@ -31,6 +32,7 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TextIO
@@ -49,6 +51,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_PIPE = 141
 
 
 class UsageError(Exception):
@@ -453,7 +456,7 @@ def cmd_bounds(args: argparse.Namespace, out: _Batched) -> int:
     name = args.check
     if name not in CHECK_NAMES:
         raise UsageError(f"unknown check {name!r}; valid names: {', '.join(sorted(CHECK_NAMES))}")
-    if args.range:
+    if args.range is not None:
         lo, hi = _parse_range(args.range)
     else:
         stated = default_range(name)
@@ -577,6 +580,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with _Batched(sys.stdout) as out:
             return args.handler(args, out)
+    except BrokenPipeError:
+        # stdout to devnull: the interpreter's last flush of it cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -299,6 +299,16 @@ def test_window_below_threshold_runs_no_dp(monkeypatch):
     assert all(r.passed is None for r in collect("thm36", 400, 488))
     assert all(r.passed is None for r in collect("cor37", 400, 488))
 
+    def no_sieve(*args):
+        raise AssertionError("sieve built for a window below the threshold")
+
+    # the x-checks build no sieve below their level either
+    monkeypatch.setattr(bounds, "_PrimeView", no_sieve)
+    for name, lo, hi in (("rosser", 1, 54), ("lemma33", 1, 22), ("dusart-product", 1, 2972)):
+        rows = collect(name, lo, hi)
+        assert len(rows) == hi - lo + 1
+        assert all(r.passed is None for r in rows)
+
 
 def test_run_check_takes_any_range(monkeypatch):
     # the caps are the CLI's: a range past them is swept, lazily

@@ -147,6 +147,26 @@ def test_range_grammar():
     assert single == ranged
     assert run_cli("extremal", "-g", "x..y").returncode == 2
     assert run_cli("extremal", "-g", "").returncode == 2
+    empty = run_cli("bounds", "--check", "lemma33", "--range", "")
+    assert empty.returncode == 2
+    assert "cannot parse range ''" in empty.stderr
+    assert empty.stdout == ""
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # far more output than a pipe buffer holds: the writes after the
+    # reader has gone fail with EPIPE, and so would the last flush at exit
+    child = subprocess.Popen(
+        [sys.executable, "-m", "sptorsion.cli", "bounds", "--check", "lemma33",
+         "--range", "23..100000", "--format", "csv"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert child.stdout.readline() == b"name,point,lhs,rhs,margin,pass,note\n"
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    assert child.wait(timeout=300) == 141
+    assert err == ""  # no traceback, and nothing from the flush at exit
 
 
 def test_witness_verify_round_trip(tmp_path):
