@@ -31,12 +31,25 @@ s = -1 at t = q when q < h (that is, p > 3), and 0 everywhere else
 (t = iq with i >= 2 gives j = i - 2 < p - 2, as iq < h).
 
 In the power basis B is therefore [[0, T], [-T^T, 0]] with T = I - N^q,
-N the h x h upper shift. That is B = P^T J P for P = diag(I, T), so the
-block
+N the h x h upper shift. That is B = P^T J P for P = diag(I, T), so B is
+J in the basis of the columns of P^-1 = diag(I, T^-1), T^-1 = sum_k
+N^(kq), a Z-basis since T^-1 is unitriangular:
 
-  A = P C P^-1,  P^-1 = diag(I, T^-1),  T^-1 = sum_k N^(kq),
+  b_j = zeta^j (j < h),  b_(h+j) = f_j = sum_(k>=0, kq<=j) zeta^(h+j-kq).
 
-satisfies A^T J A = J.
+The block A is multiplication by zeta in this basis. Taking f at a
+negative index as 0, zeta^(h+j) = f_j - f_(j-q), and
+
+  * zeta b_j = b_(j+1) for j < h, where b_h = f_0;
+  * zeta f_j = f_(j+1) - [q | j+1] f_0 for j < h - 1;
+  * zeta f_(h-1) = -sum_(iq<=h) b_(iq): expand zeta^d = -sum_(i<p-1)
+    zeta^(iq), and zeta^(d-kq) for k >= 1, by that identity; both sums
+    telescope.
+
+So A is the lower shift with -1 at (iq, d-1) for iq <= h and at
+(h, h+kq-1) for k >= 1 (one -1 where the two meet, at (h, d-1) when
+q | h). Multiplication by zeta preserves B, so A^T J A = J; and A =
+P C P^-1 has the exact order n of C.
 
 Assembly starts from the 2g x 2g identity and overwrites each block's
 coordinates: its first half takes a slice of the global first half
@@ -44,8 +57,8 @@ coordinates: its first half takes a slice of the global first half
 (f-coordinates). When m == 2 (mod 4) the 2-part is not a block at all:
 the assembled odd-order matrix is negated, and -1 being central and
 symplectic doubles the order at no cost. Blocks are built
-independently (cached per prime power) and merged by ascending prime,
-so construction is deterministic: equal inputs give identical matrices.
+independently and merged by ascending prime, so construction is
+deterministic: equal inputs give identical matrices.
 
 The assembled matrix is certified exactly before it is returned:
 A^T J A = J on the whole matrix, A^m = I, and no proper power
@@ -66,7 +79,7 @@ from __future__ import annotations
 
 import json
 import operator
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import NamedTuple
 
 from .criterion import MembershipDecision, NotRealizableError, membership
@@ -77,7 +90,6 @@ __all__ = [
     "WitnessCertificate",
     "SymplecticWitness",
     "NotRealizableError",  # from criterion, where `member` finds it without this module
-    "companion",
     "build_witness",
     "verify_witness",
     "certificate_to_dict",
@@ -139,66 +151,24 @@ class SymplecticWitness(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# the prime-power blocks, all three factors in closed form
-
-
-def _block_polynomial(p: int, alpha: int) -> tuple[int, ...]:
-    """Phi_(p^alpha)(x) = Phi_p(x^q), q = p^(alpha-1), ascending: ones at
-    the multiples of q up to the degree (p - 1) q."""
-    q = p ** (alpha - 1)
-    return tuple(int(e % q == 0) for e in range((p - 1) * q + 1))
-
-
-def companion(poly: tuple[int, ...]) -> IntMatrix:
-    """Companion matrix of a monic polynomial: subdiagonal ones, last
-    column the negated lower coefficients."""
-    if len(poly) < 2:
-        raise ValueError("polynomial must have degree >= 1")
-    if poly[-1] != 1:
-        raise ValueError("companion matrix needs a monic polynomial")
-    d = len(poly) - 1
-    entries = [0] * (d * d)
-    for i in range(1, d):
-        entries[i * d + (i - 1)] = 1
-    for i in range(d):
-        entries[i * d + (d - 1)] = -poly[i]
-    return IntMatrix(d, d, tuple(entries))
-
-
-def _trace_form_row(p: int, alpha: int) -> list[int]:
-    """First row s_(d-1), ..., s_(d+h-2) of T = I - N^q: one, then -1 at
-    offset q when q < h (see the module docstring)."""
-    q = p ** (alpha - 1)
-    return [int(t == 0) - int(t == q) for t in range((p - 1) * q // 2)]
-
-
-def _lift(row: list[int]) -> IntMatrix:
-    """diag(I_h, T) for the h x h upper-triangular Toeplitz T of `row`."""
-    h = len(row)
-    n = 2 * h
-    entries = [0] * (n * n)
-    for i in range(h):
-        entries[i * n + i] = 1
-        for j in range(i, h):
-            entries[(h + i) * n + h + j] = row[j - i]
-    return IntMatrix(n, n, tuple(entries))
-
-
-# ---------------------------------------------------------------------------
 # block assembly
 
 
-@lru_cache(maxsize=None)
 def _prime_power_block(p: int, alpha: int) -> IntMatrix:
-    """Symplectic block of exact order p^alpha, size phi(p^alpha).
-
-    The trace form is P^T J P with P = diag(I, T), so P C P^-1 is
-    symplectic for J; P^-1 = diag(I, T^-1), T^-1 = sum_k N^(kq).
-    """
+    """Symplectic block of exact order p^alpha, size d = phi(p^alpha): the
+    lower shift, -1 at (iq, d-1) for iq <= h and at (h, h+kq-1) for k >= 1,
+    multiplication by zeta where the trace form is J (module docstring)."""
     q = p ** (alpha - 1)
-    inverse = [int(t % q == 0) for t in range((p - 1) * q // 2)]
-    p_matrix = _lift(_trace_form_row(p, alpha))
-    return p_matrix @ companion(_block_polynomial(p, alpha)) @ _lift(inverse)
+    d = (p - 1) * q
+    h = d // 2
+    entries = [0] * (d * d)
+    for i in range(1, d):
+        entries[i * d + i - 1] = 1
+    for r in range(0, h + 1, q):
+        entries[r * d + d - 1] = -1
+    for c in range(h + q - 1, d, q):
+        entries[h * d + c] = -1
+    return IntMatrix(d, d, tuple(entries))
 
 
 def _realizable(m: int, g: int) -> MembershipDecision:
@@ -377,6 +347,9 @@ def witness_to_json(witness: SymplecticWitness) -> str:
 
 
 def witness_from_json(text: str) -> SymplecticWitness:
+    """Parse a document only if `witness_to_dict` writes it back unchanged
+    up to key order and whitespace (so every integer is a canonical decimal
+    string and every flag a JSON boolean); anything else is a ValueError."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -384,15 +357,14 @@ def witness_from_json(text: str) -> SymplecticWitness:
     try:
         size = int(payload["size"])
         claimed = int(payload["claimed_order"])
-        entries = tuple(int(x) for x in payload["entries"])
+        written = payload["entries"]
+        entries = tuple(map(int, written))
         cert_payload = payload["certificate"]
         cert = WitnessCertificate(
             bool(cert_payload["symplectic"]),
             bool(cert_payload["power_identity"]),
             tuple(
-                ProperPowerCheck(
-                    int(c["prime"]), int(c["exponent"]), bool(c["identity"])
-                )
+                ProperPowerCheck(int(c["prime"]), int(c["exponent"]), bool(c["identity"]))
                 for c in cert_payload["proper_powers"]
             ),
         )
@@ -401,4 +373,12 @@ def witness_from_json(text: str) -> SymplecticWitness:
     if size < 2 or size % 2:
         raise ValueError(f"witness size must be a positive even integer, got {size}")
     matrix = IntMatrix(size, size, entries)  # length check inside
-    return SymplecticWitness(matrix, claimed, cert)
+    witness = SymplecticWitness(matrix, claimed, cert)
+    if (
+        json.dumps(witness_to_dict(witness, []), sort_keys=True)
+        != json.dumps({**payload, "entries": []}, sort_keys=True)
+        or type(written) is not list
+        or any(map(operator.ne, map(str, entries), written))
+    ):
+        raise ValueError("malformed witness document: not as `witness` writes it")
+    return witness

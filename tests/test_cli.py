@@ -246,6 +246,41 @@ def test_verify_malformed_file(tmp_path):
     assert run_cli("verify", str(tmp_path / "missing.json")).returncode == 2
 
 
+# one field of the document of `witness 12 -g 3` at a time: its path and
+# the forged value (entries[14] is "1")
+FORGERIES = {
+    "entry-1.7": (("entries", 14), 1.7),
+    "entry-true": (("entries", 14), True),
+    "entry-padded": (("entries", 14), " 1 "),
+    "order-underscored": (("claimed_order",), "1_2"),
+    "order-12.9": (("claimed_order",), 12.9),
+    "genus-9": (("genus",), "9"),
+    "size-6.5": (("size",), 6.5),
+    "format": (("format",), "symplectic-witnesses"),
+    "version": (("version",), "2"),
+    "symplectic-no": (("certificate", "symplectic"), "no"),
+}
+
+
+@pytest.mark.parametrize("path, value", FORGERIES.values(), ids=FORGERIES.keys())
+def test_verify_refuses_documents_witness_never_writes(path, value, tmp_path, capsys):
+    from sptorsion import cli
+
+    doc = tmp_path / "w.json"
+    assert cli.main(["witness", "12", "-g", "3", "-o", str(doc)]) == 0
+    assert cli.main(["verify", str(doc)]) == 0
+    payload = json.loads(doc.read_text())
+    *keys, last = path
+    field = payload
+    for key in keys:
+        field = field[key]
+    field[last] = value
+    doc.write_text(json.dumps(payload, indent=2))
+    capsys.readouterr()
+    assert cli.main(["verify", str(doc)]) == 2
+    assert "malformed witness document" in capsys.readouterr().err
+
+
 def test_bounds_exit_and_formats():
     result = run_cli("bounds", "--check", "rosser", "--range", "55..100")
     assert result.returncode == 0

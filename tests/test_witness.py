@@ -11,6 +11,7 @@ from math import gcd
 import pytest
 import sympy
 
+from block_oracle import _block_polynomial, _lift, _trace_form_row, companion, conjugated_companion
 from power_oracle import binary_power, oracle_certificate
 from sptorsion import cli
 from sptorsion.criterion import enumerate_orders, membership
@@ -18,13 +19,9 @@ from sptorsion.matrices import IntMatrix, identity, standard_form
 from sptorsion.witness import (
     NotRealizableError,
     SymplecticWitness,
-    _block_polynomial,
     _certify,
-    _lift,
     _prime_power_block,
-    _trace_form_row,
     build_witness,
-    companion,
     verify_witness,
     witness_from_json,
     witness_to_json,
@@ -238,6 +235,12 @@ def test_prime_power_blocks_frozen():
         digest.update((" ".join(map(str, entries)) + "\n").encode())
     assert len(FROZEN_BLOCK_POWERS) == 80
     assert digest.hexdigest() == FROZEN_BLOCKS_DIGEST
+
+
+def test_block_is_the_conjugated_companion():
+    # the closed form equals the reference product P C P^-1
+    for p, alpha in FROZEN_BLOCK_POWERS:
+        assert _prime_power_block(p, alpha) == conjugated_companion(p, alpha), p**alpha
 
 
 @pytest.mark.parametrize("p, alpha", [(17, 1), (19, 1), (3, 3), (2, 5), (5, 2)])
