@@ -7,13 +7,14 @@ layer, at 169 bits (50 digits), with the bits of its written mpf
 expression inside mp.workdps(50). A check imports that layer when it
 runs, and only if it evaluates a real: this module imports nothing from
 mpmath, and lemma33, dusart-sum and cor32, whose rows are integers
-alone, never load it. A right side is the exact dyadic rational
-man * 2^exp, and it is tilted adversarially by a relative guard of 1e-9
-in one integer comparison: an upper bound must clear rhs*(1-1e-9), a
-lower bound rhs*(1+1e-9), and lhs < rhs*(1-1e-9) is decided as
-lhs * 10^9 * 2^-exp < man * (10^9 - 1). A reported pass therefore
-certifies the inequality with slack that dwarfs both the evaluation
-error (~1e-49) and the decimal-constant error, and a run is
+alone, never load it. The layer loads mpmath's four raw-mpf files, never
+the mpmath package (see `sptorsion._libmp`). A right side is the exact
+dyadic rational man * 2^exp, and it is tilted adversarially by a
+relative guard of 1e-9 in one integer comparison: an upper bound must
+clear rhs*(1-1e-9), a lower bound rhs*(1+1e-9), and lhs < rhs*(1-1e-9)
+is decided as lhs * 10^9 * 2^-exp < man * (10^9 - 1). A reported pass
+therefore certifies the inequality with slack that dwarfs both the
+evaluation error (~1e-49) and the decimal-constant error, and a run is
 reproducible bit for bit.
 
 Rows whose point sits below an inequality's stated validity threshold

@@ -7,11 +7,12 @@ Conventions shared by every subcommand:
     answer (non-member, failed verification, failed bound); exit 2 =
     usage or parse error, including m = 1 (excluded by the A != 1
     convention) and a range past its cap in CAPS, refused before any
-    DP, sieve, primorial, enumeration or matrix is built unless
-    --allow-large; exit 3 = internal error (a bug, never an answer),
-    with its traceback on stderr; exit 141 = stdout closed by its reader
-    before all was written (128 + SIGPIPE, as a shell reports a producer
-    killed by a closed pipe), with nothing on stderr.
+    DP, sieve, primorial, enumeration or matrix is built, or any trial
+    division past its cap is run, unless --allow-large; exit 3 =
+    internal error (a bug, never an answer), with its traceback on
+    stderr; exit 141 = stdout closed by its reader before all was
+    written (128 + SIGPIPE, as a shell reports a producer killed by a
+    closed pipe), with nothing on stderr.
   * --format text|json|csv. JSON payloads wrap results in an envelope
     {command, parameters, result, format}; every numeric value is a
     decimal string, so consumers never truncate big integers. CSV is
@@ -40,8 +41,9 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TextIO
 from . import __version__
 
 # Each handler imports the library modules it runs, and each writer json
-# or csv, so that a command loads only those: mpmath, for one, only under a
-# `bounds` check that evaluates a real, and --version none of them.
+# or csv, so that a command loads only those: mpmath's raw-mpf files, for
+# one, only under a `bounds` check that evaluates a real, and --version
+# none of them.
 if TYPE_CHECKING:
     from .criterion import MembershipDecision, NotRealizableError
     from .extremal import ExtremalRecord
@@ -65,8 +67,10 @@ class UsageError(Exception):
 # exponentially, so `orders` and `extremal --oracle`, which list it, stop far
 # lower. A witness
 # matrix has 4g^2 entries. An x or n range is sieved, and its cap is 10
-# times the largest default range.
-CAPS = {"genus": 5000, "enumeration": 40, "witness": 500, "x": 10**6, "n": 10**6}
+# times the largest default range. `member` trial-divides m up to
+# min(2g + 1, isqrt(c)), c the part of m left undivided, at a few million
+# odd divisors a second: up to the trial cap, under a tenth of a second.
+CAPS = {"genus": 5000, "enumeration": 40, "witness": 500, "x": 10**6, "n": 10**6, "trial": 10**6}
 
 
 def _refuse_over_cap(name: str, points: str, hi: int, allow_large: bool) -> None:
@@ -253,9 +257,25 @@ def _beyond_prime_bound(args: argparse.Namespace, out: _Batched, exc: NotRealiza
     return _not_realizable(args, out, {"m": str(d.m), "genus": str(d.g)}, fields, text, exc)
 
 
+def _refuse_long_trial_division(m: int, g: int, allow_large: bool) -> None:
+    """Refuse an m whose factoring by the primes <= 2g + 1 would divide
+    past the trial cap: once every divisor up to the cap is tried, the
+    cofactor c still needs trial division up to min(2g + 1, isqrt(c))."""
+    import math
+
+    from .numtheory import factor
+
+    cap = CAPS["trial"]
+    if m > 1 and 2 * g + 1 > cap and not allow_large:
+        cofactor = factor(m, cap)[1]
+        if cofactor > 1:
+            _refuse_over_cap("member trial division", "trial", min(2 * g + 1, math.isqrt(cofactor)), False)
+
+
 def cmd_member(args: argparse.Namespace, out: _Batched) -> int:
     from .criterion import NotRealizableError, membership
 
+    _refuse_long_trial_division(args.m, args.genus, args.allow_large)
     decision = membership(args.m, args.genus)
     if decision.report.cofactor > 1:
         return _beyond_prime_bound(args, out, NotRealizableError(decision))
@@ -533,6 +553,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("member", help="decide whether some element has order m")
     p.add_argument("m", type=int, help="candidate order (>= 2)")
     p.add_argument("-g", "--genus", type=int, required=True, help="genus g >= 1")
+    p.add_argument("--allow-large", action="store_true", help="lift the trial-division cap")
     _add_format(p)
     p.set_defaults(handler=cmd_member)
 

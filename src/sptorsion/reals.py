@@ -6,9 +6,15 @@ global precision. Each right side calls the functions that mpf arithmetic
 on its written expression inside mp.workdps(50) calls, in the same order,
 so its bits are that expression's; its docstring is that expression.
 
+The functions come from `sptorsion._libmp`, which loads mpmath's own
+libmp files (backend, libintmath, libmpf, libelefun) without the mpmath
+package: `import mpmath.libmp` would first run mpmath/__init__.py, whose
+contexts and function library cost every process some 25 ms and 3 MB and
+are never called here.
+
 `sptorsion.bounds` imports this module inside the checks that evaluate a
 real, when they run, so a check whose rows are integers alone (lemma33,
-dusart-sum, cor32) never loads mpmath.
+dusart-sum, cor32) never loads mpmath's files.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from mpmath.libmp import (
+from ._libmp import (
     dps_to_prec,
     fone,
     from_int,

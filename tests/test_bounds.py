@@ -9,6 +9,8 @@ import math
 import operator
 import pickle
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -697,9 +699,10 @@ def test_genus_right_sides_keep_their_bits(g):
 
 
 def real_path_breaches(source: str) -> list[str]:
-    """Uses of mpmath outside mpmath.libmp, of workdps, or of mp.<name>,
-    and imports of dataclasses (whose import alone costs every CLI process
-    inspect, ast, dis and tokenize)."""
+    """Imports of mpmath, mpmath.libmp included (mpmath/__init__.py builds
+    mpmath's contexts and function library, which no command calls), uses
+    of workdps or of mp.<name>, and imports of dataclasses (whose import
+    alone costs every CLI process inspect, ast, dis and tokenize)."""
     breaches = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -711,8 +714,7 @@ def real_path_breaches(source: str) -> list[str]:
         else:
             modules = []
         for module in modules:
-            top = module.split(".")[:2]
-            if (top[0] == "mpmath" and top != ["mpmath", "libmp"]) or top[0] == "dataclasses":
+            if module.split(".")[0] in ("mpmath", "dataclasses"):
                 breaches.append(f"line {node.lineno}: imports {module}")
         if isinstance(node, ast.Attribute) and (
             node.attr == "workdps" or (isinstance(node.value, ast.Name) and node.value.id == "mp")
@@ -721,30 +723,77 @@ def real_path_breaches(source: str) -> list[str]:
     return breaches
 
 
-def imported_modules(source: str) -> set[str]:
-    """The absolute imports of a module, wherever they sit in it."""
-    modules = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            modules.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and not node.level:
-            modules.add(node.module)
-    return modules
+def names_mpmath(source: str) -> bool:
+    """Whether a string constant of the module is mpmath or a dotted name
+    under it, as a module name handed to an import function would be."""
+    return any(
+        isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.split(".")[0] == "mpmath"
+        for node in ast.walk(ast.parse(source))
+    )
+
+
+def imports_libmp(source: str) -> bool:
+    """Whether the module imports the package-relative _libmp."""
+    return any(
+        isinstance(node, ast.ImportFrom) and node.level == 1 and (node.module or "").split(".")[0] == "_libmp"
+        for node in ast.walk(ast.parse(source))
+    )
 
 
 def test_src_evaluates_reals_on_the_raw_mpf_path_only():
     paths = sorted((Path(__file__).resolve().parents[1] / "src" / "sptorsion").glob("*.py"))
-    assert "reals.py" in [path.name for path in paths]
+    assert {"reals.py", "_libmp.py"} <= {path.name for path in paths}
     for path in paths:
-        assert real_path_breaches(path.read_text()) == [], path.name
-        # mpmath is loaded by the raw-mpf layer alone, even inside a function
-        uses_mpmath = any(m.split(".")[0] == "mpmath" for m in imported_modules(path.read_text()))
-        assert uses_mpmath == (path.name == "reals.py"), path.name
+        source = path.read_text()
+        assert real_path_breaches(source) == [], path.name
+        # _libmp alone finds mpmath's files, and reals alone evaluates with them
+        assert names_mpmath(source) == (path.name == "_libmp.py"), path.name
+        assert imports_libmp(source) == (path.name == "reals.py"), path.name
     # the scan itself sees each kind of breach
     assert len(real_path_breaches("from mpmath import mp, mpf\nimport mpmath\n")) == 3
     assert len(real_path_breaches("with ctx.workdps(50):\n    y = mp.floor(x)\n")) == 2
-    assert real_path_breaches("from mpmath import libmp\nfrom mpmath.libmp import mpf_e\n") == []
+    assert len(real_path_breaches("from mpmath import libmp\nfrom mpmath.libmp import mpf_e\n")) == 2
+    assert len(real_path_breaches("def f():\n    import mpmath.libmp.libmpf\n")) == 1
     assert len(real_path_breaches("import dataclasses\nfrom dataclasses import dataclass\n")) == 2
+    assert names_mpmath("find_spec('mpmath')") and names_mpmath("import_module('mpmath.libmp')")
+    assert not names_mpmath('"""Evaluated by the raw-mpf functions of mpmath."""')
+    assert imports_libmp("from ._libmp import mpf_e") and imports_libmp("from ._libmp.libmpf import fone")
+    assert not imports_libmp("from .bounds import EULER_GAMMA_20")
+
+
+def test_reals_leaves_the_mpmath_package_unloaded():
+    # in a fresh process: reals binds nothing under mpmath, a later import
+    # of mpmath builds its own package, and the right sides that reals
+    # evaluates equal the same calls made through mpmath.libmp
+    script = """
+import sys
+from pathlib import Path
+from types import ModuleType
+
+before = set(sys.modules)
+from sptorsion import reals
+assert [m for m in set(sys.modules) - before if m.split(".")[0] == "mpmath"] == []
+
+import mpmath.libmp
+assert mpmath.libmp is not sys.modules["sptorsion._libmp"]
+assert mpmath.libmp.libmpf is not sys.modules["sptorsion._libmp.libmpf"]
+assert mpmath.libmp.mpf_log is not reals.mpf_log
+
+# reals' own source, with its functions taken from mpmath.libmp instead
+source = Path(reals.__file__).read_text()
+assert source.count("from ._libmp import (") == 1
+via_mpmath = ModuleType("sptorsion.reals_via_mpmath")
+via_mpmath.__package__ = "sptorsion"
+exec(compile(source.replace("from ._libmp import (", "from mpmath.libmp import ("), "", "exec"), vars(via_mpmath))
+points = [*range(2, 200), *range(10**6 - 50, 10**6 + 50), 2**61 - 1]
+for name in ("_rosser_rhs", "_dusart_pi_rhs", "_thm31_rhs"):
+    mine, theirs = getattr(reals, name), getattr(via_mpmath, name)
+    assert [mine(n) for n in points] == [theirs(n) for n in points], name
+print("checked", len(points))
+"""
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "checked 299\n"
 
 
 def cap_breaches(source: str, defines_caps: bool = False) -> list[str]:

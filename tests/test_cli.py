@@ -388,6 +388,36 @@ def test_cap_gate(name, monkeypatch, capsys):
         assert calls == [(*point, cap, cap), (*point, cap + 1, cap + 1)]
 
 
+def test_member_trial_division_cap(capsys):
+    # a prime near 10^24 at genus 10^12 would be trial-divided up to 10^12
+    from sptorsion import cli
+
+    start = time.perf_counter()
+    assert cli.main(["member", str(10**24 + 7), "-g", str(10**12)]) == 2
+    assert time.perf_counter() - start < 0.5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"error: member trial division range ends at {10**12}, above the cap {cli.CAPS['trial']}; "
+        "pass --allow-large to lift it\n"
+    )
+    # a prime near 10^13 needs trial division up to its square root, 3162277
+    argv = ["member", "10000000000037", "-g", str(10**12), "--format", "json"]
+    assert cli.main(argv) == 2
+    assert "ends at 3162277, above the cap" in capsys.readouterr().err
+    assert cli.main([*argv, "--allow-large"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["result"]["member"] is False
+    assert "prime factor above 2g + 1" in err
+    # smooth orders, and a cofactor whose square root is the cap, answer at once
+    start = time.perf_counter()
+    assert cli.main(["member", "6", "-g", str(10**12)]) == 0
+    assert cli.main(["member", str(2**200), "-g", str(10**12)]) == 1
+    assert cli.main(["member", str(3 * 1000000000039), "-g", str(10**12)]) == 0
+    assert time.perf_counter() - start < 1
+    assert "member of S(1000000000000)" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "check", ["lemma33", "dusart-sum", "dusart-pi", "dusart-product", "rosser"]
 )
@@ -497,8 +527,6 @@ def test_bounds_csv_without_rows(monkeypatch, capsys):
 def test_bounds_json_keeps_no_rows(monkeypatch):
     # the modules the check loads on first use, imported before any tracing,
     # so that neither traced run counts their import
-    import mpmath  # noqa: F401
-
     from sptorsion import bounds, cli, reals  # noqa: F401
 
     def peak(fmt):
@@ -829,16 +857,18 @@ def test_version_flag():
 
 
 # the modules a command may not load, by command: bounds belongs to
-# `bounds` alone, mpmath to the bound checks that evaluate a real
-# (`bounds --check rosser` may load it; lemma33, dusart-sum and cor32, whose
-# rows are integers alone, may not), and fractions to the one sweep that
-# builds a Fraction on the CLI path, dusart-product's displayed left side;
-# matrices and witness belong to witness/verify, and no command needs
+# `bounds` alone, the raw-mpf layer (reals, and mpmath's libmp files under
+# sptorsion._libmp) to the bound checks that evaluate a real (`bounds
+# --check rosser` may load it; lemma33, dusart-sum and cor32, whose rows are
+# integers alone, may not), and fractions to the one sweep that builds a
+# Fraction on the CLI path, dusart-product's displayed left side;
+# matrices and witness belong to witness/verify, and no command needs the
+# mpmath package (its contexts and function library, some 3 MB), or
 # dataclasses or inspect (with ast, dis and tokenize behind them, over 1 MB
 # of every process that loads them)
-HEAVY = ["mpmath", "fractions", "sptorsion.bounds", "sptorsion.reals"]
-INTEGER_ROWS = ["mpmath", "sptorsion.reals", "fractions"]
-NEVER = ["dataclasses", "inspect"]
+HEAVY = ["fractions", "sptorsion.bounds", "sptorsion.reals", "sptorsion._libmp"]
+INTEGER_ROWS = ["sptorsion.reals", "sptorsion._libmp", "fractions"]
+NEVER = ["mpmath", "dataclasses", "inspect"]
 WITNESS = ["sptorsion.witness", "sptorsion.matrices"]
 # json and csv are loaded by the writers that use them alone, so neither
 # --version nor a text-format table loads them
@@ -916,7 +946,29 @@ def test_command_import_footprint(command, tmp_path, bare_modules):
     forbidden = set(FOOTPRINT_FORBIDDEN[command]) - bare_modules
     assert [m for m in loaded if m in forbidden] == []
     if command == "bounds":
-        assert "sptorsion.reals" in loaded  # the scan would see a real check's mpmath
+        # the scan would see a real check's raw-mpf layer
+        assert {"sptorsion.reals", "sptorsion._libmp.libelefun"} <= set(loaded)
+
+
+def test_real_checks_need_mpmath_and_integer_checks_do_not():
+    # without mpmath, a check that evaluates a real is an internal error
+    # (exit 3, with its traceback), and an integer-row check still runs
+    script = (
+        "import sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "from sptorsion import cli\n"
+        "try:\n"
+        "    import sptorsion.reals\n"
+        "except ModuleNotFoundError as exc:\n"
+        "    assert exc.name == 'mpmath' and 'mpmath' in str(exc), exc\n"
+        "else:\n"
+        "    raise AssertionError('sptorsion.reals imported without mpmath')\n"
+        "assert cli.main(['bounds', '--check', 'rosser', '--range', '55..60']) == 3\n"
+        "assert cli.main(['bounds', '--check', 'lemma33', '--range', '20..30']) == 0\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert "ModuleNotFoundError: No module named 'mpmath'" in result.stderr
 
 
 def test_readme_library_example():
