@@ -25,7 +25,6 @@ from .libmpf import (  # noqa: E402
     dps_to_prec,
     fone,
     from_int,
-    from_man_exp,
     from_str,
     mpf_add,
     mpf_div,
@@ -38,5 +37,4 @@ from .libmpf import (  # noqa: E402
     mpf_sub,
     round_nearest,
     to_int,
-    to_str,
 )

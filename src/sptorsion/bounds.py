@@ -44,12 +44,12 @@ otherwise swept, and the CLI caps it, by point kind, before calling it.
 Every verdict is an exact integer comparison; no float ever decides one.
 The halves of lemma 3.3, dusart-sum and lemma35-beta are decided as
 2 * lhs < x * pi(x) (and the like), on integers. The one display-only
-compromise: the Mertens-type product check keeps the running product as
-a raw numerator/denominator pair (tens of thousands of digits at the top
-of the sweep), decides against a 256-bit bracket of it (exact
-cross-multiplication when the bracket cannot decide), and renders the
-left side at float precision because printing the exact rational would
-be useless.
+compromise: the Mertens-type product check keeps the running product
+only as a bracket lo <= prod * 2^256 <= hi, which each entering prime
+widens by at most 2 units, decides against it (building the exact
+product of the primes <= x only when the bracket cannot decide), and
+renders the left side at float precision because printing the exact
+rational would be useless.
 
 A row keeps the integers it was decided from: its left side, and its
 right side as an int or as num * 2^exp. margin is rhs - lhs on the raw
@@ -63,7 +63,10 @@ Rendering never builds rhs and margin: a value whose denominator
 divides 2^12 and whose magnitude is below 10^40 is printed exactly, and
 any other at 20 significant digits, byte for byte as mpmath's
 to_str(x, 20) prints x rounded to 86 bits (25 digits), all in integer
-arithmetic.
+arithmetic. render_value also refuses a non-integer whose rounding has
+its leading bit beyond 2^3500 or 2^-3500, outside to_str's fixed-point
+window; no row reaches it, as a right side that large is an integer.
+mpmath evaluates right sides and prints nothing.
 """
 
 from __future__ import annotations
@@ -423,7 +426,8 @@ def check_dusart_sum(n_from: int, n_to: int) -> Iterator[BoundReport]:
         yield _half_row("dusart-sum", n, view.sum_first(n), n * view.primes[n - 1])
 
 
-_PI_LOWER = "x >= 599"  # dusart-pi's lower direction, above its check's level
+_PI_LOWER_FROM = 599  # dusart-pi's lower direction, above its check's level
+_PI_LOWER = f"x >= {_PI_LOWER_FROM}"
 
 
 def check_dusart_pi(x_from: int, x_to: int) -> Iterator[BoundReport]:
@@ -436,62 +440,63 @@ def check_dusart_pi(x_from: int, x_to: int) -> Iterator[BoundReport]:
         lhs = view.pi(x)
         upper, lower = _dusart_pi_rhs(x)
         yield _guarded_row("dusart-pi-upper", x, lhs, upper, "<=")
-        if x < 599:
+        if x < _PI_LOWER_FROM:
             yield _unmet_row("dusart-pi-lower", x, _PI_LOWER)
         else:
             yield _guarded_row("dusart-pi-lower", x, lhs, lower, ">=")
 
 
-# bits of the bracket q / 2^B <= prod < (q + 1) / 2^B on the running product
+# bits of the bracket lo <= prod * 2^B <= hi on the running product
 _BRACKET_BITS = 256
 
 
-def _product_exceeds(num: int, den: int, man: int, exp: int) -> bool:
-    """num/den > man * 2^exp * (1 + GUARD) by full cross-multiplication."""
-    return _guarded_verdict(num, den, man, exp, ">")
+def _product_exceeds(primes: tuple[int, ...], man: int, exp: int) -> bool:
+    """prod_{p in primes} (1 - 1/p) > man * 2^exp * (1 + GUARD), on the
+    exact product."""
+    return _guarded_verdict(math.prod(p - 1 for p in primes), math.prod(primes), man, exp, ">")
 
 
 def check_dusart_product(x_from: int, x_to: int) -> Iterator[BoundReport]:
     """prod_{p <= x} (1 - 1/p) > (e^-gamma / log x)(1 - 0.2/log^2 x)
     for x >= 2973; the product side is an exact rational.
 
-    The verdict is exact. Each time a prime enters, the running product
-    num/den is bracketed as q / 2^256 <= num/den < (q + 1) / 2^256; a row
-    whose guarded right side lies outside the bracket is decided by two
-    integer comparisons on q, and only a right side inside it falls back
-    to cross-multiplying the full numerator/denominator pair. The
-    displayed lhs and margin are float approximations of the exact
-    rational (noted on each row).
+    The verdict is exact. The running product is kept only as a bracket
+    lo <= prod * 2^256 <= hi: each prime p that enters takes lo to
+    floor(lo (p - 1) / p) and hi to ceil(hi (p - 1) / p), so the bracket
+    widens by at most 2 units per prime. A row whose guarded right side
+    lies outside the bracket is decided by two integer comparisons, and
+    only a right side inside it falls back to building the exact product
+    of the primes <= x. The displayed lhs and margin are float
+    approximations of the exact rational (noted on each row).
     """
     from fractions import Fraction
 
     from .reals import _dusart_product_rhs
 
     primes = _PrimeView(x_to).primes
-    num, den = 1, 1
+    scale = 1 << _BRACKET_BITS
+    lo = hi = scale
     prod_float = 1.0
     next_prime_idx = 0
-    scale = 1 << _BRACKET_BITS
-    bracket = None
+    lhs_display = None
     note = "lhs and margin displayed at float precision; verdict exact"
     for x in range(x_from, x_to + 1):
         while next_prime_idx < len(primes) and primes[next_prime_idx] <= x:
             p = primes[next_prime_idx]
-            num *= p - 1
-            den *= p
+            lo = lo * (p - 1) // p
+            hi = -(-hi * (p - 1) // p)
             prod_float *= 1 - 1 / p
             next_prime_idx += 1
-            bracket = None
-        if bracket is None:
-            bracket = (num * scale) // den
+            lhs_display = None
+        if lhs_display is None:
             lhs_display = Fraction(prod_float)
         _, man, exp, _ = _dusart_product_rhs(x)
-        if _guarded_verdict(bracket, scale, man, exp, ">"):
+        if _guarded_verdict(lo, scale, man, exp, ">"):
             passed = True
-        elif not _guarded_verdict(bracket + 1, scale, man, exp, ">"):
+        elif not _guarded_verdict(hi, scale, man, exp, ">"):
             passed = False
         else:
-            passed = _product_exceeds(num, den, man, exp)
+            passed = _product_exceeds(primes[:next_prime_idx], man, exp)
         yield BoundReport("dusart-product", x, lhs_display, man, exp, passed, note)
 
 
@@ -601,7 +606,8 @@ REPORT_FIELDS = ("name", "point", "lhs", "rhs", "margin", "pass", "note")
 _ROUND_BITS = 86
 _FIX_BITS = int(23 * math.log(10, 2)) + 10
 _LOG2_10 = math.log(10, 2)
-# to_str's fixed-point window: |binary exponent of the leading bit| <= 3500
+# to_str's fixed-point window: |binary exponent of the leading bit| <= 3500;
+# render_value refuses a long value beyond it, which no row reaches
 _FIXED_WINDOW = 3500
 # the exact branch: a denominator dividing 2^12, a magnitude below 10^40
 _EXACT_DIGITS = 12
@@ -621,12 +627,11 @@ def _round(n: int) -> tuple[int, int]:
 
 
 def _significant(negative: bool, man: int, exp: int) -> str:
-    """to_str(mpf(-+man * 2^exp), 20) for 0 < man <= 2^_ROUND_BITS."""
+    """to_str(mpf(-+man * 2^exp), 20) for 0 < man <= 2^_ROUND_BITS, when
+    the leading bit lies within 2^±_FIXED_WINDOW; ValueError beyond."""
     top = exp + man.bit_length()
     if abs(top) > _FIXED_WINDOW:
-        from .reals import _to_str_20
-
-        return _to_str_20(-man if negative else man, exp)
+        raise ValueError(f"render_value prints values within 2^±{_FIXED_WINDOW} only, not 2^{top - 1}")
     fixprec = max(_FIX_BITS - top, 0)
     fixdps = int(fixprec / _LOG2_10 + 0.5)
     shift = exp + fixprec  # man * 2^shift is an integer: the shift is exact
@@ -678,8 +683,8 @@ def _render_dyadic(num: int, exp: int) -> str:
 
 def render_value(value: int | Fraction) -> str:
     """Deterministic decimal rendering of an integer or a dyadic rational;
-    exact when short, else 20 significant digits. Any other denominator
-    raises ValueError."""
+    exact when short, else 20 significant digits. Any other denominator,
+    or a long value beyond 2^±3500, raises ValueError."""
     if isinstance(value, int):
         return str(value)
     num, den = value.numerator, value.denominator
@@ -690,13 +695,4 @@ def render_value(value: int | Fraction) -> str:
 
 def report_to_dict(report: BoundReport) -> dict[str, object]:
     """JSON-ready mapping; numeric values as decimal strings."""
-    name, point, lhs, rhs, margin = report.rendered()
-    return {
-        "name": name,
-        "point": point,
-        "lhs": lhs,
-        "rhs": rhs,
-        "margin": margin,
-        "pass": report.passed,
-        "note": report.note,
-    }
+    return dict(zip(REPORT_FIELDS, (*report.rendered(), report.passed, report.note)))

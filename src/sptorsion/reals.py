@@ -26,7 +26,6 @@ from ._libmp import (
     dps_to_prec,
     fone,
     from_int,
-    from_man_exp,
     from_str,
     mpf_add,
     mpf_div,
@@ -42,7 +41,6 @@ from ._libmp import (
     mpf_sub,
     round_nearest,
     to_int,
-    to_str,
 )
 
 from .bounds import EULER_GAMMA_20
@@ -176,15 +174,3 @@ def _dusart_product_rhs(x: int) -> tuple:
     log_sq = mpf_pow_int(log_x, 2, _PREC, _RND)
     tilt = mpf_sub(fone, mpf_div(_FIFTH, log_sq, _PREC, _RND), _PREC, _RND)
     return mpf_mul(mpf_div(_EXP_NEG_GAMMA, log_x, _PREC, _RND), tilt, _PREC, _RND)
-
-
-# ---------------------------------------------------------------------------
-# printing far from 1
-
-
-def _to_str_20(man: int, exp: int) -> str:
-    """to_str(man * 2^exp, 20): bounds.render_value's path for a value
-    whose leading bit lies beyond 2^3500 or 2^-3500, outside to_str's
-    fixed-point window, where to_str first divides by a power of ten it
-    rounds. No row's value lies there."""
-    return to_str(from_man_exp(man, exp), 20)

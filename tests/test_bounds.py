@@ -580,7 +580,7 @@ def near_binary_exponent(top, k, low):
 
 far_values = st.one_of(
     # leading bit on either side of 2^3500 and of 2^-3500, where to_str
-    # leaves its fixed-point window
+    # leaves its fixed-point window and render_value refuses the value
     st.builds(
         near_binary_exponent, st.integers(3490, 3510), st.integers(13, 100), st.integers(0, 2**200)
     ),
@@ -589,6 +589,16 @@ far_values = st.one_of(
         st.integers(-3510, -3490), st.integers(0, 2**199),
     ),
 )
+
+
+def beyond_fixed_window(value):
+    """Whether value is not an integer and its 86-bit rounding has its
+    leading bit 2^(top - 1) with |top| > 3500, outside to_str's window."""
+    if isinstance(value, int) or value.denominator == 1:
+        return False
+    with mp.workprec(86):
+        _, _, exp, bc = (mpf(value.numerator) / value.denominator)._mpf_
+    return abs(exp + bc) > 3500
 
 
 def below_power_of_ten(p, d, k):
@@ -642,7 +652,11 @@ negative_margins = st.builds(
 @example(dyadic_below(Fraction(10**21, 3)))
 @example(Fraction(2**170 - 1, 2**160) - 10**6)
 def test_render_value_matches_rational_rendering(value):
-    assert render_value(value) == oracle.render_value(value)
+    if beyond_fixed_window(value):
+        with pytest.raises(ValueError, match="within 2\\^±3500 only"):
+            render_value(value)
+    else:
+        assert render_value(value) == oracle.render_value(value)
 
 
 def test_render_value_refuses_non_dyadic_values():
@@ -652,16 +666,17 @@ def test_render_value_refuses_non_dyadic_values():
 
 
 @pytest.mark.parametrize("top", [3499, 3500, 3501, 3600, -3498, -3499, -3500, -3600])
-def test_render_value_leaves_the_fixed_window_only_beyond_3500(top, monkeypatch):
-    # to_str, which divides by a power of ten it rounds, prints only values
-    # whose 86-bit rounding has its leading bit beyond 2^3500 or 2^-3500
-    calls = []
-    to_str_20 = reals._to_str_20
-    monkeypatch.setattr(reals, "_to_str_20", lambda *args: calls.append(args) or to_str_20(*args))
+def test_render_value_leaves_the_fixed_window_only_beyond_3500(top):
+    # render_value refuses exactly the values whose 86-bit rounding has its
+    # leading bit beyond 2^3500 or 2^-3500, which to_str would first divide
+    # by a power of ten it rounds
     k = 13 if top > 0 else 200 - top
     for value in (near_binary_exponent(top, k, 1), -near_binary_exponent(top, k, 12345)):
-        assert render_value(value) == oracle.render_value(value)
-    assert len(calls) == (2 if abs(top) > 3500 else 0)
+        if abs(top) > 3500:
+            with pytest.raises(ValueError, match="within 2\\^±3500 only"):
+                render_value(value)
+        else:
+            assert render_value(value) == oracle.render_value(value)
 
 
 def assert_right_sides_keep_their_bits(x):
@@ -920,3 +935,13 @@ def test_product_straddle_falls_back_to_the_exact_verdict(monkeypatch, fallbacks
         assert len(fallbacks) == 1
         assert row.passed is expected
         assert row.passed == oracle.guarded_pass(Fraction(num, den), Fraction(man, 2**600), ">")
+
+
+def test_product_right_side_above_the_bracket_fails_without_cross_multiplication(
+    monkeypatch, fallbacks
+):
+    # a guarded right side of 1 lies above every product of (1 - 1/p)
+    monkeypatch.setattr(reals, "_dusart_product_rhs", lambda x: (0, 1, 0, 1))
+    rows = list(run_check("dusart-product", 2973, 2980))
+    assert [row.passed for row in rows] == [False] * 8
+    assert fallbacks == []

@@ -246,6 +246,34 @@ def test_verify_malformed_file(tmp_path):
     assert run_cli("verify", str(tmp_path / "missing.json")).returncode == 2
 
 
+def test_witness_output_into_a_missing_directory(tmp_path, capsys):
+    from sptorsion import cli
+
+    path = tmp_path / "missing" / "w.json"
+    assert cli.main(["witness", "12", "-g", "3", "-o", str(path)]) == 2
+    assert f"cannot write {path}" in capsys.readouterr().err
+    assert not path.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "field, value, reason",
+    [("claimed_order", "1", "claimed order must be >= 2"), ("size", "3", "positive even integer")],
+)
+def test_verify_refuses_order_1_and_odd_size(field, value, reason, tmp_path, capsys):
+    # documents as `witness` writes them, but for an order or size that no
+    # witness has
+    from sptorsion import cli
+
+    doc = tmp_path / "w.json"
+    assert cli.main(["witness", "12", "-g", "3", "-o", str(doc)]) == 0
+    payload = json.loads(doc.read_text())
+    payload[field] = value
+    doc.write_text(json.dumps(payload, indent=2))
+    capsys.readouterr()
+    assert cli.main(["verify", str(doc)]) == 2
+    assert reason in capsys.readouterr().err
+
+
 # one field of the document of `witness 12 -g 3` at a time: its path and
 # the forged value (entries[14] is "1")
 FORGERIES = {
@@ -754,6 +782,26 @@ def test_bounds_outputs_frozen(check, window, fmt, capsys):
     assert cli.main(["bounds", "--check", check, "--range", window, "--format", fmt]) == 0
     out, _ = capsys.readouterr()
     assert hashlib.sha256(out.encode()).hexdigest() == BOUNDS_DIGESTS[check, window, fmt]
+
+
+# SHA-256 of `bounds --check C --format csv` on the check's default range
+# (no --range): thm31 on 1..300 and remark-upper on 1486..1500, whose right
+# sides from g = 37 on print as integers, every one of their 169 bits.
+# Recorded while the product check still kept its exact running product and
+# the printer could still hand a value to mpmath's to_str
+DEFAULT_RANGE_DIGESTS = {
+    "thm31": "25c7f9a3253312d10a375e52bc7e001e9a48588f32f04a9561bf75567388114b",
+    "remark-upper": "10135e4a7cc2184f2021655a62e858cba694afd8323df39986050ce471661141",
+}
+
+
+@pytest.mark.parametrize("check", sorted(DEFAULT_RANGE_DIGESTS))
+def test_bounds_default_range_frozen(check, capsys):
+    from sptorsion import cli
+
+    assert cli.main(["bounds", "--check", check, "--format", "csv"]) == 0
+    out, _ = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == DEFAULT_RANGE_DIGESTS[check]
 
 
 # SHA-256 of stdout, stderr and exit code, in-process, for the commands no
