@@ -35,7 +35,10 @@ n >= 2 (n^n = e^k contradicts Lindemann-Weierstrass): more bits decide.
 Every check is declared once, in the CHECK_NAMES table: its sweep, the
 kind of its points (genus, x or n), its validity threshold (its level),
 the rows a point below the level gets, and its default range, which
-starts at the level. run_check writes every such precondition-unmet row,
+starts at the level. A genus check that compares f(g) or h(g) with a
+real is one _dp_check entry: its row names with the column each reads,
+its comparison and the name of its right side in reals; its sweep is
+built there. run_check writes every such precondition-unmet row,
 and its sweep sees only the points from the level on (dusart-pi's lower
 direction, from x = 599, keeps its own threshold). run_check refuses an
 empty range or one that starts below 1; a range of any size is
@@ -295,74 +298,12 @@ class _PrimeView:
 # genus sweeps
 
 
-def _dp_rows(
-    g_from: int,
-    g_to: int,
-    dps: dict[str, Callable[[int, int], list[int]]],
-    op: str,
-    rhs: Callable[[int], tuple],
-) -> Iterator[BoundReport]:
-    """For every g in [g_from, g_to], a row per name in `dps`: that range
-    DP's value at g against the raw mpf right side rhs(g), evaluated once
-    per genus. Each DP runs once over the whole range.
-    """
-    columns = [dp(g_from, g_to) for dp in dps.values()]
-    for g, values in zip(range(g_from, g_to + 1), zip(*columns)):
-        bound = rhs(g)
-        for name, value in zip(dps, values):
-            yield _guarded_row(name, g, value, bound, op)
-
-
-# ---------------------------------------------------------------------------
-# growth bounds (upper)
-
-
-def check_thm31(g_from: int, g_to: int) -> Iterator[BoundReport]:
-    """h(g) <= 3 e^{3g}, exact h from the DP."""
-    from .reals import _thm31_rhs
-
-    return _dp_rows(g_from, g_to, {"thm31": max_order_value_range}, "<=", _thm31_rhs)
-
-
 def check_cor32(g_from: int, g_to: int) -> Iterator[BoundReport]:
     """f(g) <= h(g), both exact."""
     fs = count_orders_range(g_from, g_to)
     hs = max_order_value_range(g_from, g_to)
     for g, f, h in zip(range(g_from, g_to + 1), fs, hs):
         yield BoundReport("cor32", g, f, h, None, f <= h)
-
-
-def check_remark_upper(g_from: int, g_to: int) -> Iterator[BoundReport]:
-    """h(g) <= 2 e^gamma log(2g+1) e^{(2g+1)/e} for g >= 1486."""
-    from .reals import _remark_upper_rhs
-
-    return _dp_rows(g_from, g_to, {"remark-upper": max_order_value_range}, "<=", _remark_upper_rhs)
-
-
-# ---------------------------------------------------------------------------
-# growth bounds (lower)
-
-
-def check_thm36(g_from: int, g_to: int) -> Iterator[BoundReport]:
-    """f(g) > e^{(1/4) sqrt(g/log g)} for g >= L."""
-    from .reals import _quarter_sqrt_bound
-
-    return _dp_rows(g_from, g_to, {"thm36": count_orders_range}, ">", _quarter_sqrt_bound)
-
-
-def check_cor37(g_from: int, g_to: int) -> Iterator[BoundReport]:
-    """h(g) > e^{(1/4) sqrt(g/log g)} for g >= L."""
-    from .reals import _quarter_sqrt_bound
-
-    return _dp_rows(g_from, g_to, {"cor37": max_order_value_range}, ">", _quarter_sqrt_bound)
-
-
-def check_remark_lower(g_from: int, g_to: int) -> Iterator[BoundReport]:
-    """f(g) and h(g) > e^{sqrt(g/(4 log g))} once g log g >= 599^2."""
-    from .reals import _improved_bound
-
-    dps = {"remark-lower-f": count_orders_range, "remark-lower-h": max_order_value_range}
-    return _dp_rows(g_from, g_to, dps, ">", _improved_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -532,18 +473,50 @@ class Check(NamedTuple):
         return self.level() if callable(self.level) else self.level
 
 
+def _dp_check(
+    rows: dict[str, str], op: str, rhs: str,
+    level: int | Callable[[], int], requires: str, end: int | Callable[[int], int] | None,
+) -> Check:
+    """A genus check whose rows, by name, read f(g) ("f") or h(g) ("h")
+    and compare it by op with the real right side reals.<rhs>(g); every
+    row below the level requires `requires`. The sweep looks up both DPs
+    and the right side, and imports reals, only when it runs; it runs each
+    DP it reads once over the range, and the right side once per genus."""
+
+    def sweep(g_from: int, g_to: int) -> Iterator[BoundReport]:
+        from . import reals
+
+        bound = getattr(reals, rhs)
+        dps = {"f": count_orders_range, "h": max_order_value_range}
+        columns = {col: dps[col](g_from, g_to) for col in dict.fromkeys(rows.values())}
+        for i, g in enumerate(range(g_from, g_to + 1)):
+            value = bound(g)
+            for name, col in rows.items():
+                yield _guarded_row(name, g, columns[col][i], value, op)
+
+    return Check(sweep, "genus", level, dict.fromkeys(rows, requires), end)
+
+
 # A computed level calls its search by name, so that it is searched (or
 # patched) only when the check runs.
 CHECK_NAMES: dict[str, Check] = {
-    "thm31": Check(check_thm31, "genus", 1, {}, 300),
+    # h(g) <= 3 e^{3g}
+    "thm31": _dp_check({"thm31": "h"}, "<=", "_thm31_rhs", 1, "g >= {}", 300),
     "cor32": Check(check_cor32, "genus", 1, {}, 300),
-    "remark-upper": Check(check_remark_upper, "genus", 1486, {"remark-upper": "g >= {}"}, 1500),
-    "thm36": Check(check_thm36, "genus", lambda: compute_L(), {"thm36": "g >= L = {}"}, lambda L: L + 100),
-    "cor37": Check(check_cor37, "genus", lambda: compute_L(), {"cor37": "g >= L = {}"}, lambda L: L + 100),
-    # any in-precondition genus is a deliberate large run
-    "remark-lower": Check(
-        check_remark_lower, "genus", lambda: improved_lower_threshold(),
-        dict.fromkeys(("remark-lower-f", "remark-lower-h"), "g log g >= 599^2 (g >= {})"), None,
+    # h(g) <= 2 e^gamma log(2g+1) e^{(2g+1)/e}
+    "remark-upper": _dp_check({"remark-upper": "h"}, "<=", "_remark_upper_rhs", 1486, "g >= {}", 1500),
+    # f(g) (thm36) and h(g) (cor37) > e^{(1/4) sqrt(g/log g)}
+    "thm36": _dp_check(
+        {"thm36": "f"}, ">", "_quarter_sqrt_bound", lambda: compute_L(), "g >= L = {}", lambda L: L + 100
+    ),
+    "cor37": _dp_check(
+        {"cor37": "h"}, ">", "_quarter_sqrt_bound", lambda: compute_L(), "g >= L = {}", lambda L: L + 100
+    ),
+    # f(g) and h(g) > e^{sqrt(g/(4 log g))}; any in-precondition genus is a
+    # deliberate large run
+    "remark-lower": _dp_check(
+        {"remark-lower-f": "f", "remark-lower-h": "h"}, ">", "_improved_bound",
+        lambda: improved_lower_threshold(), "g log g >= 599^2 (g >= {})", None,
     ),
     "lemma33": Check(check_lemma33, "x", 23, {"lemma33": "x >= {}"}, 10**5),
     "lemma34": Check(check_lemma34, "genus", lambda: compute_K(), {"lemma34": "g >= K = {}"}, lambda K: K + 500),

@@ -257,26 +257,31 @@ def _beyond_prime_bound(args: argparse.Namespace, out: _Batched, exc: NotRealiza
     return _not_realizable(args, out, {"m": str(d.m), "genus": str(d.g)}, fields, text, exc)
 
 
-def _refuse_long_trial_division(m: int, g: int, allow_large: bool) -> None:
-    """Refuse an m whose factoring by the primes <= 2g + 1 would divide
-    past the trial cap: once every divisor up to the cap is tried, the
-    cofactor c still needs trial division up to min(2g + 1, isqrt(c))."""
+def _capped_membership(m: int, g: int, allow_large: bool) -> MembershipDecision:
+    """membership(m, g), with m trial-divided once, up to the cap, when
+    2g + 1 is past it. A cofactor c > 1 then has no divisor up to the cap:
+    it is one prime when isqrt(c) <= cap (a term of m when c <= 2g + 1),
+    and otherwise needs division up to min(2g + 1, isqrt(c)): refused."""
     import math
 
-    from .numtheory import factor
+    from .criterion import decide, membership
+    from .numtheory import Factorization, factor
 
     cap = CAPS["trial"]
-    if m > 1 and 2 * g + 1 > cap and not allow_large:
-        cofactor = factor(m, cap)[1]
-        if cofactor > 1:
-            _refuse_over_cap("member trial division", "trial", min(2 * g + 1, math.isqrt(cofactor)), False)
+    if m < 2 or 2 * g + 1 <= cap or allow_large:
+        return membership(m, g)
+    fact, cofactor = factor(m, cap)
+    if cofactor > 1:
+        _refuse_over_cap("member trial division", "trial", min(2 * g + 1, math.isqrt(cofactor)), False)
+        if cofactor <= 2 * g + 1:
+            fact, cofactor = Factorization((*fact, (cofactor, 1))), 1
+    return decide(m, g, fact, cofactor)
 
 
 def cmd_member(args: argparse.Namespace, out: _Batched) -> int:
-    from .criterion import NotRealizableError, membership
+    from .criterion import NotRealizableError
 
-    _refuse_long_trial_division(args.m, args.genus, args.allow_large)
-    decision = membership(args.m, args.genus)
+    decision = _capped_membership(args.m, args.genus, args.allow_large)
     if decision.report.cofactor > 1:
         return _beyond_prime_bound(args, out, NotRealizableError(decision))
     if args.format == "json":

@@ -18,6 +18,16 @@ primes can appear. The second one is also how membership factors m: by
 trial division up to 2g+1 alone, where any cofactor left over decides
 "not a member", so no order, however large, costs more than that loop.
 
+Why the budget is necessary: an element A of finite order m has a
+minimal polynomial dividing x^m - 1, which has distinct roots, so A is
+semisimple; its characteristic polynomial, of degree 2g, is a product of
+cyclotomic Phi_e with e | m, and m is the lcm of the e that occur. The
+eigenvalues 1 and -1 of a symplectic matrix have even multiplicity, so
+Phi_2 costs 2 and Phi_1 pads in pairs. Hence m is the lcm of a set E of
+e >= 2 with sum of phi(e) (2 for e = 2) at most 2g; the cheapest such E
+spends cost(m), or 2 for m = 2, which every genus affords. The witnesses
+of `sptorsion.witness` realize every such m: the budget is sufficient.
+
 m = 1 is rejected with an error rather than classified: the order set is
 defined over nonidentity elements only.
 
@@ -28,7 +38,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .numtheory import factor, sieve
+from .numtheory import Factorization, factor, sieve
 
 __all__ = [
     "CostTerm",
@@ -38,6 +48,7 @@ __all__ = [
     "prime_power_cost",
     "is_member",
     "membership",
+    "decide",
     "support_primes",
     "enumerate_orders",
 ]
@@ -160,7 +171,13 @@ def membership(m: int, g: int) -> MembershipDecision:
     """
     _require_genus(g)
     _require_order(m)
-    fact, cofactor = factor(m, 2 * g + 1)
+    return decide(m, g, *factor(m, 2 * g + 1))
+
+
+def decide(m: int, g: int, fact: Factorization, cofactor: int) -> MembershipDecision:
+    """The budget test of membership, on what factor(m, 2g + 1) returns
+    for m >= 2 and g >= 1: the prime powers of m up to 2g + 1 and the
+    cofactor left over."""
     terms = tuple(CostTerm(p, a, _cost(p, a)) for p, a in fact)
     total = sum(t.cost for t in terms)
     report = DegreeCostReport(m, terms, total, m % 4 == 2, cofactor)

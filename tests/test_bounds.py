@@ -285,6 +285,50 @@ def test_remark_lower_rows_keep_their_digest(monkeypatch):
     assert (verdicts.count(True), verdicts.count(False)) == (1547, 455)
 
 
+# each check that compares f or h with a real: its rows with the column
+# each reads, and the name of its right side in reals
+DP_CHECKS = {
+    "thm31": ({"thm31": "h"}, "_thm31_rhs"),
+    "remark-upper": ({"remark-upper": "h"}, "_remark_upper_rhs"),
+    "thm36": ({"thm36": "f"}, "_quarter_sqrt_bound"),
+    "cor37": ({"cor37": "h"}, "_quarter_sqrt_bound"),
+    "remark-lower": ({"remark-lower-f": "f", "remark-lower-h": "h"}, "_improved_bound"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DP_CHECKS))
+def test_dp_checks_look_up_their_dps_and_right_side_when_run(name, monkeypatch):
+    # the table holds names, not the functions: patched after import, both
+    # DPs and the right side are the ones a sweep reads, each DP once over
+    # the range and the right side once per genus
+    rows, rhs = DP_CHECKS[name]
+    dp_calls, rhs_calls = [], []
+    values = {"f": lambda g: 7 * g + 1, "h": lambda g: 11 * g + 3}
+
+    def dp(column):
+        def patched(lo, hi):
+            dp_calls.append((column, lo, hi))
+            return [values[column](g) for g in range(lo, hi + 1)]
+
+        return patched
+
+    def right_side(g):
+        rhs_calls.append(g)
+        return (0, 5 * g + 1, -3, (5 * g + 1).bit_length())
+
+    monkeypatch.setattr(bounds, "count_orders_range", dp("f"))
+    monkeypatch.setattr(bounds, "max_order_value_range", dp("h"))
+    monkeypatch.setattr(reals, rhs, right_side)
+    lo = CHECK_NAMES[name].threshold() + 1
+    hi = lo + 2
+    got = collect(name, lo, hi)
+    assert rhs_calls == list(range(lo, hi + 1))
+    assert sorted(dp_calls) == sorted({(column, lo, hi) for column in rows.values()})
+    expected = [(row, g, values[column](g)) for g in range(lo, hi + 1) for row, column in rows.items()]
+    assert [(r.name, r.point, r.lhs) for r in got] == expected
+    assert all(r.rhs == Fraction(5 * r.point + 1, 8) for r in got)
+
+
 def test_window_below_threshold_runs_no_dp(monkeypatch):
     def no_dp(*args):
         raise AssertionError("DP run for a window below the threshold")

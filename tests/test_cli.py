@@ -446,6 +446,49 @@ def test_member_trial_division_cap(capsys):
     assert "member of S(1000000000000)" in capsys.readouterr().out
 
 
+def test_member_past_the_trial_cap_divides_once(monkeypatch, capsys):
+    # past the trial cap, m is trial-divided once, up to the cap: what is
+    # left, 1000000000039, has its square root within the cap and is prime
+    from sptorsion import cli, criterion, numtheory
+
+    factor, passes = numtheory.factor, []
+
+    def counted(m, limit):
+        passes.append((m, limit))
+        return factor(m, limit)
+
+    monkeypatch.setattr(numtheory, "factor", counted)
+    monkeypatch.setattr(criterion, "factor", counted)
+    assert cli.main(["member", "3000000000117", "-g", str(10**12)]) == 0
+    assert passes == [(3000000000117, cli.CAPS["trial"])]
+    assert capsys.readouterr() == (
+        "m = 3000000000117, genus = 1000000000000, budget = 2000000000000\n"
+        "prime  exponent  cost\n"
+        "    3         1     2\n"
+        "1000000000039         1  1000000000038\n"
+        "total cost 1000000000040 <= budget 2000000000000: True\n"
+        "=> 3000000000117 is member of S(1000000000000)\n",
+        "",
+    )
+
+
+@pytest.mark.parametrize(
+    "m, g",
+    [
+        (3000000000117, 10**12),  # a prime cofactor below 2g + 1: a term
+        (1000000000039, 10**6),  # a prime cofactor above 2g + 1: not a member
+        (2 * 1000000000039, 10**6),
+        (2**5 * 999983**2, 10**6),  # no cofactor
+        (3 * 999983 * 1000003, 10**6),  # a prime cofactor just above the cap
+    ],
+)
+def test_member_past_the_trial_cap_decides_as_membership(m, g):
+    from sptorsion import cli
+    from sptorsion.criterion import membership
+
+    assert cli._capped_membership(m, g, False) == membership(m, g)
+
+
 @pytest.mark.parametrize(
     "check", ["lemma33", "dusart-sum", "dusart-pi", "dusart-product", "rosser"]
 )

@@ -191,6 +191,28 @@ def test_membership_monotone_in_genus():
         assert smaller <= larger
 
 
+def test_orders_are_the_lcms_of_cyclotomic_degree_sets():
+    # necessity: an element of order m is semisimple, its characteristic
+    # polynomial is a product of cyclotomic Phi_e of total degree 2g, and m
+    # is the lcm of the e >= 2 that occur; -1 has even multiplicity, so
+    # e = 2 costs 2, and 1 pads the rest in pairs. T(g) is the set of those
+    # lcms: the lcms of the sets E of e >= 2 with sum of costs <= 2g.
+    # phi(e) >= sqrt(e / 2), so every e with phi(e) <= 2g is at most 8g^2.
+    top = 15
+    costs = {e: 2 if e == 2 else int(sympy.totient(e)) for e in range(2, 8 * top**2 + 1)}
+    for g in range(1, top + 1):
+        budget = 2 * g
+        cheapest = {1: 0}  # lcm(E) -> the least cost of such a set E
+        for e, cost in costs.items():
+            if cost > budget:
+                continue
+            for lcm, spent in list(cheapest.items()):
+                key, total = math.lcm(lcm, e), spent + cost
+                if total <= budget and total < cheapest.get(key, total + 1):
+                    cheapest[key] = total
+        assert sorted(cheapest.keys() - {1}) == enumerate_orders(g)
+
+
 def test_support_primes():
     assert support_primes(1) == (2, 3)
     assert support_primes(3) == (2, 3, 5, 7)
