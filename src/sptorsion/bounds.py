@@ -231,15 +231,13 @@ def _guarded_verdict(num: int, den: int, man: int, exp: int, op: str) -> bool:
     return compare(left, right << exp)
 
 
-def _guarded_row(
-    name: str, point: int, lhs: int | Fraction, rhs: tuple, op: str, note: str = ""
-) -> BoundReport:
+def _guarded_row(name: str, point: int, lhs: int | Fraction, rhs: tuple, op: str) -> BoundReport:
     """A row against the raw mpf right side rhs, decided by its guard."""
     sign, man, exp, _ = rhs
     if sign or not man:
         raise AssertionError("right sides here are positive and finite by construction")
     passed = _guarded_verdict(lhs.numerator, lhs.denominator, man, exp, op)
-    return BoundReport(name, point, lhs, man, exp, passed, note)
+    return BoundReport(name, point, lhs, man, exp, passed)
 
 
 def _half_row(name: str, point: int, lhs: int, twice_rhs: int) -> BoundReport:

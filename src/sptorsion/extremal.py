@@ -19,9 +19,9 @@ exclusive exponent choices: exponent 0 at no cost, or one of the
 
 A cell at budget b only involves primes with p - 1 <= b, and every prime
 factor of a member of S(g) is at most 2g+1. So one pass of each DP at G
-serves every g <= G: the range functions and extremal_table read each
-genus off the same two arrays, and the one-genus functions are the range
-of length one.
+serves every g <= G: each range function reads every genus off its one
+array, extremal_table reads the two range functions, and the one-genus
+functions are the range of length one.
 
 Exact integers in every cell keep the results platform-independent; there
 is no floating comparison anywhere. One pass updates up to 2G + 1 cells
@@ -94,27 +94,19 @@ def _best_products(budget: int, primes: tuple[int, ...]) -> list[int]:
     return best
 
 
-def _f_values(g_from: int, g_to: int, primes: tuple[int, ...]) -> list[int]:
-    prefix = list(accumulate(_order_counts(2 * g_to, primes)))
-    # drop the all-zero vector (m = 1)
-    return [prefix[2 * g] - 1 for g in range(g_from, g_to + 1)]
-
-
-def _h_values(g_from: int, g_to: int, primes: tuple[int, ...]) -> list[int]:
-    best = _best_products(2 * g_to, primes)
-    return [best[2 * g] for g in range(g_from, g_to + 1)]
-
-
 def count_orders_range(g_from: int, g_to: int) -> list[int]:
     """f(g) for every g in [g_from, g_to], from one count DP at budget 2*g_to."""
     _check_range(g_from, g_to)
-    return _f_values(g_from, g_to, sieve(2 * g_to + 1))
+    prefix = list(accumulate(_order_counts(2 * g_to, sieve(2 * g_to + 1))))
+    # drop the all-zero vector (m = 1)
+    return [prefix[2 * g] - 1 for g in range(g_from, g_to + 1)]
 
 
 def max_order_value_range(g_from: int, g_to: int) -> list[int]:
     """h(g) for every g in [g_from, g_to], from one knapsack at budget 2*g_to."""
     _check_range(g_from, g_to)
-    return _h_values(g_from, g_to, sieve(2 * g_to + 1))
+    best = _best_products(2 * g_to, sieve(2 * g_to + 1))
+    return [best[2 * g] for g in range(g_from, g_to + 1)]
 
 
 def count_orders(g: int) -> int:
@@ -142,10 +134,8 @@ def brute_force_extremal(g: int) -> ExtremalRecord:
 def extremal_table(g_from: int, g_to: int) -> list[ExtremalRecord]:
     """Records for every g in [g_from, g_to], read off one count DP and one
     knapsack at budget 2*g_to; each new h(g) is factored up to 2g+1."""
-    _check_range(g_from, g_to)
-    primes = sieve(2 * g_to + 1)
-    fs = _f_values(g_from, g_to, primes)
-    hs = _h_values(g_from, g_to, primes)
+    fs = count_orders_range(g_from, g_to)
+    hs = max_order_value_range(g_from, g_to)
     records: list[ExtremalRecord] = []
     for g, f, h in zip(range(g_from, g_to + 1), fs, hs):
         # h is nondecreasing and often repeats (at 37% of the g <= 5000)

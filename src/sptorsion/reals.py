@@ -6,11 +6,13 @@ global precision. Each right side calls the functions that mpf arithmetic
 on its written expression inside mp.workdps(50) calls, in the same order,
 so its bits are that expression's; its docstring is that expression.
 
-The functions come from `sptorsion._libmp`, which loads mpmath's own
-libmp files (backend, libintmath, libmpf, libelefun) without the mpmath
-package: `import mpmath.libmp` would first run mpmath/__init__.py, whose
-contexts and function library cost every process some 25 ms and 3 MB and
-are never called here.
+The functions are imported here, and only here, from
+`sptorsion._libmp.libelefun` and `sptorsion._libmp.libmpf`. `_libmp` is a
+path shim whose package path is mpmath's libmp directory, so these load
+mpmath's own libmp files (backend, libintmath, libmpf, libelefun) without
+the mpmath package: `import mpmath.libmp` would first run
+mpmath/__init__.py, whose contexts and function library cost every
+process some 25 ms and 3 MB and are never called here.
 
 `sptorsion.bounds` imports this module inside the checks that evaluate a
 real, when they run, so a check whose rows are integers alone (lemma33,
@@ -22,19 +24,17 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from ._libmp import (
+from ._libmp.libelefun import mpf_e, mpf_log, mpf_pow
+from ._libmp.libmpf import (
     dps_to_prec,
     fone,
     from_int,
     from_str,
     mpf_add,
     mpf_div,
-    mpf_e,
-    mpf_log,
     mpf_mul,
     mpf_mul_int,
     mpf_neg,
-    mpf_pow,
     mpf_pow_int,
     mpf_rdiv_int,
     mpf_sqrt,

@@ -213,6 +213,22 @@ def test_orders_are_the_lcms_of_cyclotomic_degree_sets():
         assert sorted(cheapest.keys() - {1}) == enumerate_orders(g)
 
 
+def test_least_cyclotomic_degree_of_each_order_is_its_cost():
+    # the same argument one order at a time: the least total degree of a
+    # set of divisors e >= 2 of m with lcm m (e = 2 costing 2) is the cost
+    # of m, floored at 2 for m = 2, at any g whose factoring reaches m
+    top = 10**4
+    costs = {e: 2 if e == 2 else int(sympy.totient(e)) for e in range(2, top + 1)}
+    for m in range(2, top + 1):
+        least = {1: 0}  # lcm of a set of divisors -> its least total degree
+        for e in sympy.divisors(m)[1:]:
+            for lcm, spent in list(least.items()):
+                key, total = math.lcm(lcm, e), spent + costs[e]
+                if total < least.get(key, total + 1):
+                    least[key] = total
+        assert least[m] == max(membership(m, m // 2).report.total, 2), m
+
+
 def test_support_primes():
     assert support_primes(1) == (2, 3)
     assert support_primes(3) == (2, 3, 5, 7)

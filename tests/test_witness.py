@@ -274,7 +274,7 @@ def test_witness_not_realizable():
     assert exc_info.value.decision.report.cofactor == 5
 
 
-@pytest.mark.parametrize("g", [1, 2, 3, 4])
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6])
 def test_witness_sweep_small(g):
     j = standard_form(g)
     for m in enumerate_orders(g):
