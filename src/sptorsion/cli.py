@@ -341,29 +341,22 @@ def cmd_extremal(args: argparse.Namespace, out: _Batched) -> int:
         _refuse_over_cap("extremal --oracle", "enumeration", g_to, args.allow_large)
     _refuse_over_cap("extremal", "genus", g_to, args.allow_large)
     records = extremal_table(g_from, g_to)
-    mismatches: list[dict] = []
-
-    def checked() -> Iterator[ExtremalRecord]:
-        """The records, each compared with enumeration under --oracle."""
-        for record in records:
-            if args.oracle:
-                ref = brute_force_extremal(record.g)
-                if (ref.f, ref.h) != (record.f, record.h):
-                    mismatches.append(
-                        {"g": str(record.g), "dp": [str(record.f), str(record.h)], "oracle": [str(ref.f), str(ref.h)]}
-                    )
-            yield record
-
+    refs = [brute_force_extremal(record.g) for record in records] if args.oracle else []
+    mismatches = [
+        {"g": str(record.g), "dp": [str(record.f), str(record.h)], "oracle": [str(ref.f), str(ref.h)]}
+        for record, ref in zip(records, refs)
+        if (ref.f, ref.h) != (record.f, record.h)
+    ]
     if args.format == "json":
         parameters = {"genus": args.genus, "oracle": bool(args.oracle), "allow_large": bool(args.allow_large)}
         result = {"records": _STREAMED, "oracle_checked": bool(args.oracle), "oracle_mismatches": mismatches}
-        rows = (_record_row(record, show_f, show_h) for record in checked())
+        rows = (_record_row(record, show_f, show_h) for record in records)
         _write_json(out, _envelope("extremal", parameters, result), rows)
     elif args.format == "csv":
         writer = _csv_writer(out)
         header = ["g"] + (["f"] if show_f else []) + (["h", "h_factorization"] if show_h else [])
         writer.writerow(header)
-        for record in checked():
+        for record in records:
             row: list = [record.g]
             if show_f:
                 row.append(record.f)
@@ -371,7 +364,7 @@ def cmd_extremal(args: argparse.Namespace, out: _Batched) -> int:
                 row.extend([record.h, _factorization_pretty(record.h_factorization)])
             writer.writerow(row)
     else:
-        for record in checked():
+        for record in records:
             parts = [f"g={record.g}"]
             if show_f:
                 parts.append(f"f={record.f}")

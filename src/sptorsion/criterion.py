@@ -210,28 +210,21 @@ def _prime_power_options(p: int, budget: int) -> list[tuple[int, int]]:
 def enumerate_orders(g: int) -> list[int]:
     """All of S(g), ascending, each order exactly once.
 
-    Depth-first search over exponent vectors: one cost/value choice per
-    prime <= 2g+1 (including "absent"), keeping the running cost within
-    the budget 2g, then a final sort. Takes any genus g >= 1; S(g) grows
-    at least exponentially in g, and the CLI caps the genus it passes.
+    One fold over the primes <= 2g+1: each (order, cost) found so far is
+    extended by every option of the next prime that keeps the cost within
+    the budget 2g. Distinct exponent vectors give distinct orders, so none
+    repeats. Takes any genus g >= 1; S(g) grows at least exponentially in
+    g, and the CLI caps the genus it passes.
     """
     _require_genus(g)
     budget = 2 * g
-    per_prime = [_prime_power_options(p, budget) for p in support_primes(g)]
-
-    found: list[int] = []
-
-    def descend(i: int, value: int, remaining: int) -> None:
-        if i == len(per_prime):
-            if value >= 2:
-                found.append(value)
-            return
-        descend(i + 1, value, remaining)  # prime absent
-        for cost, pv in per_prime[i]:
-            if cost > remaining:
-                break
-            descend(i + 1, value * pv, remaining - cost)
-
-    descend(0, 1, budget)
-    found.sort()
-    return found
+    found = [(1, 0)]
+    for p in support_primes(g):
+        options = _prime_power_options(p, budget)
+        found += [
+            (m * pv, c + cost)
+            for m, c in found
+            for cost, pv in options
+            if c + cost <= budget
+        ]
+    return sorted(m for m, _ in found[1:])

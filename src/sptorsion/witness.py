@@ -65,7 +65,9 @@ A^T J A = J on the whole matrix, A^m = I, and no proper power
 A^(m/p) = I. The powers are taken per component: A is the direct sum of
 the diagonal blocks of its nonzero pattern, and each distinct block gets
 one squaring chain, cut short by a repeated square or by a trace that
-proves infinite order (_SquaringChain).
+proves infinite order (_SquaringChain). A d x d block B with B^m = I
+has B^(m/p) = I, with no product, for every prime p > d + 1: no such
+prime divides its order (_certify).
 
 `build_witness` and `verify_witness` pass through the same gate first:
 `criterion.membership(m, g)`, which factors m only up to 2g + 1. An
@@ -218,33 +220,36 @@ def build_witness(m: int, g: int) -> SymplecticWitness:
 def _certify(
     matrix: IntMatrix, m: int, g: int, primes: tuple[int, ...]
 ) -> WitnessCertificate:
-    """The three checks for claimed order m, given the primes of m."""
+    """The three checks for claimed order m, given the primes of m.
+
+    A^m = I and each A^(m/p) = I are decided in one pass over A's
+    diagonal blocks (equal blocks once). If some block has infinite order
+    or B^m != I, then A^m != I, and no A^(m/p) = I either, since that
+    would give A^m = (A^(m/p))^p = I. Otherwise the order of a d x d block
+    B divides m, and it is the lcm of the orders e of its eigenvalues:
+    each is a primitive e-th root of unity, a root of Phi_e, so phi(e) <= d
+    and no prime above d + 1 divides e. For such a prime p the order of B
+    divides m/p, so B^(m/p) = I with no product; B^(m/p) is computed only
+    for the primes p <= d + 1 that no earlier block has refuted.
+    """
     j = standard_form(g)
     symplectic = matrix.transpose() @ j @ matrix == j
-    power_identity, identities = _power_identities(matrix, m, [m // p for p in primes])
+    power_identity = True
+    identities = [True] * len(primes)
+    for block in dict.fromkeys(matrix.diagonal_blocks()):
+        chain = _SquaringChain(block, m.bit_length())
+        if chain.infinite or not chain.power(m).is_identity():
+            power_identity, identities = False, [False] * len(primes)
+            break
+        identities = [
+            ok and (p > block.rows + 1 or chain.power(m // p).is_identity())
+            for p, ok in zip(primes, identities)
+        ]
     proper = tuple(
         ProperPowerCheck(p, m // p, identity)
         for p, identity in zip(primes, identities)
     )
     return WitnessCertificate(symplectic, power_identity, proper)
-
-
-def _power_identities(
-    matrix: IntMatrix, m: int, divisors: list[int]
-) -> tuple[bool, list[bool]]:
-    """Whether A^m = I, and A^k = I for each k in divisors (each k | m).
-
-    Works block by block on A's diagonal blocks (equal blocks once). If
-    some block has infinite order or B^m != I, then A^m != I, and no
-    A^k = I either, since that would give A^m = (A^k)^(m/k) = I.
-    """
-    chains = []
-    for block in dict.fromkeys(matrix.diagonal_blocks()):
-        chain = _SquaringChain(block, m.bit_length())
-        if chain.infinite or not chain.power(m).is_identity():
-            return False, [False] * len(divisors)
-        chains.append(chain)
-    return True, [all(c.power(k).is_identity() for c in chains) for k in divisors]
 
 
 class _SquaringChain:

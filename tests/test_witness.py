@@ -421,7 +421,10 @@ def certify_cases(seed: int):
     for _ in range(60):
         n = rng.choice((2, 4, 6, 8))
         a, order = finite_order_matrix(n, rng)
-        claims = {order, 2 * order, 3 * order, 5 * order, order + 1, order << 20}
+        # 11 and 13 exceed n + 1 for every size n here: no product proves
+        # A^(m/p) = I for them once A^m = I
+        claims = {order, order + 1, order << 20}
+        claims |= {q * order for q in (2, 3, 5, 11, 13)}
         claims |= {order // p for p in sympy.primefactors(order) if order // p >= 2}
         for m in sorted(c for c in claims if c >= 2):
             yield a, m
@@ -466,9 +469,20 @@ def test_certify_heavy_order_product_count(products):
     witness = build_witness(12252240, 34)
     products.clear()
     assert verify_witness(witness, 34).all_passed
-    # whole-matrix binary powering, one chain per exponent, took 251
-    assert len(products) < 251
+    # whole-matrix binary powering, one chain per exponent, took 251; a
+    # chain per block with every proper power computed, 154
+    assert len(products) < 120
     assert products.count(68) == 2  # only the symplectic check is dense
+
+
+def test_certify_skips_primes_above_block_size(products):
+    # h(100) = 2^4 3^2 5 7 11 13 17 19 23 29 31 41, one block per prime
+    # power: a block of size d powers only for its primes p <= d + 1;
+    # every proper power on every block took 594
+    witness = build_witness(197351522287920, 100)
+    products.clear()
+    assert verify_witness(witness, 100).all_passed
+    assert len(products) < 300
 
 
 def test_trace_exit_makes_no_power_products(products):
