@@ -59,9 +59,10 @@ right side as an int or as num * 2^exp. margin is rhs - lhs on the raw
 (unguarded) right side, so for upper bounds pass tracks margin >= 0 and
 for lower bounds margin <= 0; rhs and margin are built, as an int where
 the right side is one and as an exact Fraction elsewhere, only when
-read (fractions is imported only then, for GUARD, or for
-dusart-product's displayed left side). Every value a row prints is an
-integer or a dyadic rational: render_value refuses any other.
+read, and so is the Fraction of dusart-product's displayed left side,
+which the row keeps as a float (fractions is imported only then, or for
+GUARD). Every value a row prints is an integer or a dyadic rational:
+render_value refuses any other.
 Rendering never builds rhs and margin: a value whose denominator
 divides 2^12 and whose magnitude is below 10^40 is printed exactly, and
 any other at 20 significant digits, byte for byte as mpmath's
@@ -74,6 +75,7 @@ mpmath evaluates right sides and prints nothing.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -105,8 +107,7 @@ __all__ = [
 
 # Relative guard applied to every real right-hand side: GUARD = 1 / 10^9, a
 # Fraction built when it is read (see __getattr__), so that a process whose
-# rows never build a Fraction, as no CLI sweep but dusart-product's does,
-# never imports fractions.
+# rows never build a Fraction, as no CLI sweep does, never imports fractions.
 _GUARD_DEN = 10**9
 
 # Euler-Mascheroni constant, correctly rounded to 20 decimal digits.
@@ -123,6 +124,8 @@ class BoundReport:
     passed and note, compared, hashed and shown field by field. It keeps
     the right side as the integer `num` when `exp` is None and as
     num * 2^exp otherwise, and builds rhs and margin when they are read.
+    A left side given as a float (dusart-product's display) is kept as
+    one, and read as its exact Fraction.
     """
 
     __slots__ = ("_name", "_point", "_lhs", "_num", "_exp", "_passed", "_note")
@@ -131,7 +134,7 @@ class BoundReport:
         self,
         name: str,
         point: int,
-        lhs: int | Fraction,
+        lhs: int | float | Fraction,
         num: int,
         exp: int | None,
         passed: bool | None,
@@ -142,9 +145,16 @@ class BoundReport:
 
     name = property(operator.attrgetter("_name"))
     point = property(operator.attrgetter("_point"))
-    lhs = property(operator.attrgetter("_lhs"))
     passed = property(operator.attrgetter("_passed"))
     note = property(operator.attrgetter("_note"))
+
+    @property
+    def lhs(self) -> int | Fraction:
+        if isinstance(self._lhs, float):
+            from fractions import Fraction
+
+            return Fraction(self._lhs)
+        return self._lhs
 
     @property
     def rhs(self) -> int | Fraction:
@@ -162,13 +172,13 @@ class BoundReport:
         num, exp, lhs = self._num, self._exp, self._lhs
         if exp is None:
             return num - lhs
-        top, den = lhs.numerator, lhs.denominator
+        top, den = lhs.as_integer_ratio()
         if exp >= 0:
             return Fraction((num << exp) * den - top, den)
         return Fraction(num * den - (top << -exp), den << -exp)
 
     def _values(self) -> tuple:
-        return (self._name, self._point, self._lhs, self.rhs, self.margin, self._passed, self._note)
+        return (self._name, self._point, self.lhs, self.rhs, self.margin, self._passed, self._note)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -193,9 +203,10 @@ class BoundReport:
             rhs, margin = str(num), str(num - lhs)
         else:  # lhs = top * 2^-k: margin = num * 2^exp - top * 2^-k
             rhs = _render_dyadic(num, exp)
-            k = lhs.denominator.bit_length() - 1
+            top, den = lhs.as_integer_ratio()
+            k = den.bit_length() - 1
             low = min(exp, -k)
-            margin = _render_dyadic((num << (exp - low)) - (lhs.numerator << (-k - low)), low)
+            margin = _render_dyadic((num << (exp - low)) - (top << (-k - low)), low)
         return self._name, str(self._point), render_value(lhs), rhs, margin
 
 
@@ -408,8 +419,6 @@ def check_dusart_product(x_from: int, x_to: int) -> Iterator[BoundReport]:
     of the primes <= x. The displayed lhs and margin are float
     approximations of the exact rational (noted on each row).
     """
-    from fractions import Fraction
-
     from .reals import _dusart_product_rhs
 
     primes = _PrimeView(x_to).primes
@@ -417,7 +426,6 @@ def check_dusart_product(x_from: int, x_to: int) -> Iterator[BoundReport]:
     lo = hi = scale
     prod_float = 1.0
     next_prime_idx = 0
-    lhs_display = None
     note = "lhs and margin displayed at float precision; verdict exact"
     for x in range(x_from, x_to + 1):
         while next_prime_idx < len(primes) and primes[next_prime_idx] <= x:
@@ -426,9 +434,6 @@ def check_dusart_product(x_from: int, x_to: int) -> Iterator[BoundReport]:
             hi = -(-hi * (p - 1) // p)
             prod_float *= 1 - 1 / p
             next_prime_idx += 1
-            lhs_display = None
-        if lhs_display is None:
-            lhs_display = Fraction(prod_float)
         _, man, exp, _ = _dusart_product_rhs(x)
         if _guarded_verdict(lo, scale, man, exp, ">"):
             passed = True
@@ -436,7 +441,7 @@ def check_dusart_product(x_from: int, x_to: int) -> Iterator[BoundReport]:
             passed = False
         else:
             passed = _product_exceeds(primes[:next_prime_idx], man, exp)
-        yield BoundReport("dusart-product", x, lhs_display, man, exp, passed, note)
+        yield BoundReport("dusart-product", x, prod_float, man, exp, passed, note)
 
 
 def check_rosser(x_from: int, x_to: int) -> Iterator[BoundReport]:
@@ -597,6 +602,15 @@ def _round(n: int) -> tuple[int, int]:
     return man, shift
 
 
+@functools.cache
+def _decimal_scale(fixprec: int) -> tuple[int, int]:
+    """(fixdps, 10^fixdps): the decimal digits to_str reads off a
+    fixed-point number of fixprec fraction bits. _significant asks for
+    fixprec <= _FIX_BITS + _FIXED_WINDOW only, so the cache stays small."""
+    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    return fixdps, 10**fixdps
+
+
 def _significant(negative: bool, man: int, exp: int) -> str:
     """to_str(mpf(-+man * 2^exp), 20) for 0 < man <= 2^_ROUND_BITS, when
     the leading bit lies within 2^±_FIXED_WINDOW; ValueError beyond."""
@@ -604,10 +618,10 @@ def _significant(negative: bool, man: int, exp: int) -> str:
     if abs(top) > _FIXED_WINDOW:
         raise ValueError(f"render_value prints values within 2^±{_FIXED_WINDOW} only, not 2^{top - 1}")
     fixprec = max(_FIX_BITS - top, 0)
-    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    fixdps, scale = _decimal_scale(fixprec)
     shift = exp + fixprec  # man * 2^shift is an integer: the shift is exact
     fixed = man << shift if shift >= 0 else man >> -shift
-    digits = str(fixed * 10**fixdps >> fixprec)
+    digits = str(fixed * scale >> fixprec)
     point = len(digits) - fixdps - 1  # decimal exponent of the leading digit
     if len(digits) > 20 and digits[20] in "56789":
         digits = str(int(digits[:20]) + 1)
@@ -646,19 +660,21 @@ def _render_dyadic(num: int, exp: int) -> str:
         num, exp = num >> zeros, exp + zeros
     if exp >= 0:
         return str(num << exp)
+    if exp == -1 and abs(num) < _EXACT_LIMIT << 1:  # the halves of _half_row
+        return f"{'-' if num < 0 else ''}{abs(num) >> 1}.5"
     if -exp <= _EXACT_DIGITS and abs(num) < _EXACT_LIMIT << -exp:
         return _exact_decimal(num, 10**_EXACT_DIGITS >> -exp)
     man, shift = _round(abs(num))
     return _significant(num < 0, man, exp + shift)
 
 
-def render_value(value: int | Fraction) -> str:
-    """Deterministic decimal rendering of an integer or a dyadic rational;
-    exact when short, else 20 significant digits. Any other denominator,
-    or a long value beyond 2^±3500, raises ValueError."""
+def render_value(value: int | float | Fraction) -> str:
+    """Deterministic decimal rendering of an integer or a dyadic rational
+    (a float is one); exact when short, else 20 significant digits. Any
+    other denominator, or a long value beyond 2^±3500, raises ValueError."""
     if isinstance(value, int):
         return str(value)
-    num, den = value.numerator, value.denominator
+    num, den = value.as_integer_ratio()
     if den & (den - 1):
         raise ValueError(f"render_value renders dyadic values only, got {value}")
     return _render_dyadic(num, 1 - den.bit_length())

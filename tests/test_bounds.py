@@ -928,13 +928,15 @@ def test_sweeps_build_no_fraction_unless_read(name, lo, hi, monkeypatch):
     for report in rows:
         report_to_dict(report)
         report.rendered()
-    # the product check's displayed left side: at its first row, and again
-    # each time a prime enters
-    entering = len(bounds._PrimeView(hi).primes) - len(bounds._PrimeView(2973).primes)
-    assert len(built) == (1 + entering if name == "dusart-product" else 0)
-    built.clear()
+    assert built == []
     fields = [(r.rhs, r.margin) for r in rows]
     assert len(built) == 2 * sum(type(rhs) is Fraction for rhs, _ in fields)
+    # the product check's displayed left side, a float, at each read
+    built.clear()
+    lhs = [type(r.lhs) for r in rows]
+    product = [name == "dusart-product" and r.point >= 2973 for r in rows]
+    assert len(built) == sum(product)
+    assert lhs == [Fraction if shown else int for shown in product]
 
 
 def product_rows(lo, hi):

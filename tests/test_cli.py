@@ -112,6 +112,24 @@ def test_extremal_column_selectors():
     assert max_only.splitlines() == ["g,h,h_factorization", "2,12,2^2*3"]
 
 
+@pytest.mark.parametrize(
+    "flags, skipped",
+    [(["--max"], "_order_counts"), (["--count"], "_best_products"), (["--max", "--count"], None)],
+)
+def test_extremal_runs_only_the_printed_dps(flags, skipped, monkeypatch, capsys):
+    from sptorsion import cli, extremal
+
+    def refuse(*args):
+        raise AssertionError("a DP ran for a column not printed")
+
+    if skipped:
+        monkeypatch.setattr(extremal, skipped, refuse)
+    assert cli.main(["extremal", "-g", "1..12", "--format", "csv", *flags]) == 0
+    if skipped:  # --oracle compares both columns, so both DPs run
+        assert cli.main(["extremal", "-g", "1..12", "--oracle", *flags]) == 3
+        assert "a DP ran for a column not printed" in capsys.readouterr().err
+
+
 def test_extremal_oracle_cap_is_usage_error():
     assert run_cli("extremal", "-g", "1..41", "--oracle").returncode == 2
 
@@ -167,6 +185,69 @@ def test_closed_stdout_exits_141_without_a_traceback():
     err = child.stderr.read().decode()
     assert child.wait(timeout=300) == 141
     assert err == ""  # no traceback, and nothing from the flush at exit
+
+
+def test_closed_stdout_before_the_last_flush_exits_141():
+    # the output fits in the stream's buffer, so the first write to the
+    # closed pipe is the flush that run() makes before its exit
+    child = subprocess.Popen(
+        [sys.executable, "-m", "sptorsion.cli", "extremal", "-g", "1..3"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    assert child.wait(timeout=300) == 141
+    assert err == ""
+
+
+def test_run_writes_all_of_a_large_table_to_a_pipe(capsys):
+    from sptorsion import cli
+
+    argv = ["bounds", "--check", "lemma33", "--range", "23..30000", "--format", "csv"]
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out
+    result = run_cli(*argv)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert len(result.stdout) > 10**6
+    assert result.stdout == expected
+
+
+# a script that runs cli.run() with an internal error in the extremal table
+_RUN_WITH_A_BUG = (
+    "import sys\n"
+    "from sptorsion import cli, extremal\n"
+    "def bug(*args, **kwargs):\n"
+    "    raise RuntimeError('a bug')\n"
+    "extremal.extremal_table = bug\n"
+    "sys.argv[1:] = ['extremal', '-g', '3']\n"
+    "cli.run()\n"
+)
+
+
+def test_run_keeps_every_exit_code():
+    # 0, 1 and 2 from main are test_member_exit_codes'; these are argparse's
+    # own exits and an internal error
+    assert run_cli("--version").returncode == 0
+    assert run_cli("member", "6").returncode == 2  # -g is required
+    result = subprocess.run(
+        [sys.executable, "-c", _RUN_WITH_A_BUG], capture_output=True, text=True, timeout=300
+    )
+    assert result.returncode == 3
+    assert "RuntimeError: a bug" in result.stderr
+
+
+def test_run_writes_the_whole_witness_document(tmp_path, capsys):
+    from sptorsion import cli
+
+    argv = ["witness", "6846840", "-g", "30", "--format", "json"]  # h(30): 60 x 60
+    in_process, child = tmp_path / "a.json", tmp_path / "b.json"
+    assert cli.main([*argv, "-o", str(in_process)]) == 0
+    expected = capsys.readouterr().out.replace(str(in_process), str(child))
+    result = run_cli(*argv, "-o", str(child))
+    assert (result.returncode, result.stdout) == (0, expected)
+    assert child.read_bytes() == in_process.read_bytes()
+    assert len(json.loads(child.read_text())["entries"]) == 60 * 60
 
 
 def test_witness_verify_round_trip(tmp_path):
@@ -403,7 +484,8 @@ def test_cap_gate(name, monkeypatch, capsys):
     )
     # the cap itself is admitted, and --allow-large lifts the cap
     calls = []
-    monkeypatch.setattr(extremal, "extremal_table", lambda *a: calls.append(a) or [])
+    # the table's column flags are keywords
+    monkeypatch.setattr(extremal, "extremal_table", lambda *a, **columns: calls.append(a) or [])
     monkeypatch.setattr(bounds, "run_check", lambda *a: calls.append(a) or iter(()))
     monkeypatch.setattr(criterion, "enumerate_orders", lambda *a: calls.append(a) or [])
     monkeypatch.setattr(witness, "build_witness", lambda *a: calls.append(a[1:]) or small_witness)
@@ -951,8 +1033,8 @@ def test_version_flag():
 # `bounds` alone, the raw-mpf layer (reals, and mpmath's libmp files under
 # sptorsion._libmp) to the bound checks that evaluate a real (`bounds
 # --check rosser` may load it; lemma33, dusart-sum and cor32, whose rows are
-# integers alone, may not), and fractions to the one sweep that builds a
-# Fraction on the CLI path, dusart-product's displayed left side;
+# integers alone, may not), and fractions to no command: dusart-product's
+# displayed left side is a float until a caller reads the row's lhs;
 # matrices and witness belong to witness/verify, and no command needs the
 # mpmath package (its contexts and function library, some 3 MB), or
 # dataclasses or inspect (with ast, dis and tokenize behind them, over 1 MB
@@ -972,6 +1054,7 @@ FOOTPRINT_FORBIDDEN = {
     "orders": HEAVY + NEVER + WITNESS + WRITERS,
     "extremal": HEAVY + NEVER + WITNESS + WRITERS,
     "bounds": ["fractions"] + NEVER + WITNESS + WRITERS,
+    "bounds dusart-product": ["fractions"] + NEVER + WITNESS + WRITERS,
     "bounds lemma33": INTEGER_ROWS + NEVER + WITNESS + WRITERS,
     "bounds dusart-sum": INTEGER_ROWS + NEVER + WITNESS + WRITERS,
     "bounds cor32": INTEGER_ROWS + NEVER + WITNESS + WRITERS,
@@ -1026,6 +1109,7 @@ def test_command_import_footprint(command, tmp_path, bare_modules):
         "orders": ["orders", "-g", "3"],
         "extremal": ["extremal", "-g", "1..5"],
         "bounds": ["bounds", "--check", "rosser", "--range", "55..60"],
+        "bounds dusart-product": ["bounds", "--check", "dusart-product", "--range", "2970..3100"],
         "bounds lemma33": ["bounds", "--check", "lemma33", "--range", "20..30"],
         "bounds dusart-sum": ["bounds", "--check", "dusart-sum", "--range", "5..30"],
         "bounds cor32": ["bounds", "--check", "cor32", "--range", "1..5"],
@@ -1036,7 +1120,7 @@ def test_command_import_footprint(command, tmp_path, bare_modules):
     assert ("sptorsion.cli" if command == "--version" else "sptorsion.criterion") in loaded  # it ran
     forbidden = set(FOOTPRINT_FORBIDDEN[command]) - bare_modules
     assert [m for m in loaded if m in forbidden] == []
-    if command == "bounds":
+    if command in ("bounds", "bounds dusart-product"):
         # the scan would see a real check's raw-mpf layer
         assert {"sptorsion.reals", "sptorsion._libmp.libelefun"} <= set(loaded)
 

@@ -1,10 +1,15 @@
 """Counting and maximum DPs cross-validated against enumeration."""
 from __future__ import annotations
 
+import random
+import time
+
 import pytest
 
+from sptorsion import extremal
 from sptorsion.criterion import is_member, membership
 from sptorsion.extremal import (
+    _best_products,
     brute_force_extremal,
     count_orders,
     count_orders_range,
@@ -13,6 +18,7 @@ from sptorsion.extremal import (
     max_order_value,
     max_order_value_range,
 )
+from sptorsion.numtheory import sieve
 
 # frozen from the brute-force enumeration oracle (g = 1..12)
 KNOWN_F = [4, 8, 16, 23, 34, 47, 61, 81, 107, 137, 179, 222]
@@ -111,3 +117,55 @@ def test_range_values_validate():
         count_orders_range(3, 2)
     with pytest.raises(ValueError):
         max_order_value_range(0, 2)
+
+
+@pytest.fixture(scope="module")
+def unpruned():
+    """best[b] for every b <= 6000, from the knapsack with no cell pruned
+    (floor 0): h(g) = best[2g] for every g <= 3000. A cell b involves
+    only primes p <= b + 1, so the same cells of a knapsack at any budget
+    >= b agree with these."""
+    return _best_products(6000, sieve(6001))
+
+
+def test_pruned_knapsack_matches_unpruned_on_small_windows(unpruned):
+    # every cell from the floor up is exact, odd budgets included
+    for b in range(1, 401):
+        for a in sorted({1, b // 2, b - 5, b}):
+            if a >= 1:
+                pruned = _best_products(2 * b, sieve(2 * b + 1), 2 * a)
+                assert pruned[2 * a :] == unpruned[2 * a : 2 * b + 1], (a, b)
+
+
+def test_pruned_knapsack_matches_unpruned_on_seeded_windows(unpruned):
+    rng = random.Random(26)
+    for _ in range(40):
+        b = rng.randint(400, 3000)
+        a = rng.choice([b, rng.randint(b - 20, b), rng.randint(b - 300, b)])
+        assert max_order_value_range(a, b) == unpruned[2 * a : 2 * b + 1 : 2], (a, b)
+
+
+def test_one_genus_at_the_cap_is_fast():
+    # the unpruned knapsack at budget 10000 takes about 1 s
+    start = time.process_time()
+    h = max_order_value_range(5000, 5000)[0]
+    assert time.process_time() - start < 0.5
+    assert membership(h, 5000).member
+
+
+@pytest.mark.parametrize("count, maximum", [(True, False), (False, True), (False, False)])
+def test_extremal_table_runs_only_the_asked_dps(count, maximum, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a DP that was not asked for ran")
+
+    full = extremal_table(1, 12)
+    if not count:
+        monkeypatch.setattr(extremal, "count_orders_range", refuse)
+    if not maximum:
+        monkeypatch.setattr(extremal, "max_order_value_range", refuse)
+    records = extremal_table(1, 12, count, maximum)
+    assert [r.g for r in records] == list(range(1, 13))
+    assert [r.f for r in records] == (KNOWN_F if count else [None] * 12)
+    assert [r.h for r in records] == (KNOWN_H if maximum else [None] * 12)
+    expected = [r.h_factorization for r in full] if maximum else [None] * 12
+    assert [r.h_factorization for r in records] == expected
