@@ -355,9 +355,8 @@ def check_lemma35(g_from: int, g_to: int) -> Iterator[BoundReport]:
 
     for g in range(g_from, g_to + 1):
         decision = membership(primorial(_floor_sqrt_g_log_g(g)), g)
-        report = decision.report
-        beta = sum(t.cost for t in report.terms if t.prime != 2)
-        yield BoundReport("lemma35", g, report.total, decision.budget, None, decision.member)
+        beta = sum(t.cost for t in decision.terms if t.prime != 2)
+        yield BoundReport("lemma35", g, decision.total, decision.budget, None, decision.member)
         yield _half_row("lemma35-beta", g, beta, 3 * g)
 
 

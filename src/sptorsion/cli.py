@@ -50,7 +50,6 @@ from . import __version__
 if TYPE_CHECKING:
     from .criterion import MembershipDecision, NotRealizableError
     from .extremal import ExtremalRecord
-    from .numtheory import Factorization
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -201,8 +200,8 @@ def _csv_writer(out: _Batched):
     return csv.writer(out, lineterminator="\n")
 
 
-def _factorization_pretty(fact: Factorization) -> str:
-    return "*".join(f"{p}^{a}" if a > 1 else str(p) for p, a in fact)
+def _factorization_pretty(pairs: tuple[tuple[int, int], ...]) -> str:
+    return "*".join(f"{p}^{a}" if a > 1 else str(p) for p, a in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -210,31 +209,29 @@ def _factorization_pretty(fact: Factorization) -> str:
 
 
 def _decision_result(decision: MembershipDecision) -> dict:
-    report = decision.report
     return {
         "m": str(decision.m),
         "genus": str(decision.g),
         "member": decision.member,
         "budget": str(decision.budget),
-        "total_cost": str(report.total),
+        "total_cost": str(decision.total),
         "deficit": str(decision.deficit),
-        "exemption_applied": report.exemption_applied,
+        "exemption_applied": decision.exemption_applied,
         "terms": [
             {"prime": str(t.prime), "exponent": str(t.exponent), "cost": str(t.cost)}
-            for t in report.terms
+            for t in decision.terms
         ],
     }
 
 
 def _write_decision_text(out: _Batched, decision: MembershipDecision) -> None:
-    report = decision.report
     out.write(f"m = {decision.m}, genus = {decision.g}, budget = {decision.budget}\n")
     out.write("prime  exponent  cost\n")
-    for t in report.terms:
+    for t in decision.terms:
         out.write(f"{t.prime:>5}  {t.exponent:>8}  {t.cost:>4}\n")
-    if report.exemption_applied:
+    if decision.exemption_applied:
         out.write("(m == 2 mod 4: the prime-2 term is free)\n")
-    out.write(f"total cost {report.total} <= budget {decision.budget}: {decision.member}\n")
+    out.write(f"total cost {decision.total} <= budget {decision.budget}: {decision.member}\n")
     verdict = "member" if decision.member else f"not a member (over by {decision.deficit})"
     out.write(f"=> {decision.m} is {verdict} of S({decision.g})\n")
 
@@ -268,30 +265,30 @@ def _capped_membership(m: int, g: int, allow_large: bool) -> MembershipDecision:
     import math
 
     from .criterion import decide, membership
-    from .numtheory import Factorization, factor
+    from .numtheory import factor
 
     cap = CAPS["trial"]
     if m < 2 or 2 * g + 1 <= cap or allow_large:
         return membership(m, g)
-    fact, cofactor = factor(m, cap)
+    pairs, cofactor = factor(m, cap)
     if cofactor > 1:
         _refuse_over_cap("member trial division", "trial", min(2 * g + 1, math.isqrt(cofactor)), False)
         if cofactor <= 2 * g + 1:
-            fact, cofactor = Factorization((*fact, (cofactor, 1))), 1
-    return decide(m, g, fact, cofactor)
+            pairs, cofactor = (*pairs, (cofactor, 1)), 1
+    return decide(m, g, pairs, cofactor)
 
 
 def cmd_member(args: argparse.Namespace, out: _Batched) -> int:
     from .criterion import NotRealizableError
 
     decision = _capped_membership(args.m, args.genus, args.allow_large)
-    if decision.report.cofactor > 1:
+    if decision.cofactor > 1:
         return _beyond_prime_bound(args, out, NotRealizableError(decision))
     if args.format == "json":
         parameters = {"m": str(args.m), "genus": str(args.genus)}
         _write_json(out, _envelope("member", parameters, _decision_result(decision)))
     elif args.format == "csv":
-        rows = [(t.prime, t.exponent, t.cost) for t in decision.report.terms]
+        rows = [(t.prime, t.exponent, t.cost) for t in decision.terms]
         _csv_writer(out).writerows([("prime", "exponent", "cost"), *rows])
     else:
         _write_decision_text(out, decision)
@@ -399,7 +396,7 @@ def cmd_witness(args: argparse.Namespace, out: _Batched) -> int:
         witness = build_witness(args.m, args.genus)
     except NotRealizableError as exc:
         decision = exc.decision
-        if decision.report.cofactor > 1:
+        if decision.cofactor > 1:
             return _beyond_prime_bound(args, out, exc)
         if args.format == "json":
             result = {"built": False, "reason": str(exc), "membership": _decision_result(decision)}

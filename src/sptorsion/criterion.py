@@ -17,6 +17,9 @@ downstream: doubling an odd member is free (m odd and admissible implies
 primes can appear. The second one is also how membership factors m: by
 trial division up to 2g+1 alone, where any cofactor left over decides
 "not a member", so no order, however large, costs more than that loop.
+`membership` answers with one flat record, `MembershipDecision`: the
+verdict, the cost of each prime power, their total, whether the prime-2
+term was waived, and that cofactor.
 
 Why the budget is necessary: an element A of finite order m has a
 minimal polynomial dividing x^m - 1, which has distinct roots, so A is
@@ -38,11 +41,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .numtheory import Factorization, factor, sieve
+from .numtheory import factor, sieve
 
 __all__ = [
     "CostTerm",
-    "DegreeCostReport",
     "MembershipDecision",
     "NotRealizableError",
     "prime_power_cost",
@@ -59,33 +61,25 @@ class CostTerm(NamedTuple):
     cost: int
 
 
-class DegreeCostReport(NamedTuple):
-    """Per-prime-power totient costs of m and their total.
-
-    The terms cover the primes <= 2g+1; cofactor is the part of m left
-    over, 1 exactly when m has no larger prime. exemption_applied is True
-    exactly when m == 2 (mod 4); the prime-2 term then carries exponent 1
-    and cost 0.
-    """
-
-    m: int
-    terms: tuple[CostTerm, ...]
-    total: int
-    exemption_applied: bool
-    cofactor: int
-
-
 class MembershipDecision(NamedTuple):
     """Outcome of the budget test cost(m) <= 2g, with the cost table.
 
-    A cofactor > 1 means a prime above 2g+1, whose totient alone exceeds
-    the budget: m is then not a member whatever the other terms cost.
+    The terms are the per-prime-power totient costs of m over the primes
+    <= 2g+1, and total is their sum. cofactor is the part of m left over,
+    1 exactly when m has no larger prime; a cofactor > 1 means a prime
+    above 2g+1, whose totient alone exceeds the budget, so m is then not
+    a member whatever the terms cost. exemption_applied is True exactly
+    when m == 2 (mod 4); the prime-2 term then carries exponent 1 and
+    cost 0.
     """
 
     m: int
     g: int
     member: bool
-    report: DegreeCostReport
+    terms: tuple[CostTerm, ...]
+    total: int
+    exemption_applied: bool
+    cofactor: int
 
     @property
     def budget(self) -> int:
@@ -99,9 +93,9 @@ class MembershipDecision(NamedTuple):
         is a lower bound: each such prime p is odd and > 2g+1, so its
         phi(p) >= 2g+2 alone puts the cost at >= total + 2g + 2.
         """
-        if self.report.cofactor > 1:
-            return self.report.total + 2
-        return max(0, self.report.total - self.budget)
+        if self.cofactor > 1:
+            return self.total + 2
+        return max(0, self.total - self.budget)
 
 
 class NotRealizableError(ValueError):
@@ -114,7 +108,7 @@ class NotRealizableError(ValueError):
     def __init__(self, decision: MembershipDecision):
         self.decision = decision
         g = decision.g
-        if decision.report.cofactor > 1:
+        if decision.cofactor > 1:
             reason = (
                 f"no element of Sp({2 * g},Z) has order {decision.m}: it has a "
                 f"prime factor above 2g + 1 = {2 * g + 1}"
@@ -122,7 +116,7 @@ class NotRealizableError(ValueError):
         else:
             reason = (
                 f"no element of order {decision.m} exists for genus {g}: "
-                f"cost {decision.report.total} exceeds budget {decision.budget} "
+                f"cost {decision.total} exceeds budget {decision.budget} "
                 f"by {decision.deficit}"
             )
         super().__init__(reason)
@@ -164,7 +158,7 @@ def _require_genus(g: int) -> None:
 
 
 def membership(m: int, g: int) -> MembershipDecision:
-    """Decide m in S(g), returning the decision with its cost report.
+    """Decide m in S(g), returning the decision with its cost table.
 
     m is factored only by trial division up to 2g+1, so the work is
     bounded by the genus whatever the size of m.
@@ -174,14 +168,14 @@ def membership(m: int, g: int) -> MembershipDecision:
     return decide(m, g, *factor(m, 2 * g + 1))
 
 
-def decide(m: int, g: int, fact: Factorization, cofactor: int) -> MembershipDecision:
+def decide(m: int, g: int, pairs: tuple[tuple[int, int], ...], cofactor: int) -> MembershipDecision:
     """The budget test of membership, on what factor(m, 2g + 1) returns
-    for m >= 2 and g >= 1: the prime powers of m up to 2g + 1 and the
-    cofactor left over."""
-    terms = tuple(CostTerm(p, a, _cost(p, a)) for p, a in fact)
+    for m >= 2 and g >= 1: the (prime, exponent) pairs of m up to 2g + 1
+    and the cofactor left over."""
+    terms = tuple(CostTerm(p, a, _cost(p, a)) for p, a in pairs)
     total = sum(t.cost for t in terms)
-    report = DegreeCostReport(m, terms, total, m % 4 == 2, cofactor)
-    return MembershipDecision(m, g, cofactor == 1 and total <= 2 * g, report)
+    member = cofactor == 1 and total <= 2 * g
+    return MembershipDecision(m, g, member, terms, total, m % 4 == 2, cofactor)
 
 
 def is_member(m: int, g: int) -> bool:

@@ -49,7 +49,7 @@ from operator import add
 from typing import NamedTuple
 
 from .criterion import _prime_power_options, _require_genus, enumerate_orders
-from .numtheory import Factorization, factor, sieve
+from .numtheory import factor, sieve
 
 __all__ = [
     "ExtremalRecord",
@@ -63,13 +63,13 @@ __all__ = [
 ]
 
 class ExtremalRecord(NamedTuple):
-    """(g, f(g), h(g)) with the factorization of h(g). Values are exact;
-    a column that extremal_table was not asked for is None."""
+    """(g, f(g), h(g)) with the (prime, exponent) pairs of h(g). Values are
+    exact; a column that extremal_table was not asked for is None."""
 
     g: int
     f: int | None
     h: int | None
-    h_factorization: Factorization | None
+    h_factorization: tuple[tuple[int, int], ...] | None
 
 
 def _check_range(g_from: int, g_to: int) -> None:

@@ -2,9 +2,9 @@
 
 Every prime of an order in S(g) is at most 2g + 1, so trial division up
 to that limit is a complete test: `factor(m, limit)` returns the prime
-powers of m up to limit and the unfactored cofactor, and divides by
-nothing above min(limit, isqrt(m)). There is deliberately no
-large-integer machinery here.
+powers of m up to limit, as plain (prime, exponent) pairs, and the
+unfactored cofactor, and divides by nothing above min(limit, isqrt(m)).
+There is deliberately no large-integer machinery here.
 
 Everything works on Python's native arbitrary-precision integers and is
 deterministic. All returned objects are immutable; every function is
@@ -14,56 +14,12 @@ pure and safe to call concurrently.
 from __future__ import annotations
 
 import math
-from operator import attrgetter
 
 __all__ = [
-    "Factorization",
     "sieve",
     "factor",
     "primorial",
 ]
-
-
-class Factorization:
-    """A positive integer as an ordered product of prime powers.
-
-    ``entries`` is a tuple of (prime, exponent) pairs, primes strictly
-    ascending, exponents >= 1. The empty tuple represents 1.
-    """
-
-    __slots__ = ("_entries",)
-
-    def __init__(self, entries: tuple[tuple[int, int], ...]) -> None:
-        self._entries = entries
-
-    entries = property(attrgetter("_entries"))  # read-only
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._entries == other._entries
-
-    def __hash__(self) -> int:
-        return hash((self._entries,))
-
-    def __repr__(self) -> str:
-        return f"Factorization(entries={self._entries!r})"
-
-    def value(self) -> int:
-        """Multiply the entries back into the represented integer."""
-        m = 1
-        for p, a in self.entries:
-            m *= p**a
-        return m
-
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 def sieve(limit: int) -> tuple[int, ...]:
@@ -83,8 +39,11 @@ def sieve(limit: int) -> tuple[int, ...]:
     return tuple(i for i, f in enumerate(flags) if f)
 
 
-def factor(m: int, limit: int) -> tuple[Factorization, int]:
+def factor(m: int, limit: int) -> tuple[tuple[tuple[int, int], ...], int]:
     """The prime powers of m >= 1 whose primes are <= limit, and the rest.
+
+    The first item is a tuple of (prime, exponent) pairs, primes
+    ascending, exponents >= 1; it is empty when no such prime divides m.
 
     Trial division by 2 and the odd numbers up to min(limit, isqrt(rest)),
     with no table: the cost is bounded by the smaller of the two, so a
@@ -109,7 +68,7 @@ def factor(m: int, limit: int) -> tuple[Factorization, int]:
     if 1 < rest <= limit:  # no divisor up to isqrt(rest): rest is prime
         entries.append((rest, 1))
         rest = 1
-    return Factorization(tuple(entries)), rest
+    return tuple(entries), rest
 
 
 def primorial(x: int) -> int:

@@ -188,10 +188,10 @@ def build_witness(m: int, g: int) -> SymplecticWitness:
     S(g). The construction is deterministic.
     """
     decision = _realizable(m, g)
-    negate = decision.report.exemption_applied
+    negate = decision.exemption_applied
     blocks = [
         _prime_power_block(t.prime, t.exponent)
-        for t in decision.report.terms
+        for t in decision.terms
         if t.cost > 0  # the free 2-part of m == 2 (mod 4) is the negation
     ]
     n = 2 * g
@@ -207,7 +207,7 @@ def build_witness(m: int, g: int) -> SymplecticWitness:
     matrix = IntMatrix(n, n, tuple(entries))
     if negate:
         matrix = -matrix
-    primes = tuple(t.prime for t in decision.report.terms)
+    primes = tuple(t.prime for t in decision.terms)
     witness = SymplecticWitness(matrix, m, _certify(matrix, m, g, primes))
     if not witness.certificate.all_passed:
         raise AssertionError(
@@ -307,7 +307,7 @@ def verify_witness(witness: SymplecticWitness, g: int) -> WitnessCertificate:
     if witness.claimed_order < 2:
         raise ValueError("claimed order must be >= 2")
     decision = _realizable(witness.claimed_order, g)
-    primes = tuple(t.prime for t in decision.report.terms)
+    primes = tuple(t.prime for t in decision.terms)
     return _certify(matrix, decision.m, g, primes)
 
 

@@ -189,9 +189,9 @@ def test_invariant_suite():
         # cost additivity against the two-case definition, m <= 1e5; at
         # genus m every prime of m is below 2g + 1, so the table is complete
         def cost(m: int) -> int:
-            report = membership(m, m).report
-            assert report.cofactor == 1
-            return report.total
+            decision = membership(m, m)
+            assert decision.cofactor == 1
+            return decision.total
 
         for m in range(2, 10**5 + 1):
             expected = sum(

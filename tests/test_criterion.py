@@ -6,7 +6,7 @@ import time
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sptorsion.criterion import (
     _prime_power_options,
@@ -17,6 +17,7 @@ from sptorsion.criterion import (
     support_primes,
 )
 from sptorsion.extremal import count_orders
+from sptorsion.numtheory import factor
 
 
 def two_case_cost(m: int) -> int:
@@ -30,12 +31,12 @@ def two_case_cost(m: int) -> int:
     return total
 
 
-def cost_report(m: int):
+def cost_table(m: int):
     """The complete cost table of m: at genus m every prime of m is
     below 2g + 1, so nothing is left in the cofactor."""
-    report = membership(m, m).report
-    assert report.cofactor == 1
-    return report
+    decision = membership(m, m)
+    assert decision.cofactor == 1
+    return decision
 
 
 def test_prime_power_cost_cases():
@@ -49,20 +50,20 @@ def test_prime_power_cost_cases():
 
 
 def test_degree_cost_examples():
-    report = cost_report(12)
-    assert report.total == 4
-    assert not report.exemption_applied
-    report = cost_report(10)
-    assert report.total == 4
-    assert report.exemption_applied
-    report = cost_report(2)
-    assert report.total == 0
-    assert report.exemption_applied
+    decision = cost_table(12)
+    assert decision.total == 4
+    assert not decision.exemption_applied
+    decision = cost_table(10)
+    assert decision.total == 4
+    assert decision.exemption_applied
+    decision = cost_table(2)
+    assert decision.total == 0
+    assert decision.exemption_applied
 
 
 def test_degree_cost_additivity_against_definition():
     for m in range(2, 10**5 + 1):
-        assert cost_report(m).total == two_case_cost(m), m
+        assert cost_table(m).total == two_case_cost(m), m
 
 
 def test_membership_small():
@@ -72,25 +73,25 @@ def test_membership_small():
     assert decision.deficit == 0
     decision = membership(9, 2)
     assert not decision.member
-    assert decision.report.cofactor == 1
+    assert decision.cofactor == 1
     assert decision.deficit == 2
     # 5 > 2g + 1: the factorization stops at 3 and leaves 5 over
     decision = membership(5, 1)
     assert not decision.member
-    assert decision.report.terms == ()
-    assert decision.report.cofactor == 5
+    assert decision.terms == ()
+    assert decision.cofactor == 5
     # the cost of 5 is not computed; phi(5) = 4 alone is 2 over budget
     assert decision.deficit == 2
 
 
 def test_membership_factors_only_up_to_2g_plus_1():
     decision = membership(2**3 * 7 * 11**2 * 13, 5)
-    assert [(t.prime, t.exponent) for t in decision.report.terms] == [(2, 3), (7, 1), (11, 2)]
-    assert decision.report.cofactor == 13
+    assert [(t.prime, t.exponent) for t in decision.terms] == [(2, 3), (7, 1), (11, 2)]
+    assert decision.cofactor == 13
     assert not decision.member
     # within budget on the terms found, but 13 > 11 still decides it
     decision = membership(2 * 13, 5)
-    assert decision.report.total == 0
+    assert decision.total == 0
     assert not decision.member
     assert decision.deficit == 2  # a lower bound: the true cost 12 is over by 2
 
@@ -100,13 +101,34 @@ def test_deficit_is_a_positive_lower_bound():
     for g in range(1, 9):
         for m in range(2, 2001):
             decision = membership(m, g)
-            over = membership(m, m).report.total - 2 * g
+            over = membership(m, m).total - 2 * g
             if decision.member:
                 assert decision.deficit == 0
             else:
                 assert 1 <= decision.deficit <= over, (m, g)
-                if decision.report.cofactor == 1:
+                if decision.cofactor == 1:
                     assert decision.deficit == over
+
+
+@given(st.integers(min_value=2, max_value=10**12), st.integers(min_value=1, max_value=3000))
+@example(12, 2)
+@example(10, 2)
+@example(77, 3)
+def test_membership_record_against_sympy(m, g):
+    # every field of the record, from sympy's factorization of m
+    decision = membership(m, g)
+    expected = sympy.factorint(m)
+    small = sorted((p, a) for p, a in expected.items() if p <= 2 * g + 1)
+    assert (decision.m, decision.g) == (m, g)
+    assert [(t.prime, t.exponent) for t in decision.terms] == small
+    costs = [0 if (p, a) == (2, 1) else sympy.totient(p**a) for p, a in small]
+    assert [t.cost for t in decision.terms] == costs
+    assert decision.cofactor == math.prod(p**a for p, a in expected.items() if p > 2 * g + 1)
+    assert decision.total == sum(costs)
+    assert decision.exemption_applied == (m % 4 == 2)
+    assert decision.member == (decision.cofactor == 1 and decision.total <= 2 * g)
+    pairs = tuple((t.prime, t.exponent) for t in decision.terms)
+    assert factor(m, 2 * g + 1) == (pairs, decision.cofactor)
 
 
 def test_adversarial_orders_decide_fast():
@@ -170,7 +192,7 @@ def test_free_doubling(m, g):
     # doubling an odd order is free: 2m == 2 (mod 4) waives the new term
     if m == 1:
         return
-    assert cost_report(2 * m).total == cost_report(m).total
+    assert cost_table(2 * m).total == cost_table(m).total
     if is_member(m, g):
         assert is_member(2 * m, g)
 
@@ -213,20 +235,53 @@ def test_orders_are_the_lcms_of_cyclotomic_degree_sets():
         assert sorted(cheapest.keys() - {1}) == enumerate_orders(g)
 
 
+def cyclotomic_degree(e: int) -> int:
+    """The degree Phi_e spends in a characteristic polynomial: phi(e),
+    except 2 for e = 2, whose eigenvalue -1 comes in pairs."""
+    return 2 if e == 2 else int(sympy.totient(e))
+
+
+def least_degree(m: int, degree) -> int:
+    """The least total degree of a set of divisors e >= 2 of m with lcm m,
+    each e costing degree(e)."""
+    least = {1: 0}  # lcm of a set of divisors -> its least total degree
+    for e in sympy.divisors(m)[1:]:
+        cost = degree(e)
+        for lcm, spent in list(least.items()):
+            key, total = math.lcm(lcm, e), spent + cost
+            if total < least.get(key, total + 1):
+                least[key] = total
+    return least[m]
+
+
 def test_least_cyclotomic_degree_of_each_order_is_its_cost():
     # the same argument one order at a time: the least total degree of a
     # set of divisors e >= 2 of m with lcm m (e = 2 costing 2) is the cost
     # of m, floored at 2 for m = 2, at any g whose factoring reaches m
     top = 10**4
-    costs = {e: 2 if e == 2 else int(sympy.totient(e)) for e in range(2, top + 1)}
+    costs = {e: cyclotomic_degree(e) for e in range(2, top + 1)}
     for m in range(2, top + 1):
-        least = {1: 0}  # lcm of a set of divisors -> its least total degree
-        for e in sympy.divisors(m)[1:]:
-            for lcm, spent in list(least.items()):
-                key, total = math.lcm(lcm, e), spent + costs[e]
-                if total < least.get(key, total + 1):
-                    least[key] = total
-        assert least[m] == max(membership(m, m // 2).report.total, 2), m
+        assert least_degree(m, costs.__getitem__) == max(membership(m, m // 2).total, 2), m
+
+
+SMALL_PRIMES = list(sympy.primerange(2, 10**4))
+
+
+@st.composite
+def few_divisor_orders(draw) -> int:
+    """1 to 4 distinct primes below 10^4 with exponents 1 to 3, times 1 or
+    one prime in 10^4..10^6: at most 2 * 4^4 divisors."""
+    primes = draw(st.lists(st.sampled_from(SMALL_PRIMES), min_size=1, max_size=4, unique=True))
+    m = math.prod(p ** draw(st.integers(min_value=1, max_value=3)) for p in primes)
+    if draw(st.booleans()):
+        m *= sympy.nextprime(draw(st.integers(min_value=10**4, max_value=10**6)))
+    return m
+
+
+@settings(deadline=None)
+@given(few_divisor_orders())
+def test_least_cyclotomic_degree_of_large_orders_is_their_cost(m):
+    assert least_degree(m, cyclotomic_degree) == max(membership(m, m // 2).total, 2)
 
 
 def test_support_primes():

@@ -271,7 +271,7 @@ def test_witness_not_realizable():
     assert decision.deficit == 2
     with pytest.raises(NotRealizableError, match="prime factor above 2g \\+ 1 = 3") as exc_info:
         build_witness(5, 1)
-    assert exc_info.value.decision.report.cofactor == 5
+    assert exc_info.value.decision.cofactor == 5
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6])
@@ -283,7 +283,7 @@ def test_witness_sweep_small(g):
         assert a.rows == 2 * g
         assert a.transpose() @ j @ a == j
         assert binary_power(a, m).is_identity()
-        for term in membership(m, g).report.terms:
+        for term in membership(m, g).terms:
             assert not binary_power(a, m // term.prime).is_identity()
 
 
@@ -519,7 +519,7 @@ def test_verify_rejects_order_with_large_prime(rows, m, products, tmp_path, caps
     witness = witness_from_json(forged_document(rows, m))
     with pytest.raises(NotRealizableError) as exc_info:
         verify_witness(witness, 1)
-    assert exc_info.value.decision.report.cofactor > 1
+    assert exc_info.value.decision.cofactor > 1
     path = tmp_path / "forged.json"
     path.write_text(forged_document(rows, m))
     assert cli.main(["verify", str(path)]) == 1
@@ -534,11 +534,11 @@ def test_verify_factors_only_by_small_primes(products):
     claimed = SymplecticWitness(w.matrix, 7 * 5**40, w.certificate)
     with pytest.raises(NotRealizableError, match="exceeds budget 6") as exc_info:
         verify_witness(claimed, 3)
-    assert [t.prime for t in exc_info.value.decision.report.terms] == [5, 7]
-    assert exc_info.value.decision.report.cofactor == 1
+    assert [t.prime for t in exc_info.value.decision.terms] == [5, 7]
+    assert exc_info.value.decision.cofactor == 1
     with pytest.raises(NotRealizableError, match="above 2g \\+ 1 = 7") as exc_info:
         verify_witness(SymplecticWitness(w.matrix, 7 * 11, w.certificate), 3)
-    assert exc_info.value.decision.report.cofactor == 11
+    assert exc_info.value.decision.cofactor == 11
     assert products == []
     # a claim in S(3) is certified with the primes of that one factorization
     claimed = SymplecticWitness(w.matrix, 14, w.certificate)
