@@ -118,12 +118,13 @@ class _Batched:
         if len(self.parts) >= 128:  # 128 rows of a bound sweep: some 20 kB
             self.flush()
 
-    def write_each(self, separator: str, texts: Iterator[str]) -> None:
+    def write_each(self, separator: str, texts: Iterable[str]) -> None:
         """Write each text of `texts` (none empty) after `separator`, some
         20 kB to a write: the texts of a list may be matrix entries of a few
         bytes or rows of a few hundred, so the number of texts in a write
         follows the size of the last write."""
         self.flush()
+        texts = iter(texts)  # islice of a list would restart at its head
         count = 128
         while batch := separator.join(itertools.islice(texts, count)):
             self.target.write(separator + batch)

@@ -12,6 +12,7 @@ standard_form(g) is the block form J with upper-right +I_g, lower-left
 
 from __future__ import annotations
 
+from itertools import compress
 from operator import attrgetter
 
 __all__ = [
@@ -117,9 +118,8 @@ class IntMatrix:
                 i = parent[i]
             return i
 
-        for at, x in enumerate(entries):
-            if x:
-                parent[find(at // n)] = find(at % n)
+        for at in compress(range(n * n), entries):
+            parent[find(at // n)] = find(at % n)
         members: dict[int, list[int]] = {}
         for i in range(n):
             members.setdefault(find(i), []).append(i)
@@ -140,7 +140,9 @@ class IntMatrix:
 
 
 def identity(n: int) -> IntMatrix:
-    return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+    entries = [0] * (n * n)
+    entries[:: n + 1] = [1] * n
+    return IntMatrix(n, n, tuple(entries))
 
 
 def standard_form(g: int) -> IntMatrix:

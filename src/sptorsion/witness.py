@@ -62,12 +62,26 @@ deterministic: equal inputs give identical matrices.
 
 The assembled matrix is certified exactly before it is returned:
 A^T J A = J on the whole matrix, A^m = I, and no proper power
-A^(m/p) = I. The powers are taken per component: A is the direct sum of
-the diagonal blocks of its nonzero pattern, and each distinct block gets
-one squaring chain, cut short by a repeated square or by a trace that
-proves infinite order (_SquaringChain). A d x d block B with B^m = I
-has B^(m/p) = I, with no product, for every prime p > d + 1: no such
-prime divides its order (_certify).
+A^(m/p) = I. No check makes a matrix product on a witness.
+A^T J A = J is summed from the nonzero entries of the rows r and g + r
+that J pairs. The powers are decided per component: A is the direct sum
+of the diagonal blocks of its nonzero pattern, and A^k = I exactly when
+B^k = I for each distinct block B. For a block B of size d, the Krylov
+vectors v_k = B^k e_0 come from sparse products with a vector. When
+each v_k, k < d, has +-1 at index k and 0 above it, e_0 is a cyclic
+vector, and back-substitution gives B's integer characteristic
+polynomial chi, which is also its minimal polynomial. By Kronecker, an
+integer matrix of finite order has only roots of unity as eigenvalues,
+so B^k = I exactly when chi is a product of distinct Phi_e with e | k.
+Dividing chi by the Phi_e with e | m finds that set, and it then settles
+every proper power A^(m/p) = I with no further arithmetic. Every
+witness block passes the cyclic test: its v_k are the coordinates of
+zeta^k, that is e_k for k < h and e_k - e_(k-q) for h <= k < d (the
+second term only when k >= h + q), and those of a negated block are
+(-1)^k times these. A block that fails it (a repeated eigenvalue, a
+pivot other than +-1, or a forged document) gets one squaring chain,
+cut short by a repeated square or by a trace that proves infinite order
+(_SquaringChain).
 
 `build_witness` and `verify_witness` pass through the same gate first:
 `criterion.membership(m, g)`, which factors m only up to 2g + 1. An
@@ -81,11 +95,13 @@ from __future__ import annotations
 
 import json
 import operator
-from functools import reduce
-from typing import NamedTuple
+from functools import lru_cache, reduce
+from itertools import compress
+from math import prod
+from typing import Callable, NamedTuple
 
 from .criterion import MembershipDecision, NotRealizableError, membership
-from .matrices import IntMatrix, identity, standard_form
+from .matrices import IntMatrix, identity
 
 __all__ = [
     "ProperPowerCheck",
@@ -222,34 +238,196 @@ def _certify(
 ) -> WitnessCertificate:
     """The three checks for claimed order m, given the primes of m.
 
-    A^m = I and each A^(m/p) = I are decided in one pass over A's
-    diagonal blocks (equal blocks once). If some block has infinite order
-    or B^m != I, then A^m != I, and no A^(m/p) = I either, since that
-    would give A^m = (A^(m/p))^p = I. Otherwise the order of a d x d block
-    B divides m, and it is the lcm of the orders e of its eigenvalues:
-    each is a primitive e-th root of unity, a root of Phi_e, so phi(e) <= d
-    and no prime above d + 1 divides e. For such a prime p the order of B
-    divides m/p, so B^(m/p) = I with no product; B^(m/p) is computed only
-    for the primes p <= d + 1 that no earlier block has refuted.
+    A^T J A = J is summed from the pairs of rows r and g + r
+    (_is_symplectic). A^m = I and each A^(m/p) = I are decided in one pass
+    over A's diagonal blocks (equal blocks once). If some block B has
+    B^m != I, then A^m != I, and no A^(m/p) = I either, since that would
+    give A^m = (A^(m/p))^p = I.
+
+    A block whose Krylov vectors B^k e_0 are triangular with +-1 on the
+    diagonal has e_0 as a cyclic vector, so the integer characteristic
+    polynomial chi of _krylov_charpoly is its minimal polynomial. Then
+    B^k = I exactly when chi divides x^k - 1 = prod_(e | k) Phi_e, a
+    product of distinct irreducibles: when chi is the product of Phi_e
+    over a set E of distinct divisors e of k. This is Kronecker's fact
+    made exact: the eigenvalues of an integer matrix of finite order are
+    roots of unity, each a root of one Phi_e, and a cyclic B of finite
+    order has them simple. _cyclotomic_orders finds E for k = m, and
+    B^(m/p) = I exactly when every e in E divides m/p: no product is
+    made.
+
+    Any other block takes a chain of squarings (_SquaringChain). If
+    B^m = I, the order of a d x d block B divides m, and it is the lcm
+    of the orders e of its eigenvalues, with phi(e) <= d, so no prime
+    above d + 1 divides e. For such a prime p the order of B divides m/p,
+    so B^(m/p) = I with no product; B^(m/p) is computed only for the
+    primes p <= d + 1 that no earlier block has refuted.
     """
-    j = standard_form(g)
-    symplectic = matrix.transpose() @ j @ matrix == j
     power_identity = True
     identities = [True] * len(primes)
     for block in dict.fromkeys(matrix.diagonal_blocks()):
-        chain = _SquaringChain(block, m.bit_length())
-        if chain.infinite or not chain.power(m).is_identity():
+        divides = _power_test(block, m, primes)
+        if divides is None:
             power_identity, identities = False, [False] * len(primes)
             break
         identities = [
-            ok and (p > block.rows + 1 or chain.power(m // p).is_identity())
+            ok and (p > block.rows + 1 or divides(m // p))
             for p, ok in zip(primes, identities)
         ]
     proper = tuple(
         ProperPowerCheck(p, m // p, identity)
         for p, identity in zip(primes, identities)
     )
-    return WitnessCertificate(symplectic, power_identity, proper)
+    return WitnessCertificate(_is_symplectic(matrix, g), power_identity, proper)
+
+
+def _is_symplectic(matrix: IntMatrix, g: int) -> bool:
+    """A^T J A = J, without a product: entry (i, j) of A^T J A is
+    sum_(r<g) A[r][i] A[g+r][j] - A[g+r][i] A[r][j], summed over the
+    nonzero entries of rows r and g + r only."""
+    n = 2 * g
+    rows = [
+        [(j, row[j]) for j in compress(range(n), row)]
+        for row in map(matrix.row, range(n))
+    ]
+    form: dict[int, int] = {}
+    for top, bottom in zip(rows[:g], rows[g:]):
+        for i, x in top:
+            for j, y in bottom:
+                form[i * n + j] = form.get(i * n + j, 0) + x * y
+                form[j * n + i] = form.get(j * n + i, 0) - x * y
+    standard = {r * n + g + r: 1 for r in range(g)}
+    standard.update({(g + r) * n + r: -1 for r in range(g)})
+    return {at: x for at, x in form.items() if x} == standard
+
+
+def _power_test(
+    block: IntMatrix, m: int, primes: tuple[int, ...]
+) -> Callable[[int], bool] | None:
+    """None when B^m != I; otherwise the test of B^k = I for the divisors
+    k of m (see _certify)."""
+    chi = _krylov_charpoly(block)
+    if chi is None:
+        chain = _SquaringChain(block, m.bit_length())
+        if chain.infinite or not chain.power(m).is_identity():
+            return None
+        return lambda k: chain.power(k).is_identity()
+    orders = _cyclotomic_orders(chi, m, primes)
+    if orders is None:
+        return None
+    return lambda k: all(k % e == 0 for e in orders)
+
+
+def _krylov_charpoly(block: IntMatrix) -> list[int] | None:
+    """The characteristic polynomial of a d x d block B, ascending, when
+    each v_k = B^k e_0, k < d, has +-1 at index k and 0 above it; None
+    otherwise.
+
+    Then V = [v_0 .. v_(d-1)] is unimodular, e_0 is a cyclic vector, and
+    v_d = sum_k c_k v_k has one integer solution, found by substitution
+    from the top index down. x^d - sum_k c_k x^k annihilates e_0, hence
+    every v_k and B itself; its degree is d, so it is both the minimal
+    and the characteristic polynomial. Each v_(k+1) = B v_k is a sparse
+    product of B with a vector: no matrix product is made.
+    """
+    d = block.rows
+    entries = block.entries
+    columns: list[list[tuple[int, int]]] = [[] for _ in range(d)]
+    for at in compress(range(d * d), entries):
+        columns[at % d].append((at // d, entries[at]))
+    krylov = []
+    vector = {0: 1}
+    for k in range(d):
+        if max(vector, default=-1) != k or vector[k] not in (1, -1):
+            return None
+        krylov.append(vector)
+        image: dict[int, int] = {}
+        for j, x in vector.items():
+            for i, b in columns[j]:
+                image[i] = image.get(i, 0) + b * x
+        vector = {i: x for i, x in image.items() if x}
+    chi = [0] * d + [1]
+    for k in reversed(range(d)):
+        c = vector.pop(k, 0) * krylov[k][k]
+        if c:
+            chi[k] = -c
+            for i, x in krylov[k].items():
+                if i < k:
+                    vector[i] = vector.get(i, 0) - c * x
+    return chi
+
+
+def _cyclotomic_orders(
+    chi: list[int], m: int, primes: tuple[int, ...]
+) -> list[int] | None:
+    """The divisors e of m with chi the product of Phi_e over them, each
+    e once; None when there are none, that is when chi does not divide
+    x^m - 1. Each Phi_e with phi(e) <= the degree left is divided out
+    exactly, largest phi(e) first."""
+    orders = []
+    left = chi
+    for phi, e, ps in _small_totient_divisors(m, primes, len(chi) - 1):
+        if phi < len(left):
+            quotient = _exact_quotient(left, _cyclotomic(e, ps))
+            if quotient is not None:
+                orders.append(e)
+                left = quotient
+                if len(left) == 1:
+                    return orders
+    return None
+
+
+def _small_totient_divisors(
+    m: int, primes: tuple[int, ...], bound: int
+) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(phi(e), e, the primes of e) for the divisors e of m with
+    phi(e) <= bound, phi(e) descending: built prime power by prime power,
+    phi being multiplicative, with no divisor factored."""
+    found = [(1, 1, ())]
+    for p in primes:
+        powers, q = [], p
+        while m % q == 0 and (p - 1) * q // p <= bound:
+            powers.append(((p - 1) * q // p, q))
+            q *= p
+        found += [
+            (phi * phi_q, e * q, (*ps, p))
+            for phi, e, ps in found
+            for phi_q, q in powers
+            if phi * phi_q <= bound
+        ]
+    return sorted(found, reverse=True)
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(e: int, primes: tuple[int, ...]) -> tuple[int, ...]:
+    """Phi_e, ascending, given the distinct primes of e: Phi_1 = x - 1,
+    Phi_(np)(x) = Phi_n(x^p) / Phi_n(x) for a prime p not dividing n, and
+    Phi_e(x) = Phi_r(x^(e/r)) for the radical r of e."""
+    poly: tuple[int, ...] = (-1, 1)
+    for p in primes:
+        spread = [0] * (p * len(poly) - p + 1)
+        spread[::p] = poly
+        poly = tuple(_exact_quotient(spread, poly))
+    step = e // prod(primes)
+    spread = [0] * (step * len(poly) - step + 1)
+    spread[::step] = poly
+    return tuple(spread)
+
+
+def _exact_quotient(num: list[int], den: tuple[int, ...]) -> list[int] | None:
+    """num / den for a monic den, ascending coefficients; None unless the
+    division is exact."""
+    k = len(den) - 1
+    rest = list(num)
+    lower = [(j, c) for j, c in enumerate(den[:k]) if c]
+    quotient = [0] * (len(num) - k)
+    for i in reversed(range(len(quotient))):
+        c = rest[i + k]
+        if c:
+            quotient[i] = c
+            for j, f in lower:
+                rest[i + j] -= c * f
+    return None if any(rest[:k]) else quotient
 
 
 class _SquaringChain:

@@ -678,22 +678,46 @@ def test_bounds_csv_without_rows(monkeypatch, capsys):
 
 
 def test_bounds_json_keeps_no_rows(monkeypatch):
-    # the modules the check loads on first use, imported before any tracing,
-    # so that neither traced run counts their import
-    from sptorsion import bounds, cli, reals  # noqa: F401
+    # only the writer is traced: the rows come from one untraced sweep, so
+    # neither peak holds the sieve or the reals, and an untraced first run
+    # of each format loads the parser and the json and csv modules
+    from sptorsion import bounds, cli
 
-    def peak(fmt):
+    reports = list(bounds.run_check("rosser", 55, 20000))
+    monkeypatch.setattr(bounds, "run_check", lambda *args: iter(reports))
+
+    def run(fmt):
         argv = ["bounds", "--check", "rosser", "--range", "55..20000", "--format", fmt]
         with open(os.devnull, "w") as sink:
             monkeypatch.setattr(sys, "stdout", sink)
-            tracemalloc.start()
-            try:
-                assert cli.main(argv) == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            assert cli.main(argv) == 0
 
+    def peak(fmt):
+        tracemalloc.start()
+        try:
+            run(fmt)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run("json")
+    run("csv")
     assert peak("json") < 2 * peak("csv")
+
+
+def test_batched_writes_a_list_once():
+    from sptorsion import cli
+
+    texts = [str(i) * 100 for i in range(1000)]  # 100 kB: more than one write
+    writes = []
+
+    class Target:
+        write = writes.append
+
+    with cli._Batched(Target()) as out:
+        out.write_each(",", texts)
+    assert len(writes) > 1
+    assert "".join(writes) == "," + ",".join(texts)
 
 
 def test_extremal_json_keeps_no_text(monkeypatch):

@@ -14,12 +14,17 @@ import sympy
 from block_oracle import _block_polynomial, _lift, _trace_form_row, companion, conjugated_companion
 from power_oracle import binary_power, oracle_certificate
 from sptorsion import cli
+from sptorsion import witness as witness_module
 from sptorsion.criterion import enumerate_orders, membership
+from sptorsion.extremal import max_order_value_range
 from sptorsion.matrices import IntMatrix, identity, standard_form
 from sptorsion.witness import (
     NotRealizableError,
+    ProperPowerCheck,
     SymplecticWitness,
+    WitnessCertificate,
     _certify,
+    _krylov_charpoly,
     _prime_power_block,
     build_witness,
     verify_witness,
@@ -451,6 +456,33 @@ def test_certify_matches_binary_powering(seed):
     assert outcomes == {True, False, "proper-True", "proper-False"}
 
 
+def transvection(v: list[int]) -> IntMatrix:
+    """x -> x + (v^T J x) v, symplectic for every integer vector v."""
+    n, g = len(v), len(v) // 2
+    vj = [-x for x in v[g:]] + v[:g]  # the row v^T J
+    return IntMatrix(n, n, tuple(int(i == k) + v[i] * vj[k] for i in range(n) for k in range(n)))
+
+
+def test_symplectic_check_matches_the_dense_product():
+    # dense symplectic matrices, each with one entry changed half the time
+    rng = random.Random(0)
+    outcomes = set()
+    for _ in range(200):
+        g = rng.randint(1, 4)
+        a = identity(2 * g)
+        for _ in range(3):
+            a = a @ transvection([rng.choice((-1, 0, 1)) for _ in range(2 * g)])
+        if rng.random() < 0.5:
+            entries = list(a.entries)
+            entries[rng.randrange(len(entries))] += rng.choice((-1, 1))
+            a = IntMatrix(a.rows, a.cols, tuple(entries))
+        j = standard_form(g)
+        expected = a.transpose() @ j @ a == j
+        assert witness_module._is_symplectic(a, g) == expected, a.to_rows()
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
 @pytest.fixture
 def products(monkeypatch):
     """Sizes of the matrix products made while the fixture is active."""
@@ -471,8 +503,10 @@ def test_certify_heavy_order_product_count(products):
     assert verify_witness(witness, 34).all_passed
     # whole-matrix binary powering, one chain per exponent, took 251; a
     # chain per block with every proper power computed, 154
-    assert len(products) < 120
-    assert products.count(68) == 2  # only the symplectic check is dense
+    # 118, two of them the dense symplectic check; every block's
+    # characteristic polynomial and a symplectic check summed row by row,
+    # none
+    assert products == []
 
 
 def test_certify_skips_primes_above_block_size(products):
@@ -486,14 +520,107 @@ def test_certify_skips_primes_above_block_size(products):
 
 
 def test_trace_exit_makes_no_power_products(products):
-    # tr = 3 > 2 on the first square: infinite order, no squaring needed
+    # e_0 is cyclic, and chi = x^2 - 3x + 1 is no product of cyclotomic
+    # polynomials: infinite order, and A^T J A is summed by rows
     a = IntMatrix.from_rows([[2, 1], [1, 1]])
     m = 2**26 * 3**10
     certificate = _certify(a, m, 1, (2, 3))
-    assert len(products) == 2  # A^T J A
+    assert products == []
     assert certificate.symplectic
     assert not certificate.power_identity
     assert [c.identity for c in certificate.proper_powers] == [False, False]
+
+
+def test_squaring_chain_trace_exit_makes_no_product(products):
+    # B e_0 = 3 e_0: e_0 is not cyclic, so the block takes the squaring
+    # chain, which stops on tr = 4 > 2 before its first square
+    a = IntMatrix.from_rows([[3, 1], [0, 1]])
+    assert _krylov_charpoly(a) is None
+    certificate = _certify(a, 2**26 * 3**10, 1, (2, 3))
+    assert products == []
+    assert not certificate.symplectic
+    assert not certificate.power_identity
+
+
+def test_krylov_path_needs_unit_pivots():
+    # B e_0 = 2 e_1: the Krylov vectors are triangular, but V is not
+    # unimodular, so the block takes the squaring chain
+    a = IntMatrix.from_rows([[0, 1], [2, 0]])
+    assert _krylov_charpoly(a) is None
+    assert _certify(a, 6, 1, (2, 3)) == oracle_certificate(a, 6, 1)
+
+
+def test_witness_at_the_cap_makes_no_product(products):
+    # the largest block within the witness cap: 996 x 996, for the prime 997
+    witness = build_witness(997, 498)
+    expected = WitnessCertificate(True, True, (ProperPowerCheck(997, 1, False),))
+    assert witness.certificate == expected
+    assert verify_witness(witness, 498) == expected
+    assert products == []
+
+
+def h_witness_blocks() -> list[IntMatrix]:
+    """The distinct blocks, each with phi <= 300, of the witnesses of h(g)
+    for every g within the witness cap (35 blocks, phi <= 100), and their
+    negations, which the witnesses of orders m == 2 (mod 4) use."""
+    powers = {
+        (t.prime, t.exponent)
+        for g, h in enumerate(max_order_value_range(1, cli.CAPS["witness"]), start=1)
+        for t in membership(h, g).terms
+        if 0 < t.cost <= 300
+    }
+    blocks = [_prime_power_block(p, alpha) for p, alpha in sorted(powers)]
+    assert len(blocks) == 35
+    return blocks + [-b for b in blocks]
+
+
+def test_cyclotomic_polynomials_are_sympys():
+    for e in range(1, 301):
+        primes = tuple(sympy.primefactors(e))
+        assert list(witness_module._cyclotomic(e, primes)) == sympy_cyclotomic(e), e
+
+
+@pytest.mark.parametrize("m", [2, 12, 997, 12252240, 2**10 * 3**4 * 5**2 * 7])
+def test_small_totient_divisors(m):
+    primes = tuple(sympy.primefactors(m))
+    for bound in (1, 6, 40, 996):
+        expected = sorted(
+            ((sympy.totient(e), e) for e in sympy.divisors(m) if sympy.totient(e) <= bound),
+            reverse=True,
+        )
+        found = witness_module._small_totient_divisors(m, primes, bound)
+        assert [(phi, e) for phi, e, _ in found] == expected
+        assert all(ps == tuple(sympy.primefactors(e)) for _, e, ps in found)
+
+
+def test_krylov_charpoly_is_sympys():
+    x = sympy.Symbol("x")
+    for block in h_witness_blocks():
+        expected = sympy.Matrix(block.to_rows()).charpoly(x).all_coeffs()[::-1]
+        assert _krylov_charpoly(block) == expected, block.rows
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_certify_cases_take_both_paths(seed, monkeypatch):
+    # test_certify_matches_binary_powering covers both ways of deciding a
+    # block: the characteristic polynomial of a cyclic one, and the
+    # squaring chain otherwise, which most unipotent blocks take
+    paths, kind = [], None
+    krylov = witness_module._krylov_charpoly
+
+    def counted(block):
+        chi = krylov(block)
+        paths.append((kind, chi is not None))
+        return chi
+
+    monkeypatch.setattr(witness_module, "_krylov_charpoly", counted)
+    for a, m in certify_cases(seed):
+        diagonal = {a[i, i] for i in range(a.rows)}
+        kind = "unipotent" if diagonal == {1} and not a.is_identity() else "other"
+        _certify(a, m, a.rows // 2, tuple(sympy.primefactors(m)))
+    assert {path for _, path in paths} == {True, False}
+    unipotent = [path for k, path in paths if k == "unipotent"]
+    assert unipotent.count(False) > unipotent.count(True)
 
 
 def forged_document(rows: list[list[int]], m: int) -> str:
