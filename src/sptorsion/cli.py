@@ -417,7 +417,7 @@ def cmd_witness(args: argparse.Namespace, out: _Batched) -> int:
         result = {"built": True, "witness": document, "path": args.output or None}
         _write_json(out, _envelope("witness", parameters, result), map(str, witness.matrix.entries))
     else:
-        n = witness.matrix.rows
+        n = witness.matrix.size
         out.write(f"order-{args.m} witness in Sp({n},Z):\n")
         for i in range(n):
             out.write("  [" + " ".join(f"{x:>4}" for x in witness.matrix.row(i)) + "]\n")
@@ -436,14 +436,14 @@ def cmd_verify(args: argparse.Namespace, out: _Batched) -> int:
         raise UsageError(f"cannot read {args.path}: {exc}") from None
     witness = witness_from_json(text)  # ValueError on malformed -> exit 2
     fields = {
-        "size": str(witness.matrix.rows),
+        "size": str(witness.matrix.size),
         "genus": str(witness.genus),
         "claimed_order": str(witness.claimed_order),
     }
     try:
         certificate = verify_witness(witness, witness.genus)
     except NotRealizableError as exc:
-        text = f"claimed order {witness.claimed_order}, size {witness.matrix.rows}\nverdict: INVALID"
+        text = f"claimed order {witness.claimed_order}, size {witness.matrix.size}\nverdict: INVALID"
         return _not_realizable(args, out, {"path": args.path}, {**fields, "all_passed": False}, text, exc)
     if args.format == "json":
         result = {
@@ -454,7 +454,7 @@ def cmd_verify(args: argparse.Namespace, out: _Batched) -> int:
         }
         _write_json(out, _envelope("verify", {"path": args.path}, result))
     else:
-        out.write(f"claimed order {witness.claimed_order}, size {witness.matrix.rows}\n")
+        out.write(f"claimed order {witness.claimed_order}, size {witness.matrix.size}\n")
         out.write(f"  symplectic (A^T J A = J): {'pass' if certificate.symplectic else 'FAIL'}\n")
         out.write(f"  A^m = I: {'pass' if certificate.power_identity else 'FAIL'}\n")
         for check in certificate.proper_powers:

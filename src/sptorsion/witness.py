@@ -165,7 +165,7 @@ class SymplecticWitness(NamedTuple):
 
     @property
     def genus(self) -> int:
-        return self.matrix.rows // 2
+        return self.matrix.size // 2
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +186,7 @@ def _prime_power_block(p: int, alpha: int) -> IntMatrix:
         entries[r * d + d - 1] = -1
     for c in range(h + q - 1, d, q):
         entries[h * d + c] = -1
-    return IntMatrix(d, d, tuple(entries))
+    return IntMatrix(d, tuple(entries))
 
 
 def _realizable(m: int, g: int) -> MembershipDecision:
@@ -214,13 +214,13 @@ def build_witness(m: int, g: int) -> SymplecticWitness:
     entries = list(identity(n).entries)
     offset = 0
     for block in blocks:
-        half = block.rows // 2
+        half = block.size // 2
         coords = [*range(offset, offset + half), *range(g + offset, g + offset + half)]
         for r, row in zip(coords, block.to_rows()):
             for s, x in zip(coords, row):
                 entries[r * n + s] = x
         offset += half
-    matrix = IntMatrix(n, n, tuple(entries))
+    matrix = IntMatrix(n, tuple(entries))
     if negate:
         matrix = -matrix
     primes = tuple(t.prime for t in decision.terms)
@@ -271,7 +271,7 @@ def _certify(
             power_identity, identities = False, [False] * len(primes)
             break
         identities = [
-            ok and (p > block.rows + 1 or divides(m // p))
+            ok and (p > block.size + 1 or divides(m // p))
             for p, ok in zip(primes, identities)
         ]
     proper = tuple(
@@ -330,7 +330,7 @@ def _krylov_charpoly(block: IntMatrix) -> list[int] | None:
     and the characteristic polynomial. Each v_(k+1) = B v_k is a sparse
     product of B with a vector: no matrix product is made.
     """
-    d = block.rows
+    d = block.size
     entries = block.entries
     columns: list[list[tuple[int, int]]] = [[] for _ in range(d)]
     for at in compress(range(d * d), entries):
@@ -448,7 +448,7 @@ class _SquaringChain:
         seen = {block: 0}
         while True:
             last = self.squares[-1]
-            if abs(last.trace()) > block.rows:
+            if abs(last.trace()) > block.size:
                 self.infinite = True
                 return
             if len(self.squares) == bits:
@@ -477,9 +477,9 @@ def verify_witness(witness: SymplecticWitness, g: int) -> WitnessCertificate:
     claimed order is not in S(g): no matrix can then pass.
     """
     matrix = witness.matrix
-    if matrix.rows != 2 * g or matrix.cols != 2 * g:
+    if matrix.size != 2 * g:
         raise ValueError(
-            f"witness matrix is {matrix.rows}x{matrix.cols}, expected "
+            f"witness matrix is {matrix.size}x{matrix.size}, expected "
             f"{2 * g}x{2 * g} for genus {g}"
         )
     if witness.claimed_order < 2:
@@ -517,8 +517,8 @@ def witness_to_dict(witness: SymplecticWitness, entries: list | None = None) -> 
     return {
         "format": "symplectic-witness",
         "version": "1",
-        "size": str(matrix.rows),
-        "genus": str(matrix.rows // 2),
+        "size": str(matrix.size),
+        "genus": str(matrix.size // 2),
         "claimed_order": str(witness.claimed_order),
         "entries": [str(x) for x in matrix.entries] if entries is None else entries,
         "certificate": certificate_to_dict(witness.certificate),
@@ -555,7 +555,7 @@ def witness_from_json(text: str) -> SymplecticWitness:
         raise ValueError(f"malformed witness document: {exc}") from exc
     if size < 2 or size % 2:
         raise ValueError(f"witness size must be a positive even integer, got {size}")
-    matrix = IntMatrix(size, size, entries)  # length check inside
+    matrix = IntMatrix(size, entries)  # length check inside
     witness = SymplecticWitness(matrix, claimed, cert)
     if (
         json.dumps(witness_to_dict(witness, []), sort_keys=True)

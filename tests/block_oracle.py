@@ -31,7 +31,7 @@ def companion(poly: tuple[int, ...]) -> IntMatrix:
         entries[i * d + (i - 1)] = 1
     for i in range(d):
         entries[i * d + (d - 1)] = -poly[i]
-    return IntMatrix(d, d, tuple(entries))
+    return IntMatrix(d, tuple(entries))
 
 
 def _trace_form_row(p: int, alpha: int) -> list[int]:
@@ -50,7 +50,7 @@ def _lift(row: list[int]) -> IntMatrix:
         entries[i * n + i] = 1
         for j in range(i, h):
             entries[(h + i) * n + h + j] = row[j - i]
-    return IntMatrix(n, n, tuple(entries))
+    return IntMatrix(n, tuple(entries))
 
 
 def conjugated_companion(p: int, alpha: int) -> IntMatrix:

@@ -1,27 +1,53 @@
-"""Binary powering of whole matrices: the oracle that certification is
+"""Dense whole-matrix arithmetic: the oracle that certification is
 tested against.
 
 `binary_power` is plain square-and-multiply on the dense matrix, and
 `oracle_certificate` runs the three witness checks with it, one powering
 chain per exponent, the way certification worked before it split the
-matrix into components.
+matrix into components. It is the one place that still forms A^T J A,
+with `transpose` and the `standard_form` J.
 """
 from __future__ import annotations
 
 from sympy import primefactors
 
-from sptorsion.matrices import IntMatrix, identity, standard_form
+from sptorsion.matrices import IntMatrix, identity
 from sptorsion.witness import ProperPowerCheck, WitnessCertificate
+
+
+def from_rows(rows: list[list[int]]) -> IntMatrix:
+    """The square matrix with these rows; ValueError unless each row is
+    as long as there are rows."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError(f"a {n}-row matrix needs rows of length {n}")
+    return IntMatrix(n, tuple(x for r in rows for x in r))
+
+
+def transpose(a: IntMatrix) -> IntMatrix:
+    n, entries = a.size, a.entries
+    return IntMatrix(n, tuple(x for j in range(n) for x in entries[j::n]))
+
+
+def standard_form(g: int) -> IntMatrix:
+    """The 2g x 2g alternating block form J: +I_g upper right, -I_g lower
+    left; a matrix A is symplectic for it when A^T J A = J."""
+    if g < 1:
+        raise ValueError(f"genus must be >= 1, got {g}")
+    n = 2 * g
+    entries = [0] * (n * n)
+    for i in range(g):
+        entries[i * n + (g + i)] = 1
+        entries[(g + i) * n + i] = -1
+    return IntMatrix(n, tuple(entries))
 
 
 def binary_power(a: IntMatrix, e: int) -> IntMatrix:
     """a^e for e >= 0: one product per set bit of e (the first one by
     the identity) and one squaring per bit below the top."""
-    if a.rows != a.cols:
-        raise ValueError("only square matrices have powers")
     if e < 0:
         raise ValueError("negative powers not supported")
-    result = identity(a.rows)
+    result = identity(a.size)
     base = a
     while e:
         if e & 1:
@@ -37,7 +63,7 @@ def oracle_certificate(a: IntMatrix, m: int, g: int) -> WitnessCertificate:
     power taken on the whole matrix."""
     j = standard_form(g)
     return WitnessCertificate(
-        a.transpose() @ j @ a == j,
+        transpose(a) @ j @ a == j,
         binary_power(a, m).is_identity(),
         tuple(
             ProperPowerCheck(p, m // p, binary_power(a, m // p).is_identity())

@@ -7,17 +7,18 @@ import random
 import time
 from functools import lru_cache
 from math import gcd
+from pathlib import Path
 
 import pytest
 import sympy
 
 from block_oracle import _block_polynomial, _lift, _trace_form_row, companion, conjugated_companion
-from power_oracle import binary_power, oracle_certificate
+from power_oracle import binary_power, from_rows, oracle_certificate, standard_form, transpose
 from sptorsion import cli
 from sptorsion import witness as witness_module
 from sptorsion.criterion import enumerate_orders, membership
 from sptorsion.extremal import max_order_value_range
-from sptorsion.matrices import IntMatrix, identity, standard_form
+from sptorsion.matrices import IntMatrix, identity
 from sptorsion.witness import (
     NotRealizableError,
     ProperPowerCheck,
@@ -149,13 +150,13 @@ def test_companion_shape_and_charpoly():
     for poly in [(1, 1, 1), (1, 0, 1), (-2, 3, 0, 1), (5, -1, 2, 0, 0, 1)]:
         c = companion(poly)
         d = len(poly) - 1
-        assert c.rows == c.cols == d
+        assert c.size == d
         # char poly check by evaluation: det(xI - C) agrees with the input
         # polynomial at d+1 points, which pins a degree-d monic polynomial
         for x in range(-(d + 1) // 2, d // 2 + 2):
             scaled = sympy.Matrix(
                 [
-                    [x * (1 if i == j else 0) - c[i, j] for j in range(d)]
+                    [x * (1 if i == j else 0) - c.entries[i * d + j] for j in range(d)]
                     for i in range(d)
                 ]
             )
@@ -172,7 +173,7 @@ def test_companion_rejects_bad_input():
 def test_companion_satisfies_own_polynomial():
     poly = (1, 0, -1, 0, 1)  # Phi_12, a composite index
     c = companion(poly)
-    d = c.rows
+    d = c.size
     acc = [0] * (d * d)
     power = identity(d)
     for coeff in poly:
@@ -195,10 +196,10 @@ def test_invariant_lattice_and_form(p, alpha):
     d = len(poly) - 1
     row = _trace_form_row(p, alpha)
     p_matrix = _lift(row)
-    form = p_matrix.transpose() @ standard_form(d // 2) @ p_matrix
+    form = transpose(p_matrix) @ standard_form(d // 2) @ p_matrix
     c = companion(poly)
-    assert form.transpose() == -form
-    assert c.transpose() @ form @ c == form
+    assert transpose(form) == -form
+    assert transpose(c) @ form @ c == form
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
     phi = sympy.Poly(sympy.cyclotomic_poly(n, x), x)
@@ -217,11 +218,11 @@ def test_invariant_lattice_and_form(p, alpha):
 def test_prime_power_block(p, alpha):
     n = p**alpha
     a = _prime_power_block(p, alpha)
-    j = standard_form(a.rows // 2)
-    assert a.transpose() @ j @ a == j
+    j = standard_form(a.size // 2)
+    assert transpose(a) @ j @ a == j
     assert binary_power(a, n).is_identity()
     assert not binary_power(a, n // p).is_identity()
-    if a.rows <= 40:
+    if a.size <= 40:
         sympy = pytest.importorskip("sympy")
         x = sympy.Symbol("x")
         charpoly = sympy.Matrix(a.to_rows()).charpoly(x)
@@ -285,8 +286,8 @@ def test_witness_sweep_small(g):
     for m in enumerate_orders(g):
         w = build_witness(m, g)
         a = w.matrix
-        assert a.rows == 2 * g
-        assert a.transpose() @ j @ a == j
+        assert a.size == 2 * g
+        assert transpose(a) @ j @ a == j
         assert binary_power(a, m).is_identity()
         for term in membership(m, g).terms:
             assert not binary_power(a, m // term.prime).is_identity()
@@ -337,7 +338,7 @@ def test_verify_rejects_tampering():
     rows = w.matrix.to_rows()
     rows[0][0] += 1
     tampered = type(w)(
-        matrix=IntMatrix.from_rows(rows),
+        matrix=from_rows(rows),
         claimed_order=w.claimed_order,
         certificate=w.certificate,
     )
@@ -385,7 +386,7 @@ def permuted(rows: list[list[int]], rng: random.Random) -> IntMatrix:
     for i in range(n):
         for j in range(n):
             entries[perm[i] * n + perm[j]] = rows[i][j]
-    return IntMatrix(n, n, tuple(entries))
+    return IntMatrix(n, tuple(entries))
 
 
 def finite_order_matrix(n: int, rng: random.Random) -> tuple[IntMatrix, int]:
@@ -415,7 +416,7 @@ def sparse_matrix(n: int, rng: random.Random) -> IntMatrix:
     entries = tuple(
         rng.choice((-2, -1, 1, 2)) if rng.random() < 0.3 else 0 for _ in range(n * n)
     )
-    return IntMatrix(n, n, entries)
+    return IntMatrix(n, entries)
 
 
 def certify_cases(seed: int):
@@ -445,8 +446,8 @@ def certify_cases(seed: int):
 def test_certify_matches_binary_powering(seed):
     outcomes = set()
     for a, m in certify_cases(seed):
-        expected = oracle_certificate(a, m, a.rows // 2)
-        assert _certify(a, m, a.rows // 2, tuple(sympy.primefactors(m))) == expected, (
+        expected = oracle_certificate(a, m, a.size // 2)
+        assert _certify(a, m, a.size // 2, tuple(sympy.primefactors(m))) == expected, (
             a.to_rows(),
             m,
         )
@@ -460,7 +461,7 @@ def transvection(v: list[int]) -> IntMatrix:
     """x -> x + (v^T J x) v, symplectic for every integer vector v."""
     n, g = len(v), len(v) // 2
     vj = [-x for x in v[g:]] + v[:g]  # the row v^T J
-    return IntMatrix(n, n, tuple(int(i == k) + v[i] * vj[k] for i in range(n) for k in range(n)))
+    return IntMatrix(n, tuple(int(i == k) + v[i] * vj[k] for i in range(n) for k in range(n)))
 
 
 def test_symplectic_check_matches_the_dense_product():
@@ -475,12 +476,73 @@ def test_symplectic_check_matches_the_dense_product():
         if rng.random() < 0.5:
             entries = list(a.entries)
             entries[rng.randrange(len(entries))] += rng.choice((-1, 1))
-            a = IntMatrix(a.rows, a.cols, tuple(entries))
+            a = IntMatrix(a.size, tuple(entries))
         j = standard_form(g)
-        expected = a.transpose() @ j @ a == j
+        expected = transpose(a) @ j @ a == j
         assert witness_module._is_symplectic(a, g) == expected, a.to_rows()
         outcomes.add(expected)
     assert outcomes == {True, False}
+
+
+def conjugator(g: int, rng: random.Random) -> tuple[IntMatrix, IntMatrix]:
+    """P and P^-1 for P a product of three transvections T with v in
+    {-1, 0, 1}^(2g). Each T - I has square 0, so T^-1 = 2I - T."""
+    n = 2 * g
+    p = p_inverse = identity(n)
+    for _ in range(3):
+        t = transvection([rng.choice((-1, 0, 1)) for _ in range(n)])
+        t_inverse = IntMatrix(n, tuple(2 * e - x for e, x in zip(identity(n).entries, t.entries)))
+        p, p_inverse = p @ t, t_inverse @ p_inverse
+    return p, p_inverse
+
+
+def test_conjugated_witnesses_verify_like_the_witness():
+    # P W P^-1 is as valid as W but dense: valid matrices outside the
+    # witness's block pattern, most of them decided by the squaring chain.
+    # With one entry of W changed, the conjugate is certified as the dense
+    # oracle certifies it.
+    rng = random.Random(0)
+    orders, chained, blocks, outcomes = 0, 0, 0, set()
+    for g in range(1, 5):
+        for m in enumerate_orders(g):
+            w = build_witness(m, g)
+            p, p_inverse = conjugator(g, rng)
+            assert p @ p_inverse == identity(2 * g)
+            conjugate = p @ w.matrix @ p_inverse
+            assert verify_witness(w._replace(matrix=conjugate), g) == w.certificate, (m, g)
+            orders += 1
+            for block in dict.fromkeys(conjugate.diagonal_blocks()):
+                chained += _krylov_charpoly(block) is None
+                blocks += 1
+            entries = list(w.matrix.entries)
+            entries[rng.randrange(len(entries))] += rng.choice((-1, 1))
+            changed = p @ IntMatrix(2 * g, tuple(entries)) @ p_inverse
+            expected = oracle_certificate(changed, m, g)
+            assert _certify(changed, m, g, tuple(sympy.primefactors(m))) == expected, (m, g)
+            outcomes.add(expected.power_identity)
+    assert orders == 51
+    assert chained > blocks // 2
+    # some changed conjugates still have A^m = I, some do not
+    assert outcomes == {True, False}
+
+
+GOLDEN_CONJUGATED = Path(__file__).parent / "golden" / "witness_12_g3_conjugated.json"
+
+
+def test_conjugated_golden_document_verifies(capsys):
+    # P W P^-1 for the witness W of `witness 12 -g 3`, P from conjugator
+    # with seed 12: one dense block that the squaring chain decides
+    text = GOLDEN_CONJUGATED.read_text()
+    w = build_witness(12, 3)
+    p, p_inverse = conjugator(3, random.Random(12))
+    assert text == witness_to_json(w._replace(matrix=p @ w.matrix @ p_inverse))
+    assert [_krylov_charpoly(b) for b in witness_from_json(text).matrix.diagonal_blocks()] == [None]
+    assert cli.main(["verify", str(GOLDEN_CONJUGATED)]) == 0
+    assert capsys.readouterr().out.endswith("verdict: valid\n")
+    assert cli.main(["verify", str(GOLDEN_CONJUGATED), "--format", "json"]) == 0
+    verified = json.loads(capsys.readouterr().out)["result"]["certificate"]
+    assert cli.main(["witness", "12", "-g", "3", "--format", "json"]) == 0
+    assert verified == json.loads(capsys.readouterr().out)["result"]["witness"]["certificate"]
 
 
 @pytest.fixture
@@ -490,7 +552,7 @@ def products(monkeypatch):
     matmul = IntMatrix.__matmul__
 
     def counted(x, y):
-        made.append(x.rows)
+        made.append(x.size)
         return matmul(x, y)
 
     monkeypatch.setattr(IntMatrix, "__matmul__", counted)
@@ -522,7 +584,7 @@ def test_certify_skips_primes_above_block_size(products):
 def test_trace_exit_makes_no_power_products(products):
     # e_0 is cyclic, and chi = x^2 - 3x + 1 is no product of cyclotomic
     # polynomials: infinite order, and A^T J A is summed by rows
-    a = IntMatrix.from_rows([[2, 1], [1, 1]])
+    a = from_rows([[2, 1], [1, 1]])
     m = 2**26 * 3**10
     certificate = _certify(a, m, 1, (2, 3))
     assert products == []
@@ -534,7 +596,7 @@ def test_trace_exit_makes_no_power_products(products):
 def test_squaring_chain_trace_exit_makes_no_product(products):
     # B e_0 = 3 e_0: e_0 is not cyclic, so the block takes the squaring
     # chain, which stops on tr = 4 > 2 before its first square
-    a = IntMatrix.from_rows([[3, 1], [0, 1]])
+    a = from_rows([[3, 1], [0, 1]])
     assert _krylov_charpoly(a) is None
     certificate = _certify(a, 2**26 * 3**10, 1, (2, 3))
     assert products == []
@@ -545,7 +607,7 @@ def test_squaring_chain_trace_exit_makes_no_product(products):
 def test_krylov_path_needs_unit_pivots():
     # B e_0 = 2 e_1: the Krylov vectors are triangular, but V is not
     # unimodular, so the block takes the squaring chain
-    a = IntMatrix.from_rows([[0, 1], [2, 0]])
+    a = from_rows([[0, 1], [2, 0]])
     assert _krylov_charpoly(a) is None
     assert _certify(a, 6, 1, (2, 3)) == oracle_certificate(a, 6, 1)
 
@@ -597,7 +659,7 @@ def test_krylov_charpoly_is_sympys():
     x = sympy.Symbol("x")
     for block in h_witness_blocks():
         expected = sympy.Matrix(block.to_rows()).charpoly(x).all_coeffs()[::-1]
-        assert _krylov_charpoly(block) == expected, block.rows
+        assert _krylov_charpoly(block) == expected, block.size
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -615,9 +677,9 @@ def test_certify_cases_take_both_paths(seed, monkeypatch):
 
     monkeypatch.setattr(witness_module, "_krylov_charpoly", counted)
     for a, m in certify_cases(seed):
-        diagonal = {a[i, i] for i in range(a.rows)}
+        diagonal = set(a.entries[:: a.size + 1])
         kind = "unipotent" if diagonal == {1} and not a.is_identity() else "other"
-        _certify(a, m, a.rows // 2, tuple(sympy.primefactors(m)))
+        _certify(a, m, a.size // 2, tuple(sympy.primefactors(m)))
     assert {path for _, path in paths} == {True, False}
     unipotent = [path for k, path in paths if k == "unipotent"]
     assert unipotent.count(False) > unipotent.count(True)
