@@ -27,18 +27,20 @@ Conventions shared by every subcommand:
   * ranges are written a..b (inclusive); a bare integer means a..a.
     A genus range is computed in one pass of each DP at its top genus,
     and `extremal` runs only the DPs of the columns it prints.
+  * a well-formed command line is read from _COMMANDS by exact tokens;
+    argparse is built from it only for help, usage errors and rarer forms.
   * the console script is run(): main(), then an exit that skips the
     interpreter's teardown; main() itself returns the exit code.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TextIO
 
 from . import __version__
@@ -48,6 +50,8 @@ from . import __version__
 # one, only under a `bounds` check that evaluates a real, and --version
 # none of them.
 if TYPE_CHECKING:
+    import argparse
+
     from .criterion import MembershipDecision, NotRealizableError
     from .extremal import ExtremalRecord
 
@@ -59,7 +63,7 @@ EXIT_PIPE = 141
 
 
 class UsageError(Exception):
-    """Bad arguments discovered after argparse; maps to exit 2."""
+    """Bad arguments found after parsing the command line; maps to exit 2."""
 
 
 # The largest range end, by the kind of its points, that runs without
@@ -537,67 +541,103 @@ _TEXT_STATUS = {True: "pass", False: "FAIL", None: "unmet"}
 # parser
 
 
-def _add_format(parser: argparse.ArgumentParser, choices=("text", "json", "csv")) -> None:
-    parser.add_argument("--format", choices=choices, default="text", help="output format (default: text)")
+# Each subcommand once: handler, help, and each argument as its add_argument
+# flags and keywords. argparse's parser is built from it, and _parse reads it.
+_FORMAT = {"choices": ("text", "json", "csv"), "default": "text", "help": "output format (default: text)"}
+_COMMANDS = {
+    "member": (cmd_member, "decide whether some element has order m", [
+        (("m",), {"type": int, "help": "candidate order (>= 2)"}),
+        (("-g", "--genus"), {"type": int, "required": True, "help": "genus g >= 1"}),
+        (("--allow-large",), {"action": "store_true", "help": "lift the trial-division cap"}),
+        (("--format",), _FORMAT),
+    ]),
+    "orders": (cmd_orders, "enumerate all of S(g)", [
+        (("-g", "--genus"), {"type": int, "required": True}),
+        (("--allow-large",), {"action": "store_true", "help": "lift the enumeration genus cap"}),
+        (("--format",), _FORMAT),
+    ]),
+    "extremal": (cmd_extremal, "f(g) and h(g), exactly", [
+        (("-g", "--genus"), {"required": True, "help": "genus or range a..b"}),
+        (("--count",), {"action": "store_true", "help": "narrow the table to the f column (with --max: f and h)"}),
+        (("--max",), {"action": "store_true", "help": "narrow the table to the h columns (with --count: f and h)"}),
+        (("--oracle",), {"action": "store_true", "help": "cross-check against brute-force enumeration"}),
+        (("--allow-large",), {"action": "store_true", "help": "lift the genus and --oracle enumeration caps"}),
+        (("--format",), _FORMAT),
+    ]),
+    "witness": (cmd_witness, "build an explicit matrix of order m", [
+        (("m",), {"type": int}),
+        (("-g", "--genus"), {"type": int, "required": True}),
+        (("-o", "--output"), {"help": "write the witness document to this path"}),
+        (("--allow-large",), {"action": "store_true", "help": "lift the witness genus cap"}),
+        (("--format",), {**_FORMAT, "choices": ("text", "json")}),
+    ]),
+    "verify": (cmd_verify, "re-check a stored witness document", [
+        (("path",), {}),
+        (("--format",), {**_FORMAT, "choices": ("text", "json")}),
+    ]),
+    "bounds": (cmd_bounds, "certify one family of inequalities", [
+        (("--check",), {"required": True, "help": "inequality family; an unknown name lists the valid ones"}),
+        (("--range",), {"help": "inclusive range a..b (default: the stated sweep)"}),
+        (("--allow-large",), {"action": "store_true", "help": "lift the genus and x caps"}),
+        (("--format",), _FORMAT),
+    ]),
+}
 
 
-@functools.cache  # some 2 ms to build; a caller may run main many times
+@functools.cache  # some 4 ms with its imports; a caller may run main many times
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sptorsion",
-        description="Exact computations with finite-order integer symplectic matrices.",
-    )
+    import argparse  # and gettext and locale: only for the lines _parse leaves
+
+    description = "Exact computations with finite-order integer symplectic matrices."
+    parser = argparse.ArgumentParser(prog="sptorsion", description=description)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("member", help="decide whether some element has order m")
-    p.add_argument("m", type=int, help="candidate order (>= 2)")
-    p.add_argument("-g", "--genus", type=int, required=True, help="genus g >= 1")
-    p.add_argument("--allow-large", action="store_true", help="lift the trial-division cap")
-    _add_format(p)
-    p.set_defaults(handler=cmd_member)
-
-    p = sub.add_parser("orders", help="enumerate all of S(g)")
-    p.add_argument("-g", "--genus", type=int, required=True)
-    p.add_argument("--allow-large", action="store_true", help="lift the enumeration genus cap")
-    _add_format(p)
-    p.set_defaults(handler=cmd_orders)
-
-    p = sub.add_parser("extremal", help="f(g) and h(g), exactly")
-    p.add_argument("-g", "--genus", required=True, help="genus or range a..b")
-    p.add_argument("--count", action="store_true", help="narrow the table to the f column (with --max: f and h)")
-    p.add_argument("--max", action="store_true", help="narrow the table to the h columns (with --count: f and h)")
-    p.add_argument("--oracle", action="store_true", help="cross-check against brute-force enumeration")
-    p.add_argument("--allow-large", action="store_true", help="lift the genus and --oracle enumeration caps")
-    _add_format(p)
-    p.set_defaults(handler=cmd_extremal)
-
-    p = sub.add_parser("witness", help="build an explicit matrix of order m")
-    p.add_argument("m", type=int)
-    p.add_argument("-g", "--genus", type=int, required=True)
-    p.add_argument("-o", "--output", help="write the witness document to this path")
-    p.add_argument("--allow-large", action="store_true", help="lift the witness genus cap")
-    _add_format(p, ("text", "json"))
-    p.set_defaults(handler=cmd_witness)
-
-    p = sub.add_parser("verify", help="re-check a stored witness document")
-    p.add_argument("path")
-    _add_format(p, ("text", "json"))
-    p.set_defaults(handler=cmd_verify)
-
-    p = sub.add_parser("bounds", help="certify one family of inequalities")
-    p.add_argument("--check", required=True, help="inequality family; an unknown name lists the valid ones")
-    p.add_argument("--range", help="inclusive range a..b (default: the stated sweep)")
-    p.add_argument("--allow-large", action="store_true", help="lift the genus and x caps")
-    _add_format(p)
-    p.set_defaults(handler=cmd_bounds)
-
+    for name, (handler, summary, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flags, keywords in arguments:
+            p.add_argument(*flags, **keywords)
+        p.set_defaults(handler=handler)
     return parser
 
 
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """argparse's namespace of `argv`, read by exact tokens from _COMMANDS, if
+    each argument is given or defaulted; else None, for argparse to read (-h,
+    --, --opt=value, -3, a flag without its value, a usage error)."""
+    try:
+        handler, _, arguments = _COMMANDS[argv[0]]
+        values: dict = {"command": argv[0], "handler": handler}
+        options, positionals = {}, []
+        for flags, keywords in arguments:
+            dest = flags[-1].lstrip("-").replace("-", "_")
+            if not flags[0].startswith("-"):
+                positionals.append((dest, keywords))
+                continue
+            options.update(dict.fromkeys(flags, (dest, keywords)))
+            if not keywords.get("required"):
+                values[dest] = False if "action" in keywords else keywords.get("default")
+        tokens = iter(argv[1:])
+        for token in tokens:
+            dest, keywords = options[token] if token.startswith("-") else positionals.pop(0)
+            if "action" in keywords:  # store_true
+                values[dest] = True
+                continue
+            text = next(tokens, "-") if token in options else token
+            value = keywords.get("type", str)(text)
+            if text.startswith("-") or value not in keywords.get("choices", (value,)):
+                return None
+            values[dest] = value  # a repeated option keeps its last value
+    except (LookupError, ValueError):  # an unknown command or flag, a positional too many, a bad value
+        return None
+    return SimpleNamespace(**values) if len(values) == len(arguments) + 2 else None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv == ["--version"]:  # what argparse's version action writes
+        sys.stdout.write(f"sptorsion {__version__}\n")
+        raise SystemExit(0)
+    args = _parse(argv) or _build_parser().parse_args(argv)
     try:
         with _Batched(sys.stdout) as out:
             return args.handler(args, out)
@@ -622,7 +662,7 @@ def run() -> None:
     closed either one gives EXIT_PIPE, with nothing on stderr."""
     try:
         code = main()
-    except SystemExit as exc:  # argparse: --help, --version, a usage error
+    except SystemExit as exc:  # --version, or argparse's help or usage error
         code = exc.code
     for stream in (sys.stdout, sys.stderr):
         try:

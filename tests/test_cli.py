@@ -1,9 +1,13 @@
 """End-to-end CLI behavior: exit codes, formats, golden schemas."""
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import importlib.util
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -11,8 +15,11 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def run_cli(*args):
@@ -816,19 +823,20 @@ def test_repeated_runs_are_byte_identical():
         assert first.stdout == second.stdout, args
 
 
-@pytest.mark.parametrize(
-    "golden, args",
-    [
-        ("member_6_g1.json", ("member", "6", "-g", "1", "--format", "json")),
-        ("extremal_g1_3.json", ("extremal", "-g", "1..3", "--format", "json")),
-        (
-            "bounds_lemma33_23_25.json",
-            ("bounds", "--check", "lemma33", "--range", "23..25", "--format", "json"),
-        ),
-        ("witness_4_g1.json", ("witness", "4", "-g", "1", "--format", "json")),
-        ("witness_5_g2.json", ("witness", "5", "-g", "2", "--format", "json")),
-    ],
-)
+# each golden JSON document and the command that writes it
+GOLDEN_COMMANDS = [
+    ("member_6_g1.json", ("member", "6", "-g", "1", "--format", "json")),
+    ("extremal_g1_3.json", ("extremal", "-g", "1..3", "--format", "json")),
+    (
+        "bounds_lemma33_23_25.json",
+        ("bounds", "--check", "lemma33", "--range", "23..25", "--format", "json"),
+    ),
+    ("witness_4_g1.json", ("witness", "4", "-g", "1", "--format", "json")),
+    ("witness_5_g2.json", ("witness", "5", "-g", "2", "--format", "json")),
+]
+
+
+@pytest.mark.parametrize("golden, args", GOLDEN_COMMANDS)
 def test_golden_json_schema_stable(golden, args):
     expected = (GOLDEN / golden).read_text()
     assert run_cli(*args).stdout == expected
@@ -1063,6 +1071,166 @@ def test_version_flag():
     assert result.returncode == 0
 
 
+def test_version_in_process_exits_as_argparse_does(capsys):
+    from sptorsion import __version__, cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (f"sptorsion {__version__}\n", "")
+    with pytest.raises(SystemExit) as exc:
+        cli._build_parser().parse_args(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (f"sptorsion {__version__}\n", "")
+
+
+# SHA-256 of stdout, stderr and exit code of `python -m sptorsion.cli ARGS`
+# (80 columns) for the lines that argparse reads: help, usage errors, and
+# three forms that it accepts and runs (--opt=value and two abbreviations).
+# Recorded from the parser of one add_argument call per argument, before the
+# command table. argparse's help and error text change between Python
+# releases (3.13 writes "-g, --genus GENUS"), so the digests hold on the
+# release they were recorded on.
+FALLBACK_DIGESTS = {
+    "": "fcca1319fd3026da7089b6da4a65f9346ab9a3f6c15384e021050bf4be758ea7",
+    "-h": "867f9e9d6a58957d7aff69f701a7141bdb4e6a4d15c5420249c7358047afdab0",
+    "--help": "867f9e9d6a58957d7aff69f701a7141bdb4e6a4d15c5420249c7358047afdab0",
+    "member --help": "96d9b4b01cfc6800b5a5440234360c920b77e81a5a1057468235723401d6381d",
+    "orders --help": "08bbc195144fe464c43af2a004626dcf9997727702b5b58539e83974226ea57a",
+    "extremal --help": "9f527ebe4a0c0a0e8f0e352bf4d9b18dedeab7ae7e8fb7089c1216e2b51b1d2f",
+    "witness --help": "7a71f4134b6624d011f12307d50918f429015fb49ba194170674d3ba296fdc94",
+    "verify --help": "1422b7a2cc4d223b2a19f3dad583149aea353c9e54679bead6cac07e3b337881",
+    "bounds --help": "72847b6ddf4eb2b85881ea5496db9fce14a259039cacad2f36d2454289ff2a0d",
+    "--version member": "0d2a94bbbe4f792188953016f85b0f3f42ce6bf50c9961de50dbb0e4e5cde8a5",
+    "member 6": "4a6947262a133b0616ecce26579d1796fe74ec7952786f20e8b50a7b6f145685",
+    "member x -g 1": "05925a0735ab7acd2bb55860278b272ef6a9f73a1ef5f420782aa2abb6528604",
+    "witness 12 -g 3 --format csv": "b6c79629aa9101bb0d075851d729c0fdca98e663428bda7c0b679a810c97a036",
+    "member 6 -g 1 --format=json": "3c5731bb851ba0aeadaf7236df4a7a5e701f909ae7e3b48202207dfca5aa0f2d",
+    "member 6 -g 1 --allow": "adfa5580d4e9027e2dc8254411c911f5c755562751b8766fc26e410bafe224bc",
+    "bounds --check lemma33 --rang 23..30": "bed0ac72e4499f2433a48d592e8f696c7c0fa0320ea0d95129d95218f56b0cd6",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse's text as Python 3.11 writes it")
+@pytest.mark.parametrize("command", sorted(FALLBACK_DIGESTS))
+def test_argparse_outputs_frozen(command):
+    result = subprocess.run(
+        [sys.executable, "-m", "sptorsion.cli", *command.split()],
+        capture_output=True, text=True, timeout=300, env={**os.environ, "COLUMNS": "80"},
+    )
+    digest = hashlib.sha256(f"{result.stdout}{result.stderr}exit {result.returncode}\n".encode())
+    assert digest.hexdigest() == FALLBACK_DIGESTS[command]
+
+
+# the tokens of the equivalence test: each command and some junk first, then
+# every flag of every command, the top-level flags, forms that argparse alone
+# reads, and values of every kind the commands take or refuse
+FIRST_TOKENS = ["member", "orders", "extremal", "witness", "verify", "bounds", "memb", "", "-h", "--version", "3"]
+VALUE_FLAGS = ["-g", "--genus", "-o", "--output", "--format", "--check", "--range"]
+FLAGS = VALUE_FLAGS + ["--allow-large", "--count", "--max", "--oracle", "-h", "--help", "--version", "--"]
+ARGPARSE_FORMS = ["--allow", "--form", "--format=json", "-g5", "-"]
+VALUES = ["3", "-3", "12", "1..5", "", "x.json", "xml", "text", "json", "csv", "lemma33"]
+TOKEN_RUNS = st.one_of(
+    st.sampled_from(FLAGS + ARGPARSE_FORMS + VALUES).map(lambda token: [token]),
+    st.tuples(st.sampled_from(VALUE_FLAGS), st.sampled_from(VALUES)).map(list),
+)
+
+
+@st.composite
+def shaped_lines(draw):
+    """A command, each of its arguments zero to two times in any order (its
+    flags, and a value from VALUES or, twice as often, one it takes), and
+    maybe one token more: some three in ten of these lines are well formed."""
+    from sptorsion import cli
+
+    first = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    runs = []
+    for flags, keywords in cli._COMMANDS[first][2]:
+        taken = keywords.get("choices") or (["3", "12"] if keywords.get("type") is int else ["1..5", "lemma33"])
+        value = st.sampled_from(VALUES) | st.sampled_from(taken) | st.sampled_from(taken)
+        for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2]))):
+            if not flags[0].startswith("-"):
+                runs.append([draw(value)])
+            elif keywords.get("action"):
+                runs.append([draw(st.sampled_from(flags))])
+            else:
+                runs.append([draw(st.sampled_from(flags)), draw(value)])
+    return first, draw(st.permutations(runs + draw(st.lists(TOKEN_RUNS, max_size=1))))
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.one_of(st.tuples(st.sampled_from(FIRST_TOKENS), st.lists(TOKEN_RUNS, max_size=6)), shaped_lines()))
+@example(("member", [["12"], ["-g", "3"], ["--format", "json"], ["-g", "4"]]))  # the last -g counts
+@example(("extremal", [["--count"], ["--count"], ["-g", "1..5"]]))
+@example(("witness", [["12"], ["-g", "3"], ["-o", "x.json"], ["--format", "csv"]]))  # csv is no choice
+@example(("member", [["-3"], ["-g", "3"]]))  # argparse reads -3 as m
+@example(("verify", [[""]]))  # an empty path is a positional
+def test_parse_agrees_with_argparse(line):
+    from sptorsion import cli
+
+    first, runs = line
+    argv = [first] + [token for run in runs for token in run]
+    fast = cli._parse(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            expected = vars(cli._build_parser().parse_args(argv))
+    except SystemExit:
+        assert fast is None, argv
+        return
+    assert fast is None or vars(fast) == expected, argv
+
+
+def _benchmark_commands():
+    """The argv of every command of the benchmark's workloads, seeds 0-3."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    return [
+        list(command.argv)
+        for workload in workloads.WORKLOADS
+        for seed in range(4)
+        for command in workloads.commands_for(workload, seed)
+    ]
+
+
+def _workflow_commands():
+    """The argv of every `sptorsion` line of the CI workflow."""
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    lines = [line.strip() for line in workflow.splitlines()]
+    return [shlex.split(line.partition("||")[0])[1:] for line in lines if line.startswith("sptorsion ")]
+
+
+# the CI lines that run argparse on purpose: --version, --opt=value, and a
+# usage error (main prints --version itself, so _parse leaves it too)
+CI_ARGPARSE_LINES = [["--version"], ["member", "12", "-g", "2", "--format=json"], ["member", "6"]]
+FAST_PATH_LINES = (
+    _benchmark_commands()
+    + [list(args) for _, args in GOLDEN_COMMANDS]
+    + [["verify", str(GOLDEN / "witness_12_g3_conjugated.json")]]
+    + [argv for argv in _workflow_commands() if argv not in CI_ARGPARSE_LINES]
+)
+
+
+@pytest.mark.parametrize("argv", FAST_PATH_LINES, ids=" ".join)
+def test_well_formed_lines_take_the_fast_path(argv):
+    from sptorsion import cli
+
+    fast = cli._parse(argv)
+    assert fast is not None
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert vars(fast) == vars(cli._build_parser().parse_args(argv))
+
+
+def test_ci_runs_argparse_on_purpose():
+    from sptorsion import cli
+
+    lines = _workflow_commands()
+    for argv in CI_ARGPARSE_LINES:
+        assert argv in lines
+        assert cli._parse(argv) is None
+
+
 # the modules a command may not load, by command: bounds belongs to
 # `bounds` alone, the raw-mpf layer (reals, and mpmath's libmp files under
 # sptorsion._libmp) to the bound checks that evaluate a real (`bounds
@@ -1080,18 +1248,21 @@ WITNESS = ["sptorsion.witness", "sptorsion.matrices"]
 # json and csv are loaded by the writers that use them alone, so neither
 # --version nor a text-format table loads them
 WRITERS = ["json", "csv"]
+# argparse, and gettext and locale behind it, only for help, a usage error or
+# a form that _parse leaves to it: never for a well-formed command
+PARSER = ["argparse", "gettext", "locale"]
 FOOTPRINT_FORBIDDEN = {
-    "--version": HEAVY + NEVER + WITNESS + WRITERS,
-    "witness": HEAVY + NEVER,
-    "verify": HEAVY + NEVER,
-    "member": HEAVY + NEVER + WITNESS + WRITERS,
-    "orders": HEAVY + NEVER + WITNESS + WRITERS,
-    "extremal": HEAVY + NEVER + WITNESS + WRITERS,
-    "bounds": ["fractions"] + NEVER + WITNESS + WRITERS,
-    "bounds dusart-product": ["fractions"] + NEVER + WITNESS + WRITERS,
-    "bounds lemma33": INTEGER_ROWS + NEVER + WITNESS + WRITERS,
-    "bounds dusart-sum": INTEGER_ROWS + NEVER + WITNESS + WRITERS,
-    "bounds cor32": INTEGER_ROWS + NEVER + WITNESS + WRITERS,
+    "--version": HEAVY + NEVER + WITNESS + WRITERS + PARSER,
+    "witness": HEAVY + NEVER + PARSER,
+    "verify": HEAVY + NEVER + PARSER,
+    "member": HEAVY + NEVER + WITNESS + WRITERS + PARSER,
+    "orders": HEAVY + NEVER + WITNESS + WRITERS + PARSER,
+    "extremal": HEAVY + NEVER + WITNESS + WRITERS + PARSER,
+    "bounds": ["fractions"] + NEVER + WITNESS + WRITERS + PARSER,
+    "bounds dusart-product": ["fractions"] + NEVER + WITNESS + WRITERS + PARSER,
+    "bounds lemma33": INTEGER_ROWS + NEVER + WITNESS + WRITERS + PARSER,
+    "bounds dusart-sum": INTEGER_ROWS + NEVER + WITNESS + WRITERS + PARSER,
+    "bounds cor32": INTEGER_ROWS + NEVER + WITNESS + WRITERS + PARSER,
 }
 
 
@@ -1183,7 +1354,7 @@ def test_real_checks_need_mpmath_and_integer_checks_do_not():
 def test_readme_library_example():
     # every line of the README's library block runs, and each comment
     # starts with the repr of the value on its left
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
     namespace = {}
     checked = 0
