@@ -3,9 +3,10 @@ witnesses need.
 
 Everything is plain Python integers in immutable row-major tuples, so
 arithmetic is exact at any size and values hash and compare structurally.
-Products skip zero entries of the left operand. diagonal_blocks splits a
-matrix into the direct sum its nonzero pattern allows, so powers can be
-taken block by block.
+diagonal_blocks splits a matrix into the direct sum its nonzero pattern
+allows, so a witness is certified block by block. There is no matrix
+product: certification multiplies a block only with vectors
+(`sptorsion.witness`).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from itertools import compress
 from operator import attrgetter
 
-__all__ = ["IntMatrix", "identity"]
+__all__ = ["IntMatrix"]
 
 
 class IntMatrix:
@@ -53,27 +54,6 @@ class IntMatrix:
     def __neg__(self) -> "IntMatrix":
         return IntMatrix(self._size, tuple(-x for x in self._entries))
 
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        n = self._size
-        if other._size != n:
-            raise ValueError(f"cannot multiply {n}x{n} by {other._size}x{other._size}")
-        a, b = self._entries, other._entries
-        out = [0] * (n * n)
-        for i in range(n):
-            arow = a[i * n : (i + 1) * n]
-            base = i * n
-            for t in range(n):
-                av = arow[t]
-                if av == 0:
-                    continue
-                brow = b[t * n : (t + 1) * n]
-                for j in range(n):
-                    out[base + j] += av * brow[j]
-        return IntMatrix(n, tuple(out))
-
-    def trace(self) -> int:
-        return sum(self._entries[:: self._size + 1])
-
     def diagonal_blocks(self) -> list["IntMatrix"]:
         """Principal submatrices on the connected components of the
         nonzero pattern, ordered by smallest index.
@@ -101,13 +81,3 @@ class IntMatrix:
             IntMatrix(len(idx), tuple(entries[r * n + c] for r in idx for c in idx))
             for idx in members.values()
         ]
-
-    def is_identity(self) -> bool:
-        n = self._size
-        return all(x == (1 if i % (n + 1) == 0 else 0) for i, x in enumerate(self._entries))
-
-
-def identity(n: int) -> IntMatrix:
-    entries = [0] * (n * n)
-    entries[:: n + 1] = [1] * n
-    return IntMatrix(n, tuple(entries))

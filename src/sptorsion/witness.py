@@ -62,46 +62,40 @@ deterministic: equal inputs give identical matrices.
 
 The assembled matrix is certified exactly before it is returned:
 A^T J A = J on the whole matrix, A^m = I, and no proper power
-A^(m/p) = I. No check makes a matrix product on a witness.
-A^T J A = J is summed from the nonzero entries of the rows r and g + r
-that J pairs. The powers are decided per component: A is the direct sum
-of the diagonal blocks of its nonzero pattern, and A^k = I exactly when
-B^k = I for each distinct block B. For a block B of size d, the Krylov
-vectors v_k = B^k e_0 come from sparse products with a vector. When
-each v_k, k < d, has +-1 at index k and 0 above it, e_0 is a cyclic
-vector, and back-substitution gives B's integer characteristic
-polynomial chi, which is also its minimal polynomial. By Kronecker, an
-integer matrix of finite order has only roots of unity as eigenvalues,
-so B^k = I exactly when chi is a product of distinct Phi_e with e | k.
-Dividing chi by the Phi_e with e | m finds that set, and it then settles
-every proper power A^(m/p) = I with no further arithmetic. Every
-witness block passes the cyclic test: its v_k are the coordinates of
-zeta^k, that is e_k for k < h and e_k - e_(k-q) for h <= k < d (the
+A^(m/p) = I, with no matrix product. A^T J A = J is summed from the
+nonzero entries of the rows r and g + r that J pairs. A is the direct
+sum of the diagonal blocks of its nonzero pattern, and A^k = I exactly
+when B^k = I for each distinct block B. B^k - I commutes with B, so
+B^k = I exactly when B^k fixes start vectors e_s whose Krylov vectors
+B^j e_s span Q^d, that is, when the minimal polynomial mu_s of each e_s
+divides x^k - 1 = prod_(e | k) Phi_e. Integer elimination of the Krylov
+vectors, sparse products with a vector, finds each mu_s; dividing it by
+the Phi_e with e | m finds the set E of eigenvalue orders, and
+B^(m/p) = I exactly when every e in E divides m/p. A witness block is
+decided by its first start e_0: its v_k = B^k e_0 are the coordinates
+of zeta^k, that is e_k for k < h and e_k - e_(k-q) for h <= k < d (the
 second term only when k >= h + q), and those of a negated block are
-(-1)^k times these. A block that fails it (a repeated eigenvalue, a
-pivot other than +-1, or a forged document) gets one squaring chain,
-cut short by a repeated square or by a trace that proves infinite order
-(_SquaringChain).
+(-1)^k times these, so each v_k, k < d, has +-1 at a new top index, and
+mu_0 is the characteristic polynomial.
 
 `build_witness` and `verify_witness` pass through the same gate first:
 `criterion.membership(m, g)`, which factors m only up to 2g + 1. An
 order outside S(g) raises NotRealizableError before any matrix
 arithmetic, and the primes of an order inside it come from that one
-factorization; such an order is at most h(g), which bounds the length
-of every squaring chain.
+factorization.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-from functools import lru_cache, reduce
-from itertools import compress
-from math import prod
-from typing import Callable, NamedTuple
+from functools import lru_cache
+from itertools import compress, count
+from math import gcd, lcm, prod
+from typing import NamedTuple
 
 from .criterion import MembershipDecision, NotRealizableError, membership
-from .matrices import IntMatrix, identity
+from .matrices import IntMatrix
 
 __all__ = [
     "ProperPowerCheck",
@@ -211,7 +205,8 @@ def build_witness(m: int, g: int) -> SymplecticWitness:
         if t.cost > 0  # the free 2-part of m == 2 (mod 4) is the negation
     ]
     n = 2 * g
-    entries = list(identity(n).entries)
+    entries = [0] * (n * n)
+    entries[:: n + 1] = [1] * n
     offset = 0
     for block in blocks:
         half = block.size // 2
@@ -244,36 +239,25 @@ def _certify(
     B^m != I, then A^m != I, and no A^(m/p) = I either, since that would
     give A^m = (A^(m/p))^p = I.
 
-    A block whose Krylov vectors B^k e_0 are triangular with +-1 on the
-    diagonal has e_0 as a cyclic vector, so the integer characteristic
-    polynomial chi of _krylov_charpoly is its minimal polynomial. Then
-    B^k = I exactly when chi divides x^k - 1 = prod_(e | k) Phi_e, a
-    product of distinct irreducibles: when chi is the product of Phi_e
-    over a set E of distinct divisors e of k. This is Kronecker's fact
-    made exact: the eigenvalues of an integer matrix of finite order are
-    roots of unity, each a root of one Phi_e, and a cyclic B of finite
-    order has them simple. _cyclotomic_orders finds E for k = m, and
-    B^(m/p) = I exactly when every e in E divides m/p: no product is
-    made.
-
-    Any other block takes a chain of squarings (_SquaringChain). If
-    B^m = I, the order of a d x d block B divides m, and it is the lcm
-    of the orders e of its eigenvalues, with phi(e) <= d, so no prime
-    above d + 1 divides e. For such a prime p the order of B divides m/p,
-    so B^(m/p) = I with no product; B^(m/p) is computed only for the
-    primes p <= d + 1 that no earlier block has refuted.
+    Each block is decided from the minimal polynomials mu_s of start
+    vectors e_s whose Krylov vectors span Q^d (_eigenvalue_orders), with
+    no product. B^k - I commutes with B, so B^k = I exactly when B^k fixes
+    each e_s, that is, when each mu_s divides x^k - 1 = prod_(e | k) Phi_e,
+    a product of distinct irreducibles: when mu_s is the product of Phi_e
+    over distinct divisors e of k. Any other factor, a repeated one (a
+    non-semisimple block) included, rules B^m = I out. _cyclotomic_orders
+    finds these e for k = m; with E their union over the starts,
+    B^(m/p) = I exactly when every e in E divides m/p.
     """
     power_identity = True
     identities = [True] * len(primes)
     for block in dict.fromkeys(matrix.diagonal_blocks()):
-        divides = _power_test(block, m, primes)
-        if divides is None:
+        orders = _eigenvalue_orders(block, m, primes)
+        if orders is None:
             power_identity, identities = False, [False] * len(primes)
             break
-        identities = [
-            ok and (p > block.size + 1 or divides(m // p))
-            for p, ok in zip(primes, identities)
-        ]
+        order = lcm(*orders)  # the order of B
+        identities = [ok and m // p % order == 0 for p, ok in zip(primes, identities)]
     proper = tuple(
         ProperPowerCheck(p, m // p, identity)
         for p, identity in zip(primes, identities)
@@ -301,60 +285,105 @@ def _is_symplectic(matrix: IntMatrix, g: int) -> bool:
     return {at: x for at, x in form.items() if x} == standard
 
 
-def _power_test(
+def _eigenvalue_orders(
     block: IntMatrix, m: int, primes: tuple[int, ...]
-) -> Callable[[int], bool] | None:
-    """None when B^m != I; otherwise the test of B^k = I for the divisors
-    k of m (see _certify)."""
-    chi = _krylov_charpoly(block)
-    if chi is None:
-        chain = _SquaringChain(block, m.bit_length())
-        if chain.infinite or not chain.power(m).is_identity():
-            return None
-        return lambda k: chain.power(k).is_identity()
-    orders = _cyclotomic_orders(chi, m, primes)
-    if orders is None:
-        return None
-    return lambda k: all(k % e == 0 for e in orders)
+) -> set[int] | None:
+    """The set E of the orders of B's eigenvalues when B^m = I; None when
+    B^m != I (see _certify).
 
-
-def _krylov_charpoly(block: IntMatrix) -> list[int] | None:
-    """The characteristic polynomial of a d x d block B, ascending, when
-    each v_k = B^k e_0, k < d, has +-1 at index k and 0 above it; None
-    otherwise.
-
-    Then V = [v_0 .. v_(d-1)] is unimodular, e_0 is a cyclic vector, and
-    v_d = sum_k c_k v_k has one integer solution, found by substitution
-    from the top index down. x^d - sum_k c_k x^k annihilates e_0, hence
-    every v_k and B itself; its degree is d, so it is both the minimal
-    and the characteristic polynomial. Each v_(k+1) = B v_k is a sparse
-    product of B with a vector: no matrix product is made.
+    The start vectors e_s are taken in order, skipping those already in
+    the span of the Krylov vectors found so far, until that span is
+    everything. For each start, v_k = B^k e_s comes from a sparse product
+    with a vector and is eliminated against the earlier v_j of that start,
+    the polynomial in B that gives it carried on the negative keys (x^j
+    on key -1-j). The first v_k that eliminates to zero leaves a multiple
+    of mu_s, the minimal polynomial of e_s: monic and integral by Gauss's
+    lemma, since it divides the characteristic polynomial. A trace above
+    d in absolute value needs an eigenvalue that is no root of unity, so
+    it returns None before any product.
     """
     d = block.size
     entries = block.entries
+    if abs(sum(entries[:: d + 1])) > d:
+        return None
     columns: list[list[tuple[int, int]]] = [[] for _ in range(d)]
     for at in compress(range(d * d), entries):
         columns[at % d].append((at // d, entries[at]))
-    krylov = []
-    vector = {0: 1}
-    for k in range(d):
-        if max(vector, default=-1) != k or vector[k] not in (1, -1):
+    orders: set[int] = set()
+    span: dict[int, dict[int, int]] = {}
+    for start in range(d):
+        if span and _eliminate({start: 1}, span) < 0:
+            continue
+        own: dict[int, dict[int, int]] = {}
+        vector = {start: 1}
+        for k in count():
+            top = max(vector, default=-1)
+            if top in own or top < 0:
+                row = {**vector, -1 - k: 1}  # a copy: v_k gives v_(k+1) below
+                top = _eliminate(row, own)
+                if top < 0:
+                    break
+                own[top] = row
+            else:
+                own[top] = vector  # a new top index: independent as it is
+            image: dict[int, int] = {}
+            for j, x in vector.items():
+                for i, b in columns[j]:
+                    image[i] = image.get(i, 0) + b * x
+            vector[-1 - k] = 1
+            vector = {i: x for i, x in image.items() if x}
+        mu, lead = [0] * (k + 1), row[-1 - k]
+        for i, x in row.items():
+            mu[-1 - i] = x // lead
+        found = _cyclotomic_orders(mu, m, primes)
+        if found is None:
             return None
-        krylov.append(vector)
-        image: dict[int, int] = {}
-        for j, x in vector.items():
-            for i, b in columns[j]:
-                image[i] = image.get(i, 0) + b * x
-        vector = {i: x for i, x in image.items() if x}
-    chi = [0] * d + [1]
-    for k in reversed(range(d)):
-        c = vector.pop(k, 0) * krylov[k][k]
-        if c:
-            chi[k] = -c
-            for i, x in krylov[k].items():
-                if i < k:
-                    vector[i] = vector.get(i, 0) - c * x
-    return chi
+        orders.update(found)
+        if len(own) == d:
+            break
+        for row in own.values():
+            row = {i: x for i, x in row.items() if i >= 0}  # the vector part
+            top = _eliminate(row, span)
+            if top >= 0:
+                span[top] = row
+        if len(span) == d:
+            break
+    return orders
+
+
+def _eliminate(row: dict[int, int], rows: dict[int, dict[int, int]]) -> int:
+    """Reduce row in place against rows, each keyed by its top index (the
+    largest nonnegative key, its pivot), from the top index down; return
+    the top index of what is left, or -1 when no nonnegative key is left.
+    Where the pivot divides the entry an exact multiple is subtracted;
+    otherwise both are cross-multiplied and the content is divided out."""
+    for t in range(max(row), -1, -1):
+        x = row.get(t)
+        if not x:
+            continue
+        pivot = rows.get(t)
+        if pivot is None:
+            return t
+        p = pivot[t]
+        exact = not x % p
+        if not exact:
+            scale = abs(p) // gcd(p, x)
+            for i in row:
+                row[i] *= scale
+            x *= scale
+        x //= p
+        for i, y in pivot.items():
+            z = row.get(i, 0) - x * y
+            if z:
+                row[i] = z
+            else:
+                del row[i]
+        if not exact:
+            content = gcd(*row.values())
+            if content > 1:
+                for i in row:
+                    row[i] //= content
+    return -1
 
 
 def _cyclotomic_orders(
@@ -428,46 +457,6 @@ def _exact_quotient(num: list[int], den: tuple[int, ...]) -> list[int] | None:
             for j, f in lower:
                 rest[i + j] -= c * f
     return None if any(rest[:k]) else quotient
-
-
-class _SquaringChain:
-    """The squares B^(2^t) of one block, computed once for every exponent.
-
-    Squaring stops at t = bits - 1, or as soon as a square repeats an
-    earlier one: B^(2^i) = B^(2^j) with j < i gives B^k = B^(k - T) for
-    k >= 2^i, T = 2^i - 2^j, so every exponent folds into [2^j, 2^i).
-    It also stops once |tr B^(2^t)| > d for the block size d: all
-    eigenvalues of a finite-order integer matrix are roots of unity, so
-    such a block has infinite order and no power of it is I.
-    """
-
-    def __init__(self, block: IntMatrix, bits: int):
-        self.squares = [block]
-        self.cycle_start: int | None = None
-        self.infinite = False
-        seen = {block: 0}
-        while True:
-            last = self.squares[-1]
-            if abs(last.trace()) > block.size:
-                self.infinite = True
-                return
-            if len(self.squares) == bits:
-                return
-            square = last @ last
-            if square in seen:
-                self.cycle_start = seen[square]
-                return
-            seen[square] = len(self.squares)
-            self.squares.append(square)
-
-    def power(self, k: int) -> IntMatrix:
-        """B^k for 1 <= k < 2^bits, one product per set bit after the first."""
-        top = len(self.squares)
-        if self.cycle_start is not None and k >> top:
-            low = 1 << self.cycle_start
-            k = low + (k - low) % ((1 << top) - low)
-        factors = [self.squares[t] for t in range(k.bit_length()) if k >> t & 1]
-        return reduce(operator.matmul, factors)
 
 
 def verify_witness(witness: SymplecticWitness, g: int) -> WitnessCertificate:

@@ -8,6 +8,8 @@ product down directly; the tests check it against this one.
 
 from __future__ import annotations
 
+from power_oracle import matmul
+
 from sptorsion.matrices import IntMatrix
 
 
@@ -59,4 +61,4 @@ def conjugated_companion(p: int, alpha: int) -> IntMatrix:
     q = p ** (alpha - 1)
     inverse = [int(t % q == 0) for t in range((p - 1) * q // 2)]
     p_matrix = _lift(_trace_form_row(p, alpha))
-    return p_matrix @ companion(_block_polynomial(p, alpha)) @ _lift(inverse)
+    return matmul(matmul(p_matrix, companion(_block_polynomial(p, alpha))), _lift(inverse))

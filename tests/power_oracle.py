@@ -1,17 +1,20 @@
 """Dense whole-matrix arithmetic: the oracle that certification is
 tested against.
 
-`binary_power` is plain square-and-multiply on the dense matrix, and
-`oracle_certificate` runs the three witness checks with it, one powering
-chain per exponent, the way certification worked before it split the
-matrix into components. It is the one place that still forms A^T J A,
-with `transpose` and the `standard_form` J.
+`sptorsion` makes no matrix product; this module keeps the dense one.
+`matmul` is the schoolbook product, skipping zero entries of the left
+operand, `binary_power` is plain square-and-multiply with it, and
+`oracle_certificate` runs the three witness checks with them, one
+powering chain per exponent, the way certification worked before it
+split the matrix into components and decided each from minimal
+polynomials. It is the one place that still forms A^T J A, with
+`transpose` and the `standard_form` J.
 """
 from __future__ import annotations
 
 from sympy import primefactors
 
-from sptorsion.matrices import IntMatrix, identity
+from sptorsion.matrices import IntMatrix
 from sptorsion.witness import ProperPowerCheck, WitnessCertificate
 
 
@@ -42,6 +45,40 @@ def standard_form(g: int) -> IntMatrix:
     return IntMatrix(n, tuple(entries))
 
 
+def identity(n: int) -> IntMatrix:
+    entries = [0] * (n * n)
+    entries[:: n + 1] = [1] * n
+    return IntMatrix(n, tuple(entries))
+
+
+def is_identity(a: IntMatrix) -> bool:
+    return a == identity(a.size)
+
+
+def trace(a: IntMatrix) -> int:
+    return sum(a.entries[:: a.size + 1])
+
+
+def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The product a b; ValueError unless the sizes agree."""
+    n = a.size
+    if b.size != n:
+        raise ValueError(f"cannot multiply {n}x{n} by {b.size}x{b.size}")
+    x, y = a.entries, b.entries
+    out = [0] * (n * n)
+    for i in range(n):
+        arow = x[i * n : (i + 1) * n]
+        base = i * n
+        for t in range(n):
+            av = arow[t]
+            if av == 0:
+                continue
+            brow = y[t * n : (t + 1) * n]
+            for j in range(n):
+                out[base + j] += av * brow[j]
+    return IntMatrix(n, tuple(out))
+
+
 def binary_power(a: IntMatrix, e: int) -> IntMatrix:
     """a^e for e >= 0: one product per set bit of e (the first one by
     the identity) and one squaring per bit below the top."""
@@ -51,10 +88,10 @@ def binary_power(a: IntMatrix, e: int) -> IntMatrix:
     base = a
     while e:
         if e & 1:
-            result = result @ base
+            result = matmul(result, base)
         e >>= 1
         if e:
-            base = base @ base
+            base = matmul(base, base)
     return result
 
 
@@ -63,10 +100,10 @@ def oracle_certificate(a: IntMatrix, m: int, g: int) -> WitnessCertificate:
     power taken on the whole matrix."""
     j = standard_form(g)
     return WitnessCertificate(
-        transpose(a) @ j @ a == j,
-        binary_power(a, m).is_identity(),
+        matmul(matmul(transpose(a), j), a) == j,
+        is_identity(binary_power(a, m)),
         tuple(
-            ProperPowerCheck(p, m // p, binary_power(a, m // p).is_identity())
+            ProperPowerCheck(p, m // p, is_identity(binary_power(a, m // p)))
             for p in primefactors(m)
         ),
     )

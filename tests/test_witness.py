@@ -13,19 +13,28 @@ import pytest
 import sympy
 
 from block_oracle import _block_polynomial, _lift, _trace_form_row, companion, conjugated_companion
-from power_oracle import binary_power, from_rows, oracle_certificate, standard_form, transpose
+from power_oracle import (
+    binary_power,
+    from_rows,
+    identity,
+    is_identity,
+    matmul,
+    oracle_certificate,
+    standard_form,
+    transpose,
+)
 from sptorsion import cli
 from sptorsion import witness as witness_module
 from sptorsion.criterion import enumerate_orders, membership
 from sptorsion.extremal import max_order_value_range
-from sptorsion.matrices import IntMatrix, identity
+from sptorsion.matrices import IntMatrix
 from sptorsion.witness import (
     NotRealizableError,
     ProperPowerCheck,
     SymplecticWitness,
     WitnessCertificate,
     _certify,
-    _krylov_charpoly,
+    _eigenvalue_orders,
     _prime_power_block,
     build_witness,
     verify_witness,
@@ -178,7 +187,7 @@ def test_companion_satisfies_own_polynomial():
     power = identity(d)
     for coeff in poly:
         acc = [x + coeff * y for x, y in zip(acc, power.entries)]
-        power = power @ c
+        power = matmul(power, c)
     assert acc == [0] * (d * d)
 
 
@@ -196,10 +205,10 @@ def test_invariant_lattice_and_form(p, alpha):
     d = len(poly) - 1
     row = _trace_form_row(p, alpha)
     p_matrix = _lift(row)
-    form = transpose(p_matrix) @ standard_form(d // 2) @ p_matrix
+    form = matmul(matmul(transpose(p_matrix), standard_form(d // 2)), p_matrix)
     c = companion(poly)
     assert transpose(form) == -form
-    assert transpose(c) @ form @ c == form
+    assert matmul(matmul(transpose(c), form), c) == form
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
     phi = sympy.Poly(sympy.cyclotomic_poly(n, x), x)
@@ -219,9 +228,9 @@ def test_prime_power_block(p, alpha):
     n = p**alpha
     a = _prime_power_block(p, alpha)
     j = standard_form(a.size // 2)
-    assert transpose(a) @ j @ a == j
-    assert binary_power(a, n).is_identity()
-    assert not binary_power(a, n // p).is_identity()
+    assert matmul(matmul(transpose(a), j), a) == j
+    assert is_identity(binary_power(a, n))
+    assert not is_identity(binary_power(a, n // p))
     if a.size <= 40:
         sympy = pytest.importorskip("sympy")
         x = sympy.Symbol("x")
@@ -264,9 +273,9 @@ def test_witness_examples():
     assert w.matrix.to_rows() == [[0, -1], [1, 0]]
     w = build_witness(6, 1)
     assert w.certificate.all_passed
-    assert binary_power(w.matrix, 6).is_identity()
-    assert not binary_power(w.matrix, 3).is_identity()
-    assert not binary_power(w.matrix, 2).is_identity()
+    assert is_identity(binary_power(w.matrix, 6))
+    assert not is_identity(binary_power(w.matrix, 3))
+    assert not is_identity(binary_power(w.matrix, 2))
 
 
 def test_witness_not_realizable():
@@ -287,10 +296,10 @@ def test_witness_sweep_small(g):
         w = build_witness(m, g)
         a = w.matrix
         assert a.size == 2 * g
-        assert transpose(a) @ j @ a == j
-        assert binary_power(a, m).is_identity()
+        assert matmul(matmul(transpose(a), j), a) == j
+        assert is_identity(binary_power(a, m))
         for term in membership(m, g).terms:
-            assert not binary_power(a, m // term.prime).is_identity()
+            assert not is_identity(binary_power(a, m // term.prime))
 
 
 # SHA-256 of the concatenated witness documents of S(g), ascending m
@@ -472,13 +481,13 @@ def test_symplectic_check_matches_the_dense_product():
         g = rng.randint(1, 4)
         a = identity(2 * g)
         for _ in range(3):
-            a = a @ transvection([rng.choice((-1, 0, 1)) for _ in range(2 * g)])
+            a = matmul(a, transvection([rng.choice((-1, 0, 1)) for _ in range(2 * g)]))
         if rng.random() < 0.5:
             entries = list(a.entries)
             entries[rng.randrange(len(entries))] += rng.choice((-1, 1))
             a = IntMatrix(a.size, tuple(entries))
         j = standard_form(g)
-        expected = transpose(a) @ j @ a == j
+        expected = matmul(matmul(transpose(a), j), a) == j
         assert witness_module._is_symplectic(a, g) == expected, a.to_rows()
         outcomes.add(expected)
     assert outcomes == {True, False}
@@ -492,51 +501,139 @@ def conjugator(g: int, rng: random.Random) -> tuple[IntMatrix, IntMatrix]:
     for _ in range(3):
         t = transvection([rng.choice((-1, 0, 1)) for _ in range(n)])
         t_inverse = IntMatrix(n, tuple(2 * e - x for e, x in zip(identity(n).entries, t.entries)))
-        p, p_inverse = p @ t, t_inverse @ p_inverse
+        p, p_inverse = matmul(p, t), matmul(t_inverse, p_inverse)
     return p, p_inverse
 
 
-def test_conjugated_witnesses_verify_like_the_witness():
+def test_conjugated_witnesses_verify_like_the_witness(decided):
     # P W P^-1 is as valid as W but dense: valid matrices outside the
-    # witness's block pattern, most of them decided by the squaring chain.
-    # With one entry of W changed, the conjugate is certified as the dense
-    # oracle certifies it.
+    # witness's block pattern, many of them decided from several start
+    # vectors. With one entry of W changed, the conjugate is certified as
+    # the dense oracle certifies it.
     rng = random.Random(0)
-    orders, chained, blocks, outcomes = 0, 0, 0, set()
+    orders, several, blocks, outcomes = 0, 0, 0, set()
     for g in range(1, 5):
         for m in enumerate_orders(g):
             w = build_witness(m, g)
             p, p_inverse = conjugator(g, rng)
-            assert p @ p_inverse == identity(2 * g)
-            conjugate = p @ w.matrix @ p_inverse
+            assert matmul(p, p_inverse) == identity(2 * g)
+            conjugate = matmul(matmul(p, w.matrix), p_inverse)
+            decided.clear()
             assert verify_witness(w._replace(matrix=conjugate), g) == w.certificate, (m, g)
             orders += 1
-            for block in dict.fromkeys(conjugate.diagonal_blocks()):
-                chained += _krylov_charpoly(block) is None
-                blocks += 1
+            several += sum(starts > 1 for _, starts in decided)
+            blocks += len(decided)
             entries = list(w.matrix.entries)
             entries[rng.randrange(len(entries))] += rng.choice((-1, 1))
-            changed = p @ IntMatrix(2 * g, tuple(entries)) @ p_inverse
+            changed = matmul(matmul(p, IntMatrix(2 * g, tuple(entries))), p_inverse)
             expected = oracle_certificate(changed, m, g)
             assert _certify(changed, m, g, tuple(sympy.primefactors(m))) == expected, (m, g)
             outcomes.add(expected.power_identity)
     assert orders == 51
-    assert chained > blocks // 2
+    assert several > blocks // 2
     # some changed conjugates still have A^m = I, some do not
     assert outcomes == {True, False}
+
+
+def test_conjugated_h_witnesses_verify(decided):
+    # P W P^-1 for the witness W of h(g): one dense 2g x 2g block when
+    # the conjugator joins every coordinate, certified as W is
+    rng = random.Random(0)
+    for g in range(5, 21):
+        w = build_witness(max_order_value_range(g, g)[0], g)
+        p, p_inverse = conjugator(g, rng)
+        conjugate = w._replace(matrix=matmul(matmul(p, w.matrix), p_inverse))
+        assert verify_witness(conjugate, g) == w.certificate, g
+    assert max(size for size, _ in decided) == 40
+
+
+def cyclotomic_jordan_block(e: int) -> IntMatrix:
+    """[[C, I], [0, C]] for C the companion matrix of Phi_e: chi = Phi_e^2,
+    but no power of it is I, since its k-th power is [[C^k, k C^(k-1)],
+    [0, C^k]]."""
+    c = companion(tuple(sympy_cyclotomic(e)))
+    d = c.size
+    rows = [[0] * (2 * d) for _ in range(2 * d)]
+    for i in range(d):
+        rows[i][d + i] = 1
+        for j in range(d):
+            rows[i][j] = rows[d + i][d + j] = c.entries[i * d + j]
+    return from_rows(rows)
+
+
+@pytest.mark.parametrize("e", [3, 4, 5, 6, 8, 12])
+def test_non_semisimple_cyclotomic_blocks_have_infinite_order(e):
+    # each of these has every eigenvalue a primitive e-th root of unity,
+    # so no trace or characteristic polynomial tells it from an element
+    # of order e; a start with minimal polynomial Phi_e^2 does
+    a = cyclotomic_jordan_block(e)
+    g = a.size // 2
+    p, p_inverse = conjugator(g, random.Random(e))
+    for matrix in (a, matmul(matmul(p, a), p_inverse)):
+        for m in (e, e * e, 720720):
+            expected = oracle_certificate(matrix, m, g)
+            assert not expected.power_identity
+            assert _certify(matrix, m, g, tuple(sympy.primefactors(m))) == expected, (e, m)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_minimal_polynomials_of_the_starts(seed, monkeypatch):
+    # every start's polynomial mu annihilates its start vector e_s (the
+    # dense product), and its degree is the rank of the Krylov matrix
+    # [e_s, B e_s, ..., B^d e_s] (sympy): mu is the minimal polynomial of
+    # e_s. The starts are e_s in order, skipping those in the span of the
+    # earlier starts' Krylov vectors, until that span is everything.
+    # _cyclotomic_orders is replaced so that every start is taken
+    polynomials = []
+    monkeypatch.setattr(witness_module, "_cyclotomic_orders", lambda mu, *a: polynomials.append(mu) or [])
+    rng = random.Random(seed)
+    blocks = set()
+    for _ in range(10):
+        n = rng.choice((2, 4, 6, 8))
+        for a in (finite_order_matrix(n, rng)[0], unipotent_matrix(n, rng), sparse_matrix(n, rng)):
+            blocks.update(a.diagonal_blocks())
+    for block in sorted(blocks, key=lambda b: (b.size, b.entries)):
+        if abs(sum(block.entries[:: block.size + 1])) > block.size:
+            continue  # refused by its trace, before any start
+        polynomials.clear()
+        _eigenvalue_orders(block, 2, (2,))
+        d = block.size
+        b = sympy.Matrix(block.to_rows())
+        span = sympy.zeros(d, 0)
+        starts = []
+        for s in range(d):
+            if span.shape[1] and span.row_join(sympy.eye(d)[:, s]).rank() == span.rank():
+                continue
+            krylov = [sympy.eye(d)[:, s]]
+            for _ in range(d):
+                krylov.append(b * krylov[-1])
+            starts.append((s, sympy.Matrix.hstack(*krylov).rank()))
+            span = span.row_join(sympy.Matrix.hstack(*krylov))
+            if span.rank() == d:
+                break
+        assert len(polynomials) == len(starts), block.to_rows()
+        for mu, (s, rank) in zip(polynomials, starts):
+            assert len(mu) - 1 == rank and mu[-1] == 1
+            image, power = [0] * d, identity(d)
+            for c in mu:  # column s of B^j is B^j e_s
+                image = [x + c * y for x, y in zip(image, power.entries[s::d])]
+                power = matmul(block, power)
+            assert image == [0] * d, (block.to_rows(), s, mu)
 
 
 GOLDEN_CONJUGATED = Path(__file__).parent / "golden" / "witness_12_g3_conjugated.json"
 
 
-def test_conjugated_golden_document_verifies(capsys):
+def test_conjugated_golden_document_verifies(decided, capsys):
     # P W P^-1 for the witness W of `witness 12 -g 3`, P from conjugator
-    # with seed 12: one dense block that the squaring chain decides
+    # with seed 12: one dense block, decided from several start vectors
     text = GOLDEN_CONJUGATED.read_text()
     w = build_witness(12, 3)
     p, p_inverse = conjugator(3, random.Random(12))
-    assert text == witness_to_json(w._replace(matrix=p @ w.matrix @ p_inverse))
-    assert [_krylov_charpoly(b) for b in witness_from_json(text).matrix.diagonal_blocks()] == [None]
+    assert text == witness_to_json(w._replace(matrix=matmul(matmul(p, w.matrix), p_inverse)))
+    decided.clear()
+    assert verify_witness(witness_from_json(text), 3) == w.certificate
+    assert len(decided) == 1 and decided[0][1] > 1
     assert cli.main(["verify", str(GOLDEN_CONJUGATED)]) == 0
     assert capsys.readouterr().out.endswith("verdict: valid\n")
     assert cli.main(["verify", str(GOLDEN_CONJUGATED), "--format", "json"]) == 0
@@ -546,94 +643,118 @@ def test_conjugated_golden_document_verifies(capsys):
 
 
 @pytest.fixture
-def products(monkeypatch):
-    """Sizes of the matrix products made while the fixture is active."""
+def decided(monkeypatch):
+    """[size, starts] for each block decided while the fixture is active:
+    calls of _eigenvalue_orders, and the start vectors each one took (one
+    _cyclotomic_orders per start)."""
     made = []
-    matmul = IntMatrix.__matmul__
+    decide, orders_of = witness_module._eigenvalue_orders, witness_module._cyclotomic_orders
 
-    def counted(x, y):
-        made.append(x.size)
-        return matmul(x, y)
+    def counted(block, m, primes):
+        made.append([block.size, 0])
+        return decide(block, m, primes)
 
-    monkeypatch.setattr(IntMatrix, "__matmul__", counted)
+    def counted_start(mu, m, primes):
+        made[-1][1] += 1
+        return orders_of(mu, m, primes)
+
+    monkeypatch.setattr(witness_module, "_eigenvalue_orders", counted)
+    monkeypatch.setattr(witness_module, "_cyclotomic_orders", counted_start)
     return made
 
 
-def test_certify_heavy_order_product_count(products):
+def test_certify_heavy_order_product_count(decided):
     witness = build_witness(12252240, 34)
-    products.clear()
+    decided.clear()
     assert verify_witness(witness, 34).all_passed
-    # whole-matrix binary powering, one chain per exponent, took 251; a
-    # chain per block with every proper power computed, 154
-    # 118, two of them the dense symplectic check; every block's
-    # characteristic polynomial and a symplectic check summed row by row,
-    # none
-    assert products == []
+    # each distinct block (the seven prime-power blocks and the 1 x 1
+    # identity) is decided from the minimal polynomial of its first start
+    # vector, with no matrix product; A^T J A = J is summed by rows
+    assert sorted(decided) == [[d, 1] for d in (1, 4, 6, 6, 8, 10, 12, 16)]
 
 
-def test_certify_skips_primes_above_block_size(products):
+def test_certify_skips_primes_above_block_size(decided):
     # h(100) = 2^4 3^2 5 7 11 13 17 19 23 29 31 41, one block per prime
-    # power: a block of size d powers only for its primes p <= d + 1;
-    # every proper power on every block took 594
+    # power. A prime p > d + 1 divides no eigenvalue order of a d x d
+    # block; it is settled with every other prime by the order lcm(E) of
+    # the block, found from one start vector
     witness = build_witness(197351522287920, 100)
-    products.clear()
+    decided.clear()
     assert verify_witness(witness, 100).all_passed
-    assert len(products) < 300
+    assert sorted(decided) == [[d, 1] for d in (4, 6, 6, 8, 10, 12, 16, 18, 22, 28, 30, 40)]
 
 
-def test_trace_exit_makes_no_power_products(products):
-    # e_0 is cyclic, and chi = x^2 - 3x + 1 is no product of cyclotomic
-    # polynomials: infinite order, and A^T J A is summed by rows
+def test_trace_exit_makes_no_power_products(decided):
+    # tr = 3 > 2 proves an eigenvalue off the unit circle: infinite order,
+    # found before the first start; A^T J A is summed by rows
     a = from_rows([[2, 1], [1, 1]])
     m = 2**26 * 3**10
     certificate = _certify(a, m, 1, (2, 3))
-    assert products == []
+    assert decided == [[2, 0]]
     assert certificate.symplectic
     assert not certificate.power_identity
     assert [c.identity for c in certificate.proper_powers] == [False, False]
 
 
-def test_squaring_chain_trace_exit_makes_no_product(products):
-    # B e_0 = 3 e_0: e_0 is not cyclic, so the block takes the squaring
-    # chain, which stops on tr = 4 > 2 before its first square
-    a = from_rows([[3, 1], [0, 1]])
-    assert _krylov_charpoly(a) is None
+def test_eigenvector_start_decides_the_block(decided):
+    # B e_0 = 2 e_0 with tr = 1: the minimal polynomial of e_0 is x - 2,
+    # so B has the eigenvalue 2 and infinite order, decided at the first
+    # start
+    a = from_rows([[2, 1], [0, -1]])
     certificate = _certify(a, 2**26 * 3**10, 1, (2, 3))
-    assert products == []
+    assert decided == [[2, 1]]
     assert not certificate.symplectic
     assert not certificate.power_identity
 
 
-def test_krylov_path_needs_unit_pivots():
-    # B e_0 = 2 e_1: the Krylov vectors are triangular, but V is not
-    # unimodular, so the block takes the squaring chain
-    a = from_rows([[0, 1], [2, 0]])
-    assert _krylov_charpoly(a) is None
-    assert _certify(a, 6, 1, (2, 3)) == oracle_certificate(a, 6, 1)
+def test_non_unit_pivots_are_cross_multiplied(monkeypatch):
+    # B e_0 = 2 e_1 in the 2 x 2 block: the pivot 2 divides the entry it
+    # meets, and an exact multiple is subtracted. The 3 x 3 block has
+    # order 3 (it sits beside a 1 x 1 identity): e_0 has minimal
+    # polynomial Phi_3, e_1 lies in its plane, and from e_2 the Krylov
+    # vector (2, 3, 1) meets the pivot 2 of (-1, 2, 0) with the entry 3,
+    # so the rows are cross-multiplied and their content divided out
+    # (through gcd), giving mu = x^3 - 1. Both are certified as the dense
+    # oracle certifies them.
+    crossings = []
+    monkeypatch.setattr(witness_module, "gcd", lambda *a: crossings.append(a) or gcd(*a))
+    for rows, crossed in [
+        ([[0, 1], [2, 0]], False),
+        ([[-1, 1, -1, 0], [-1, 0, 2, 0], [0, 0, 1, 0], [0, 0, 0, 1]], True),
+    ]:
+        a = from_rows(rows)
+        crossings.clear()
+        for m in (2, 3, 6, 12):
+            expected = oracle_certificate(a, m, a.size // 2)
+            assert _certify(a, m, a.size // 2, tuple(sympy.primefactors(m))) == expected
+        assert bool(crossings) == crossed
 
 
-def test_witness_at_the_cap_makes_no_product(products):
-    # the largest block within the witness cap: 996 x 996, for the prime 997
+def test_witness_at_the_cap_makes_no_product(decided):
+    # the largest block within the witness cap: 996 x 996, for the prime
+    # 997, decided from the characteristic polynomial of e_0 with no
+    # matrix product
     witness = build_witness(997, 498)
     expected = WitnessCertificate(True, True, (ProperPowerCheck(997, 1, False),))
     assert witness.certificate == expected
     assert verify_witness(witness, 498) == expected
-    assert products == []
+    assert decided == [[996, 1]] * 2  # build, then verify
 
 
-def h_witness_blocks() -> list[IntMatrix]:
+def h_witness_blocks() -> list[tuple[IntMatrix, int]]:
     """The distinct blocks, each with phi <= 300, of the witnesses of h(g)
     for every g within the witness cap (35 blocks, phi <= 100), and their
-    negations, which the witnesses of orders m == 2 (mod 4) use."""
+    negations, which the witnesses of orders m == 2 (mod 4) use; each with
+    its order."""
     powers = {
         (t.prime, t.exponent)
         for g, h in enumerate(max_order_value_range(1, cli.CAPS["witness"]), start=1)
         for t in membership(h, g).terms
         if 0 < t.cost <= 300
     }
-    blocks = [_prime_power_block(p, alpha) for p, alpha in sorted(powers)]
+    blocks = [(_prime_power_block(p, alpha), p**alpha) for p, alpha in sorted(powers)]
     assert len(blocks) == 35
-    return blocks + [-b for b in blocks]
+    return blocks + [(-b, 2 * n if n % 2 else n) for b, n in blocks]
 
 
 def test_cyclotomic_polynomials_are_sympys():
@@ -655,34 +776,38 @@ def test_small_totient_divisors(m):
         assert all(ps == tuple(sympy.primefactors(e)) for _, e, ps in found)
 
 
-def test_krylov_charpoly_is_sympys():
+def test_witness_block_polynomial_is_sympys(monkeypatch):
+    # a witness block is decided from its first start e_0 alone, whose
+    # minimal polynomial is the characteristic polynomial
     x = sympy.Symbol("x")
-    for block in h_witness_blocks():
+    polynomials = []
+    orders_of = witness_module._cyclotomic_orders
+    monkeypatch.setattr(
+        witness_module, "_cyclotomic_orders", lambda mu, *a: polynomials.append(mu) or orders_of(mu, *a)
+    )
+    for block, order in h_witness_blocks():
+        polynomials.clear()
         expected = sympy.Matrix(block.to_rows()).charpoly(x).all_coeffs()[::-1]
-        assert _krylov_charpoly(block) == expected, block.size
+        assert _eigenvalue_orders(block, order, tuple(sympy.primefactors(order))) == {order}
+        assert polynomials == [expected], block.size
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_certify_cases_take_both_paths(seed, monkeypatch):
+def test_certify_cases_take_both_paths(seed, decided):
     # test_certify_matches_binary_powering covers both ways of deciding a
-    # block: the characteristic polynomial of a cyclic one, and the
-    # squaring chain otherwise, which most unipotent blocks take
-    paths, kind = [], None
-    krylov = witness_module._krylov_charpoly
-
-    def counted(block):
-        chi = krylov(block)
-        paths.append((kind, chi is not None))
-        return chi
-
-    monkeypatch.setattr(witness_module, "_krylov_charpoly", counted)
+    # block: from its trace or its first start vector alone (a cyclic
+    # start, or one whose minimal polynomial already rules B^m = I out, as
+    # for most unipotent blocks), and from several starts, which unipotent
+    # blocks with a fixed start vector and finite-order blocks with a
+    # repeated eigenvalue take
+    paths = set()
     for a, m in certify_cases(seed):
         diagonal = set(a.entries[:: a.size + 1])
-        kind = "unipotent" if diagonal == {1} and not a.is_identity() else "other"
+        kind = "unipotent" if diagonal == {1} and not is_identity(a) else "other"
+        decided.clear()
         _certify(a, m, a.size // 2, tuple(sympy.primefactors(m)))
-    assert {path for _, path in paths} == {True, False}
-    unipotent = [path for k, path in paths if k == "unipotent"]
-    assert unipotent.count(False) > unipotent.count(True)
+        paths.update((kind, starts > 1) for _, starts in decided)
+    assert paths == {("unipotent", False), ("unipotent", True), ("other", False), ("other", True)}
 
 
 def forged_document(rows: list[list[int]], m: int) -> str:
@@ -704,7 +829,7 @@ def forged_document(rows: list[list[int]], m: int) -> str:
     [([[2, 1], [1, 1]], 10**8), ([[0, -1], [1, 0]], 1000000007 * 1000000009)],
     ids=["forged-10^8", "two-large-primes"],
 )
-def test_verify_rejects_order_with_large_prime(rows, m, products, tmp_path, capsys):
+def test_verify_rejects_order_with_large_prime(rows, m, decided, tmp_path, capsys):
     witness = witness_from_json(forged_document(rows, m))
     with pytest.raises(NotRealizableError) as exc_info:
         verify_witness(witness, 1)
@@ -713,12 +838,12 @@ def test_verify_rejects_order_with_large_prime(rows, m, products, tmp_path, caps
     path.write_text(forged_document(rows, m))
     assert cli.main(["verify", str(path)]) == 1
     assert "prime factor above 2g + 1 = 3" in capsys.readouterr().err
-    assert products == []
+    assert decided == []
 
 
-def test_verify_factors_only_by_small_primes(products):
+def test_verify_factors_only_by_small_primes(decided):
     w = build_witness(7, 3)
-    products.clear()
+    decided.clear()
     # 5^40 passes the prime bound but not the budget
     claimed = SymplecticWitness(w.matrix, 7 * 5**40, w.certificate)
     with pytest.raises(NotRealizableError, match="exceeds budget 6") as exc_info:
@@ -728,7 +853,7 @@ def test_verify_factors_only_by_small_primes(products):
     with pytest.raises(NotRealizableError, match="above 2g \\+ 1 = 7") as exc_info:
         verify_witness(SymplecticWitness(w.matrix, 7 * 11, w.certificate), 3)
     assert exc_info.value.decision.cofactor == 11
-    assert products == []
+    assert decided == []
     # a claim in S(3) is certified with the primes of that one factorization
     claimed = SymplecticWitness(w.matrix, 14, w.certificate)
     assert [c.prime for c in verify_witness(claimed, 3).proper_powers] == [2, 7]
@@ -768,7 +893,7 @@ TWO_LARGE_PRIMES = str(1000000007 * 1000000009)
         "verify-unipotent-2^1000-json",
     ],
 )
-def test_adversarial_inputs_fail_fast(argv, document, code, products, tmp_path, capsys):
+def test_adversarial_inputs_fail_fast(argv, document, code, decided, tmp_path, capsys):
     if document is not None:
         path = tmp_path / "doc.json"
         path.write_text(document)
@@ -776,7 +901,7 @@ def test_adversarial_inputs_fail_fast(argv, document, code, products, tmp_path, 
     start = time.perf_counter()
     assert cli.main(argv) == code
     assert time.perf_counter() - start < 0.1
-    assert products == []
+    assert decided == []
     out, err = capsys.readouterr()
     if code:
         assert err.startswith("not realizable: ")
