@@ -56,27 +56,31 @@ coordinates: its first half takes a slice of the global first half
 (e-coordinates), its second half the matching slice after index g
 (f-coordinates). When m == 2 (mod 4) the 2-part is not a block at all:
 the assembled odd-order matrix is negated, and -1 being central and
-symplectic doubles the order at no cost. Blocks are built
+symplectic doubles the order at no cost; the sign is applied as the
+diagonal and each block's nonzero entries are placed. Blocks are built
 independently and merged by ascending prime, so construction is
 deterministic: equal inputs give identical matrices.
 
 The assembled matrix is certified exactly before it is returned:
 A^T J A = J on the whole matrix, A^m = I, and no proper power
-A^(m/p) = I, with no matrix product. A^T J A = J is summed from the
-nonzero entries of the rows r and g + r that J pairs. A is the direct
-sum of the diagonal blocks of its nonzero pattern, and A^k = I exactly
-when B^k = I for each distinct block B. B^k - I commutes with B, so
-B^k = I exactly when B^k fixes start vectors e_s whose Krylov vectors
-B^j e_s span Q^d, that is, when the minimal polynomial mu_s of each e_s
-divides x^k - 1 = prod_(e | k) Phi_e. Integer elimination of the Krylov
+A^(m/p) = I, with no matrix product. A's entries are read once, into
+nonzero rows; A^T J A = J is summed from the rows r and g + r that J
+pairs, and the components of the nonzero pattern split A into blocks,
+each kept as its size and nonzero entries. A^k = I exactly when B^k = I
+for each distinct block B. B^k - I commutes with B, so B^k = I exactly
+when B^k fixes start vectors e_s whose Krylov vectors B^j e_s span Q^d,
+that is, when the minimal polynomial mu_s of each e_s divides
+x^k - 1 = prod_(e | k) Phi_e. Integer elimination of the Krylov
 vectors, sparse products with a vector, finds each mu_s; dividing it by
-the Phi_e with e | m finds the set E of eigenvalue orders, and
-B^(m/p) = I exactly when every e in E divides m/p. A witness block is
-decided by its first start e_0: its v_k = B^k e_0 are the coordinates
-of zeta^k, that is e_k for k < h and e_k - e_(k-q) for h <= k < d (the
-second term only when k >= h + q), and those of a negated block are
-(-1)^k times these, so each v_k, k < d, has +-1 at a new top index, and
-mu_0 is the characteristic polynomial.
+the Phi_e with e | m, from one table per certification, finds the
+orders e of B's eigenvalues. B has an order, their lcm, when every mu_s
+divides x^m - 1, and none otherwise; A's order is the lcm of its
+blocks' orders, and A^(m/p) = I exactly when it divides m/p. A witness
+block is decided by its first start e_0: its v_k = B^k e_0 are the
+coordinates of zeta^k, that is e_k for k < h and e_k - e_(k-q) for
+h <= k < d (the second term only when k >= h + q), and those of a
+negated block are (-1)^k times these, so each v_k, k < d, has +-1 at a
+new top index, and mu_0 is the characteristic polynomial.
 
 `build_witness` and `verify_witness` pass through the same gate first:
 `criterion.membership(m, g)`, which factors m only up to 2g + 1. An
@@ -89,7 +93,6 @@ from __future__ import annotations
 
 import json
 import operator
-from functools import lru_cache
 from itertools import compress, count
 from math import gcd, lcm, prod
 from typing import NamedTuple
@@ -198,7 +201,7 @@ def build_witness(m: int, g: int) -> SymplecticWitness:
     S(g). The construction is deterministic.
     """
     decision = _realizable(m, g)
-    negate = decision.exemption_applied
+    sign = -1 if decision.exemption_applied else 1
     blocks = [
         _prime_power_block(t.prime, t.exponent)
         for t in decision.terms
@@ -206,18 +209,16 @@ def build_witness(m: int, g: int) -> SymplecticWitness:
     ]
     n = 2 * g
     entries = [0] * (n * n)
-    entries[:: n + 1] = [1] * n
     offset = 0
     for block in blocks:
-        half = block.size // 2
+        d, half = block.size, block.size // 2
         coords = [*range(offset, offset + half), *range(g + offset, g + offset + half)]
-        for r, row in zip(coords, block.to_rows()):
-            for s, x in zip(coords, row):
-                entries[r * n + s] = x
+        for at in compress(range(d * d), block.entries):
+            entries[coords[at // d] * n + coords[at % d]] = sign * block.entries[at]
         offset += half
+    for i in [*range(offset, g), *range(g + offset, n)]:
+        entries[i * (n + 1)] = sign
     matrix = IntMatrix(n, tuple(entries))
-    if negate:
-        matrix = -matrix
     primes = tuple(t.prime for t in decision.terms)
     witness = SymplecticWitness(matrix, m, _certify(matrix, m, g, primes))
     if not witness.certificate.all_passed:
@@ -233,47 +234,75 @@ def _certify(
 ) -> WitnessCertificate:
     """The three checks for claimed order m, given the primes of m.
 
-    A^T J A = J is summed from the pairs of rows r and g + r
-    (_is_symplectic). A^m = I and each A^(m/p) = I are decided in one pass
-    over A's diagonal blocks (equal blocks once). If some block B has
-    B^m != I, then A^m != I, and no A^(m/p) = I either, since that would
-    give A^m = (A^(m/p))^p = I.
-
-    Each block is decided from the minimal polynomials mu_s of start
-    vectors e_s whose Krylov vectors span Q^d (_eigenvalue_orders), with
-    no product. B^k - I commutes with B, so B^k = I exactly when B^k fixes
-    each e_s, that is, when each mu_s divides x^k - 1 = prod_(e | k) Phi_e,
-    a product of distinct irreducibles: when mu_s is the product of Phi_e
-    over distinct divisors e of k. Any other factor, a repeated one (a
-    non-semisimple block) included, rules B^m = I out. _cyclotomic_orders
-    finds these e for k = m; with E their union over the starts,
-    B^(m/p) = I exactly when every e in E divides m/p.
+    A's entries are read once, into nonzero rows [(j, x), ...], and the
+    rest works from those. A^T J A = J is summed from pairs of rows
+    (_is_symplectic). A is the direct sum of the blocks on the components
+    of its nonzero pattern (_components), and equal blocks are decided
+    once. Each block has an order dividing m, or none when its m-th
+    power is not I (_eigenvalue_orders, from one table of Phi_e up to the
+    largest block). A's order is the lcm of the blocks' orders: A^m = I
+    exactly when every block has one, and A^(m/p) = I exactly when A's
+    order divides m/p.
     """
-    power_identity = True
-    identities = [True] * len(primes)
-    for block in dict.fromkeys(matrix.diagonal_blocks()):
-        orders = _eigenvalue_orders(block, m, primes)
-        if orders is None:
-            power_identity, identities = False, [False] * len(primes)
+    n, entries = matrix.size, matrix.entries
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for at in compress(range(n * n), entries):
+        rows[at // n].append((at % n, entries[at]))
+    blocks = dict.fromkeys(_components(rows))
+    table = _small_totient_divisors(m, primes, max(size for size, _ in blocks))
+    order: int | None = 1  # the order of A
+    for block in blocks:
+        block_order = _eigenvalue_orders(block, table)
+        if block_order is None:
+            order = None
             break
-        order = lcm(*orders)  # the order of B
-        identities = [ok and m // p % order == 0 for p, ok in zip(primes, identities)]
+        order = lcm(order, block_order)
     proper = tuple(
-        ProperPowerCheck(p, m // p, identity)
-        for p, identity in zip(primes, identities)
+        ProperPowerCheck(p, m // p, order is not None and m // p % order == 0)
+        for p in primes
     )
-    return WitnessCertificate(_is_symplectic(matrix, g), power_identity, proper)
+    return WitnessCertificate(_is_symplectic(rows, g), order is not None, proper)
 
 
-def _is_symplectic(matrix: IntMatrix, g: int) -> bool:
-    """A^T J A = J, without a product: entry (i, j) of A^T J A is
-    sum_(r<g) A[r][i] A[g+r][j] - A[g+r][i] A[r][j], summed over the
-    nonzero entries of rows r and g + r only."""
-    n = 2 * g
-    rows = [
-        [(j, row[j]) for j in compress(range(n), row)]
-        for row in map(matrix.row, range(n))
+def _components(rows: list[list[tuple[int, int]]]) -> list[tuple]:
+    """The blocks of the matrix with these nonzero rows, one per connected
+    component of its nonzero pattern, ordered by smallest index: each
+    block its size d and its nonzero entries (r, c, x), row-major, with
+    the component's indices relabelled 0..d-1 in ascending order.
+
+    Union-find joins row i and column j whenever entry (i, j) is nonzero,
+    so every entry outside the blocks is zero: the matrix is their direct
+    sum after one simultaneous permutation of rows and columns, and its
+    k-th power is I exactly when every block's is.
+    """
+    parent = list(range(len(rows)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, row in enumerate(rows):
+        for j, _ in row:
+            parent[find(i)] = find(j)
+    members: dict[int, list[int]] = {}
+    local = []  # the index of each i within its component
+    for i in range(len(rows)):
+        component = members.setdefault(find(i), [])
+        local.append(len(component))
+        component.append(i)
+    return [
+        (len(idx), tuple((local[i], local[j], x) for i in idx for j, x in rows[i]))
+        for idx in members.values()
     ]
+
+
+def _is_symplectic(rows: list[list[tuple[int, int]]], g: int) -> bool:
+    """A^T J A = J, without a product, from A's nonzero rows: entry (i, j)
+    of A^T J A is sum_(r<g) A[r][i] A[g+r][j] - A[g+r][i] A[r][j], summed
+    over the nonzero entries of rows r and g + r only."""
+    n = 2 * g
     form: dict[int, int] = {}
     for top, bottom in zip(rows[:g], rows[g:]):
         for i, x in top:
@@ -285,11 +314,10 @@ def _is_symplectic(matrix: IntMatrix, g: int) -> bool:
     return {at: x for at, x in form.items() if x} == standard
 
 
-def _eigenvalue_orders(
-    block: IntMatrix, m: int, primes: tuple[int, ...]
-) -> set[int] | None:
-    """The set E of the orders of B's eigenvalues when B^m = I; None when
-    B^m != I (see _certify).
+def _eigenvalue_orders(block: tuple, table: list) -> int | None:
+    """The order of the block B, the lcm of the set E of the orders of its
+    eigenvalues, when B^m = I; None when B^m != I (see _certify). The
+    table is _small_totient_divisors' up to B's size d, or beyond.
 
     The start vectors e_s are taken in order, skipping those already in
     the span of the Krylov vectors found so far, until that span is
@@ -302,13 +330,12 @@ def _eigenvalue_orders(
     d in absolute value needs an eigenvalue that is no root of unity, so
     it returns None before any product.
     """
-    d = block.size
-    entries = block.entries
-    if abs(sum(entries[:: d + 1])) > d:
+    d, entries = block
+    if abs(sum(x for r, c, x in entries if r == c)) > d:
         return None
     columns: list[list[tuple[int, int]]] = [[] for _ in range(d)]
-    for at in compress(range(d * d), entries):
-        columns[at % d].append((at // d, entries[at]))
+    for r, c, x in entries:
+        columns[c].append((r, x))
     orders: set[int] = set()
     span: dict[int, dict[int, int]] = {}
     for start in range(d):
@@ -335,7 +362,7 @@ def _eigenvalue_orders(
         mu, lead = [0] * (k + 1), row[-1 - k]
         for i, x in row.items():
             mu[-1 - i] = x // lead
-        found = _cyclotomic_orders(mu, m, primes)
+        found = _cyclotomic_orders(mu, table)
         if found is None:
             return None
         orders.update(found)
@@ -348,7 +375,7 @@ def _eigenvalue_orders(
                 span[top] = row
         if len(span) == d:
             break
-    return orders
+    return lcm(*orders)
 
 
 def _eliminate(row: dict[int, int], rows: dict[int, dict[int, int]]) -> int:
@@ -386,18 +413,18 @@ def _eliminate(row: dict[int, int], rows: dict[int, dict[int, int]]) -> int:
     return -1
 
 
-def _cyclotomic_orders(
-    chi: list[int], m: int, primes: tuple[int, ...]
-) -> list[int] | None:
-    """The divisors e of m with chi the product of Phi_e over them, each
-    e once; None when there are none, that is when chi does not divide
-    x^m - 1. Each Phi_e with phi(e) <= the degree left is divided out
+def _cyclotomic_orders(chi: list[int], table: list) -> list[int] | None:
+    """The e of the table, the divisors of m, with chi the product of Phi_e
+    over them, each e once; None when there are none, that is when chi
+    does not divide x^m - 1, the product of these distinct irreducibles: a
+    repeated factor (a non-semisimple block) rules it out as any other
+    does. Each Phi_e with phi(e) <= the degree left is divided out
     exactly, largest phi(e) first."""
     orders = []
     left = chi
-    for phi, e, ps in _small_totient_divisors(m, primes, len(chi) - 1):
+    for phi, e, cyclotomic in table:
         if phi < len(left):
-            quotient = _exact_quotient(left, _cyclotomic(e, ps))
+            quotient = _exact_quotient(left, cyclotomic)
             if quotient is not None:
                 orders.append(e)
                 left = quotient
@@ -409,9 +436,9 @@ def _cyclotomic_orders(
 def _small_totient_divisors(
     m: int, primes: tuple[int, ...], bound: int
 ) -> list[tuple[int, int, tuple[int, ...]]]:
-    """(phi(e), e, the primes of e) for the divisors e of m with
-    phi(e) <= bound, phi(e) descending: built prime power by prime power,
-    phi being multiplicative, with no divisor factored."""
+    """(phi(e), e, Phi_e) for the divisors e of m with phi(e) <= bound,
+    phi(e) descending: built prime power by prime power, phi being
+    multiplicative, with no divisor factored, and Phi_e from e's primes."""
     found = [(1, 1, ())]
     for p in primes:
         powers, q = [], p
@@ -424,10 +451,9 @@ def _small_totient_divisors(
             for phi_q, q in powers
             if phi * phi_q <= bound
         ]
-    return sorted(found, reverse=True)
+    return [(phi, e, _cyclotomic(e, ps)) for phi, e, ps in sorted(found, reverse=True)]
 
 
-@lru_cache(maxsize=None)
 def _cyclotomic(e: int, primes: tuple[int, ...]) -> tuple[int, ...]:
     """Phi_e, ascending, given the distinct primes of e: Phi_1 = x - 1,
     Phi_(np)(x) = Phi_n(x^p) / Phi_n(x) for a prime p not dividing n, and

@@ -1,9 +1,10 @@
 """Dense whole-matrix arithmetic: the oracle that certification is
 tested against.
 
-`sptorsion` makes no matrix product; this module keeps the dense one.
-`matmul` is the schoolbook product, skipping zero entries of the left
-operand, `binary_power` is plain square-and-multiply with it, and
+`sptorsion` makes no matrix product; this module keeps the dense one,
+with the rows, negation and conversion to and from the sparse blocks
+that certification decides. `matmul` is the schoolbook product,
+skipping zero entries of the left operand, `binary_power` is plain square-and-multiply with it, and
 `oracle_certificate` runs the three witness checks with them, one
 powering chain per exponent, the way certification worked before it
 split the matrix into components and decided each from minimal
@@ -25,6 +26,35 @@ def from_rows(rows: list[list[int]]) -> IntMatrix:
     if any(len(r) != n for r in rows):
         raise ValueError(f"a {n}-row matrix needs rows of length {n}")
     return IntMatrix(n, tuple(x for r in rows for x in r))
+
+
+def to_rows(a: IntMatrix) -> list[list[int]]:
+    return [list(a.row(i)) for i in range(a.size)]
+
+
+def negated(a: IntMatrix) -> IntMatrix:
+    return IntMatrix(a.size, tuple(-x for x in a.entries))
+
+
+def nonzero_rows(a: IntMatrix) -> list[list[tuple[int, int]]]:
+    """Each row as its nonzero entries (j, x), as certification reads it."""
+    return [[(j, x) for j, x in enumerate(a.row(i)) if x] for i in range(a.size)]
+
+
+def sparse_block(a: IntMatrix) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """The matrix as a block of certification: its size and its nonzero
+    entries (r, c, x), row-major."""
+    n = a.size
+    return n, tuple((at // n, at % n, x) for at, x in enumerate(a.entries) if x)
+
+
+def dense_block(block: tuple[int, tuple[tuple[int, int, int], ...]]) -> IntMatrix:
+    """The matrix of a block of certification (`sparse_block` inverted)."""
+    d, nonzero = block
+    entries = [0] * (d * d)
+    for r, c, x in nonzero:
+        entries[r * d + c] = x
+    return IntMatrix(d, tuple(entries))
 
 
 def transpose(a: IntMatrix) -> IntMatrix:

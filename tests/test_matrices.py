@@ -1,5 +1,6 @@
-"""Exact square integer matrices: construction, negation and diagonal
-blocks, and the oracle's product, powers, transpose and standard form."""
+"""Exact square integer matrices: construction, their components as
+certification finds them, and the oracle's rows, negation, product,
+powers, transpose and standard form."""
 from __future__ import annotations
 
 import copy
@@ -10,16 +11,21 @@ import pytest
 import power_oracle
 from power_oracle import (
     binary_power,
+    dense_block,
     from_rows,
     identity,
     is_identity,
     matmul,
+    negated,
+    nonzero_rows,
     standard_form,
+    to_rows,
     trace,
     transpose,
 )
 
 from sptorsion.matrices import IntMatrix
+from sptorsion.witness import _components
 
 
 def test_construction_and_access():
@@ -27,7 +33,7 @@ def test_construction_and_access():
     assert m.size == 2
     assert m.entries == (1, 2, 3, 4)
     assert m.row(1) == (3, 4)
-    assert m.to_rows() == [[1, 2], [3, 4]]
+    assert to_rows(m) == [[1, 2], [3, 4]]
     for rows in ([[1, 2], [3]], [[1, 2, 3]], [[1, 2, 3], [4]]):
         with pytest.raises(ValueError):
             from_rows(rows)
@@ -53,17 +59,17 @@ def test_matrix_is_an_immutable_value():
     same = IntMatrix(size=1, entries=(1,))
     assert m == same and not m != same and hash(m) == hash(same)
     assert copy.copy(m) == m == pickle.loads(pickle.dumps(m))
-    assert dict.fromkeys([m, same, -m]) == {m: None, -m: None}
-    for other in (-m, IntMatrix(1, (2,)), (1, (1,)), identity(2), identity(0)):
+    assert dict.fromkeys([m, same, negated(m)]) == {m: None, negated(m): None}
+    for other in (negated(m), IntMatrix(1, (2,)), (1, (1,)), identity(2), identity(0)):
         assert m != other and not m == other
 
 
 def test_arithmetic():
     a = from_rows([[1, 2], [3, 4]])
     b = from_rows([[0, 1], [1, 0]])
-    assert matmul(a, b).to_rows() == [[2, 1], [4, 3]]
-    assert (-a).to_rows() == [[-1, -2], [-3, -4]]
-    assert transpose(a).to_rows() == [[1, 3], [2, 4]]
+    assert to_rows(matmul(a, b)) == [[2, 1], [4, 3]]
+    assert to_rows(negated(a)) == [[-1, -2], [-3, -4]]
+    assert to_rows(transpose(a)) == [[1, 3], [2, 4]]
     with pytest.raises(ValueError):
         matmul(a, identity(3))
 
@@ -110,21 +116,28 @@ def test_diagonal_blocks_of_permuted_block_diagonal():
             for c, j in enumerate(idx):
                 rows[i][j] = block[r][c]
     a = from_rows(rows)
-    blocks = a.diagonal_blocks()
-    assert [b.to_rows() for b in blocks] == [placed[k][1] for k in (1, 3, 0, 2)]
+    blocks = components(a)
+    assert [to_rows(b) for b in blocks] == [placed[k][1] for k in (1, 3, 0, 2)]
     assert [trace(b) for b in blocks] == [6, 2, 1, 5]
     assert trace(a) == 14
-    assert from_rows([[0] * 3] * 3).diagonal_blocks() == [from_rows([[0]])] * 3
-    assert identity(4).diagonal_blocks() == [identity(1)] * 4
-    assert identity(0).diagonal_blocks() == [] and is_identity(identity(0))
+    assert components(from_rows([[0] * 3] * 3)) == [from_rows([[0]])] * 3
+    assert _components(nonzero_rows(from_rows([[0] * 3] * 3))) == [(1, ())] * 3
+    assert components(identity(4)) == [identity(1)] * 4
+    assert len(dict.fromkeys(_components(nonzero_rows(identity(4))))) == 1
+    assert components(identity(0)) == [] and is_identity(identity(0))
+
+
+def components(a: IntMatrix) -> list[IntMatrix]:
+    """The blocks certification finds in a, as matrices."""
+    return [dense_block(b) for b in _components(nonzero_rows(a))]
 
 
 def test_standard_form_properties():
     sympy = pytest.importorskip("sympy")
     for g in range(1, 6):
         j = standard_form(g)
-        assert transpose(j) == -j
-        assert matmul(j, j) == -identity(2 * g)
-        assert sympy.Matrix(j.to_rows()).det() == 1
+        assert transpose(j) == negated(j)
+        assert matmul(j, j) == negated(identity(2 * g))
+        assert sympy.Matrix(to_rows(j)).det() == 1
     with pytest.raises(ValueError):
         standard_form(0)

@@ -15,12 +15,17 @@ import sympy
 from block_oracle import _block_polynomial, _lift, _trace_form_row, companion, conjugated_companion
 from power_oracle import (
     binary_power,
+    dense_block,
     from_rows,
     identity,
     is_identity,
     matmul,
+    negated,
+    nonzero_rows,
     oracle_certificate,
+    sparse_block,
     standard_form,
+    to_rows,
     transpose,
 )
 from sptorsion import cli
@@ -207,7 +212,7 @@ def test_invariant_lattice_and_form(p, alpha):
     p_matrix = _lift(row)
     form = matmul(matmul(transpose(p_matrix), standard_form(d // 2)), p_matrix)
     c = companion(poly)
-    assert transpose(form) == -form
+    assert transpose(form) == negated(form)
     assert matmul(matmul(transpose(c), form), c) == form
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
@@ -218,7 +223,7 @@ def test_invariant_lattice_and_form(p, alpha):
         for e in range(d - 1, d - 1 + d // 2)
     ]
     assert row == expected
-    assert sympy.Matrix(form.to_rows()).det() == 1
+    assert sympy.Matrix(to_rows(form)).det() == 1
 
 
 @pytest.mark.parametrize(
@@ -234,7 +239,7 @@ def test_prime_power_block(p, alpha):
     if a.size <= 40:
         sympy = pytest.importorskip("sympy")
         x = sympy.Symbol("x")
-        charpoly = sympy.Matrix(a.to_rows()).charpoly(x)
+        charpoly = sympy.Matrix(to_rows(a)).charpoly(x)
         assert charpoly == sympy.Poly(sympy.cyclotomic_poly(n, x), x)
 
 
@@ -268,9 +273,9 @@ def test_blocks_up_to_totient_twenty(p, alpha):
 
 def test_witness_examples():
     w = build_witness(2, 1)
-    assert w.matrix.to_rows() == [[-1, 0], [0, -1]]
+    assert to_rows(w.matrix) == [[-1, 0], [0, -1]]
     w = build_witness(4, 1)
-    assert w.matrix.to_rows() == [[0, -1], [1, 0]]
+    assert to_rows(w.matrix) == [[0, -1], [1, 0]]
     w = build_witness(6, 1)
     assert w.certificate.all_passed
     assert is_identity(binary_power(w.matrix, 6))
@@ -344,7 +349,7 @@ def test_witness_serialization_round_trip():
 
 def test_verify_rejects_tampering():
     w = build_witness(6, 2)
-    rows = w.matrix.to_rows()
+    rows = to_rows(w.matrix)
     rows[0][0] += 1
     tampered = type(w)(
         matrix=from_rows(rows),
@@ -381,8 +386,8 @@ FINITE_PIECES = [
     ([[0, -1], [1, -1]], 3),
     ([[0, 1], [1, 0]], 2),
     ([[0, 0, 1], [-1, 0, 0], [0, 1, 0]], 6),
-    (_prime_power_block(5, 1).to_rows(), 5),
-    (_prime_power_block(2, 3).to_rows(), 8),
+    (to_rows(_prime_power_block(5, 1)), 5),
+    (to_rows(_prime_power_block(2, 3)), 8),
 ]
 
 
@@ -457,7 +462,7 @@ def test_certify_matches_binary_powering(seed):
     for a, m in certify_cases(seed):
         expected = oracle_certificate(a, m, a.size // 2)
         assert _certify(a, m, a.size // 2, tuple(sympy.primefactors(m))) == expected, (
-            a.to_rows(),
+            to_rows(a),
             m,
         )
         outcomes.add(expected.power_identity)
@@ -488,7 +493,7 @@ def test_symplectic_check_matches_the_dense_product():
             a = IntMatrix(a.size, tuple(entries))
         j = standard_form(g)
         expected = matmul(matmul(transpose(a), j), a) == j
-        assert witness_module._is_symplectic(a, g) == expected, a.to_rows()
+        assert witness_module._is_symplectic(nonzero_rows(a), g) == expected, to_rows(a)
         outcomes.add(expected)
     assert outcomes == {True, False}
 
@@ -591,14 +596,15 @@ def test_minimal_polynomials_of_the_starts(seed, monkeypatch):
     for _ in range(10):
         n = rng.choice((2, 4, 6, 8))
         for a in (finite_order_matrix(n, rng)[0], unipotent_matrix(n, rng), sparse_matrix(n, rng)):
-            blocks.update(a.diagonal_blocks())
-    for block in sorted(blocks, key=lambda b: (b.size, b.entries)):
+            blocks.update(witness_module._components(nonzero_rows(a)))
+    for sparse in sorted(blocks):
+        block = dense_block(sparse)
         if abs(sum(block.entries[:: block.size + 1])) > block.size:
             continue  # refused by its trace, before any start
         polynomials.clear()
-        _eigenvalue_orders(block, 2, (2,))
         d = block.size
-        b = sympy.Matrix(block.to_rows())
+        _eigenvalue_orders(sparse, witness_module._small_totient_divisors(2, (2,), d))
+        b = sympy.Matrix(to_rows(block))
         span = sympy.zeros(d, 0)
         starts = []
         for s in range(d):
@@ -611,14 +617,14 @@ def test_minimal_polynomials_of_the_starts(seed, monkeypatch):
             span = span.row_join(sympy.Matrix.hstack(*krylov))
             if span.rank() == d:
                 break
-        assert len(polynomials) == len(starts), block.to_rows()
+        assert len(polynomials) == len(starts), to_rows(block)
         for mu, (s, rank) in zip(polynomials, starts):
             assert len(mu) - 1 == rank and mu[-1] == 1
             image, power = [0] * d, identity(d)
             for c in mu:  # column s of B^j is B^j e_s
                 image = [x + c * y for x, y in zip(image, power.entries[s::d])]
                 power = matmul(block, power)
-            assert image == [0] * d, (block.to_rows(), s, mu)
+            assert image == [0] * d, (to_rows(block), s, mu)
 
 
 GOLDEN_CONJUGATED = Path(__file__).parent / "golden" / "witness_12_g3_conjugated.json"
@@ -650,13 +656,13 @@ def decided(monkeypatch):
     made = []
     decide, orders_of = witness_module._eigenvalue_orders, witness_module._cyclotomic_orders
 
-    def counted(block, m, primes):
-        made.append([block.size, 0])
-        return decide(block, m, primes)
+    def counted(block, table):
+        made.append([block[0], 0])
+        return decide(block, table)
 
-    def counted_start(mu, m, primes):
+    def counted_start(mu, table):
         made[-1][1] += 1
-        return orders_of(mu, m, primes)
+        return orders_of(mu, table)
 
     monkeypatch.setattr(witness_module, "_eigenvalue_orders", counted)
     monkeypatch.setattr(witness_module, "_cyclotomic_orders", counted_start)
@@ -671,6 +677,38 @@ def test_certify_heavy_order_product_count(decided):
     # identity) is decided from the minimal polynomial of its first start
     # vector, with no matrix product; A^T J A = J is summed by rows
     assert sorted(decided) == [[d, 1] for d in (1, 4, 6, 6, 8, 10, 12, 16)]
+
+
+def test_certification_builds_one_cyclotomic_table(decided, monkeypatch):
+    # 13693680 = 2^4 3^2 5 7 11 13 19 at g = 34: eight distinct blocks,
+    # one start each, and one table of (phi(e), e, Phi_e) for the whole
+    # certification, up to the largest block, each Phi_e built once
+    witness = build_witness(13693680, 34)
+    tables, cyclotomics = [], []
+    enumerate_divisors, cyclotomic = witness_module._small_totient_divisors, witness_module._cyclotomic
+    monkeypatch.setattr(
+        witness_module, "_small_totient_divisors", lambda *a: tables.append(a) or enumerate_divisors(*a)
+    )
+    monkeypatch.setattr(witness_module, "_cyclotomic", lambda *a: cyclotomics.append(a[0]) or cyclotomic(*a))
+    decided.clear()
+    assert verify_witness(witness, 34).all_passed
+    assert [starts for _, starts in decided] == [1] * 8
+    assert tables == [(13693680, (2, 3, 5, 7, 11, 13, 19), 18)]
+    assert len(cyclotomics) == len(set(cyclotomics))
+
+
+def test_certify_reads_the_entries_once_and_makes_no_matrix(monkeypatch):
+    # the entries are read once, into the nonzero rows, and each component
+    # is kept as its size and nonzero entries: no IntMatrix is made
+    witness = build_witness(13693680, 34)
+    reads, made = [], []
+    init = IntMatrix.__init__
+    monkeypatch.setattr(IntMatrix, "entries", property(lambda a: reads.append(1) or a._entries))
+    monkeypatch.setattr(IntMatrix, "__init__", lambda a, *args: made.append(args) or init(a, *args))
+    certificate = _certify(witness.matrix, 13693680, 34, (2, 3, 5, 7, 11, 13, 19))
+    assert certificate == witness.certificate and certificate.all_passed
+    assert len(reads) == 1
+    assert made == []
 
 
 def test_certify_skips_primes_above_block_size(decided):
@@ -754,7 +792,7 @@ def h_witness_blocks() -> list[tuple[IntMatrix, int]]:
     }
     blocks = [(_prime_power_block(p, alpha), p**alpha) for p, alpha in sorted(powers)]
     assert len(blocks) == 35
-    return blocks + [(-b, 2 * n if n % 2 else n) for b, n in blocks]
+    return blocks + [(negated(b), 2 * n if n % 2 else n) for b, n in blocks]
 
 
 def test_cyclotomic_polynomials_are_sympys():
@@ -773,7 +811,7 @@ def test_small_totient_divisors(m):
         )
         found = witness_module._small_totient_divisors(m, primes, bound)
         assert [(phi, e) for phi, e, _ in found] == expected
-        assert all(ps == tuple(sympy.primefactors(e)) for _, e, ps in found)
+        assert all(list(cyclotomic) == sympy_cyclotomic(e) for _, e, cyclotomic in found)
 
 
 def test_witness_block_polynomial_is_sympys(monkeypatch):
@@ -787,8 +825,9 @@ def test_witness_block_polynomial_is_sympys(monkeypatch):
     )
     for block, order in h_witness_blocks():
         polynomials.clear()
-        expected = sympy.Matrix(block.to_rows()).charpoly(x).all_coeffs()[::-1]
-        assert _eigenvalue_orders(block, order, tuple(sympy.primefactors(order))) == {order}
+        expected = sympy.Matrix(to_rows(block)).charpoly(x).all_coeffs()[::-1]
+        table = witness_module._small_totient_divisors(order, tuple(sympy.primefactors(order)), block.size)
+        assert _eigenvalue_orders(sparse_block(block), table) == order
         assert polynomials == [expected], block.size
 
 
